@@ -11,16 +11,18 @@ at load time and the package computes in SI throughout.
 
 import hashlib
 import math
+from collections.abc import Callable
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
+from typing import Any
 
 from .channel import Direction, LinkScenario, RisGeometry
 from .link import NoiseConfig
 from .optimizer import ConstraintSet, GaSettings
 from .traffic import TrafficParams
-from .units import db_to_linear
+from .units import db_to_linear, dbm_to_watts
 
 
 class ConfigError(Exception):
@@ -48,81 +50,187 @@ class NonSquareGeometryError(ConfigError):
 
 
 # ----------------------------------------------------------------------------
-#  Schema: section -> key -> default raw string. Raw values are kept for the
-#  canonical config echo / hash; parsing happens against this table only.
+#  Value parsers: raw string -> typed value, or ValueError. load_config puts
+#  "[section] key" in front of the message.
 # ----------------------------------------------------------------------------
 
-SCHEMA: dict[str, dict[str, str]] = {
+# A start:stop:step grid with more points than this is rejected before any
+# point is built.
+MAX_GRID_POINTS = 1_000_000
+
+
+def _number(text: str) -> float:
+    """Finite float. Every float, list and grid value is parsed here."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _boolean(text: str) -> bool:
+    if text in ("true", "false"):
+        return text == "true"
+    raise ValueError(f"expected true or false, got {text!r}")
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    parts = [p.strip() for p in text.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(_number(p) for p in parts)
+
+
+def _grid(text: str) -> tuple[float, ...]:
+    """'start:stop:step' (stop inclusive) or a comma-separated list."""
+    if ":" not in text:
+        return _numbers(text)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError("grid must be start:stop:step")
+    start, stop, step = (_number(p) for p in parts)
+    if step <= 0 or stop < start:
+        raise ValueError("need step > 0 and stop >= start")
+    # finite ends can still give an infinite span, so compare before converting
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+    return tuple(start + i * step for i in range(math.floor(span) + 1))
+
+
+def _integer_grid(text: str) -> tuple[int, ...]:
+    values = _grid(text)
+    for v in values:
+        if abs(v - round(v)) > 1e-9:
+            raise ValueError(f"expected integers, got {v}")
+    return tuple(int(round(v)) for v in values)
+
+
+def _at_least(low: float, parse: Callable = _number, strict: bool = False) -> Callable:
+    """``parse``, then reject a value (or any list entry) below ``low``, or
+    equal to it when ``strict``."""
+    def parse_bounded(text: str):
+        value = parse(text)
+        for item in value if isinstance(value, tuple) else (value,):
+            if item < low or (strict and item == low):
+                raise ValueError(f"must be {'>' if strict else '>='} {low}, got {item}")
+        return value
+    return parse_bounded
+
+
+def _unless(word: str, parse: Callable) -> Callable:
+    """None for the placeholder ``word`` ('' or 'auto'), else ``parse``."""
+    return lambda text: None if text == word else parse(text)
+
+
+def _one_of(*choices: str) -> Callable:
+    def parse_choice(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {choices}, got {text!r}")
+        return text
+    return parse_choice
+
+
+def _linear(convert: Callable[[float], float]) -> Callable:
+    """A dB or dBm value, converted to a linear ratio or to watts."""
+    def parse_level(text: str) -> float:
+        try:
+            return convert(_number(text))
+        except OverflowError:
+            raise ValueError(f"too large: {text!r}") from None
+    return parse_level
+
+
+# ----------------------------------------------------------------------------
+#  Schema: section -> key -> (default raw string, parser). Raw values are kept
+#  in this order for the canonical config echo / hash. Domain rules that the
+#  objects built from them (RisGeometry, LinkScenario, TrafficParams,
+#  GaSettings, ConstraintSet) enforce are not repeated here.
+# ----------------------------------------------------------------------------
+
+SWEEP_KINDS = ("delay-ee", "rel-beta", "sjnr-n")
+
+SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
     "geometry": {
-        "n_elements": "16",          # square array, rows = cols = sqrt(N)
-        "n_rows": "",                # optional explicit rectangle
-        "n_cols": "",
-        "spacing_h": "0.25",
-        "spacing_v": "0.25",
-        "carrier_freq_hz": "28e9",
+        "n_elements": ("16", _at_least(1, _integer)),  # square array, rows = cols = sqrt(N)
+        "n_rows": ("", _unless("", _integer)),         # optional explicit rectangle
+        "n_cols": ("", _unless("", _integer)),
+        "spacing_h": ("0.25", _number),
+        "spacing_v": ("0.25", _number),
+        "carrier_freq_hz": ("28e9", _number),
     },
     "scenario": {
-        "path_gain_db": "30",
-        "path_loss_exp": "2",
-        "dist_ris_bs_m": "4",
-        "dist_ris_ue_m": "20, 25",
-        "dist_jammer_m": "30",
-        "dist_ris_jammer_m": "",     # empty: reuse dist_jammer_m
-        "bs_azimuth_rad": str(math.pi / 6),
-        "bs_elevation_rad": "0",
-        "user_azimuth_rad": str(math.pi / 2),
-        "user_elevation_rad": str(2 * math.pi),
-        "jammer_azimuth_rad": str(math.pi / 4),
-        "jammer_elevation_rad": str(math.pi / 2),
-        "jammer_power_w": "5e-3",
-        "ris_noise_dbm": "-100",
-        "awgn_dbm": "-100",
-        "report_ris_power": "false",
+        "path_gain_db": ("30", _linear(db_to_linear)),
+        "path_loss_exp": ("2", _number),
+        "dist_ris_bs_m": ("4", _number),
+        "dist_ris_ue_m": ("20, 25", _numbers),
+        "dist_jammer_m": ("30", _number),
+        "dist_ris_jammer_m": ("", _unless("", _number)),  # empty: reuse dist_jammer_m
+        "bs_azimuth_rad": (str(math.pi / 6), _number),
+        "bs_elevation_rad": ("0", _number),
+        "user_azimuth_rad": (str(math.pi / 2), _numbers),
+        "user_elevation_rad": (str(2 * math.pi), _numbers),
+        "jammer_azimuth_rad": (str(math.pi / 4), _number),
+        "jammer_elevation_rad": (str(math.pi / 2), _number),
+        "jammer_power_w": ("5e-3", _number),
+        "ris_noise_dbm": ("-100", _linear(dbm_to_watts)),
+        "awgn_dbm": ("-100", _linear(dbm_to_watts)),
+        "report_ris_power": ("false", _boolean),
     },
     "traffic": {
-        "arrival_rate_per_s": "500",
-        "retransmissions": "10",
-        "header_time_s": "30e-6",
-        "bandwidth_hz": "180e3",
+        "arrival_rate_per_s": ("500", _numbers),
+        "retransmissions": ("10", _integer),
+        "header_time_s": ("30e-6", _at_least(0)),
+        "bandwidth_hz": ("180e3", _at_least(0, strict=True)),
     },
     "fbl": {
-        "blocklength": "108",
-        "payload_bytes": "32",
+        "blocklength": ("108", _at_least(1, _integer)),
+        "payload_bytes": ("32", _at_least(1, _integer)),
     },
     "ga": {
-        "population_size": "200",
-        "max_generations": "100",
-        "crossover_rate": "0.9",
-        "mutation_rate": "auto",     # auto: one expected mutation per genome
-        "elite_count": "2",
-        "rng_seed": "12345",
-        "constraint_tolerance": "1e-30",
-        "function_tolerance": "1e-30",
-        "co_phasing_fraction": "0.1",
-        "mutation_sigma": "0.1",
-        "mutation_decay": "0.99",
-        "stall_generations": "50",
-        "delay_thr_s": "1e-3",
-        "rel_thr": "0.99999",
-        "beta_max": "100",
-        "p_max_w": "0.1",
-        "p_min_w": "1e-6",
-        "l_max": "10",
-        "nb_min": "1",
-        "nb_max": "1000",
+        "population_size": ("200", _integer),
+        "max_generations": ("100", _integer),
+        "crossover_rate": ("0.9", _number),
+        "mutation_rate": ("auto", _unless("auto", _number)),  # auto: one expected mutation per genome
+        "elite_count": ("2", _integer),
+        "rng_seed": ("12345", _at_least(0, _integer)),
+        "constraint_tolerance": ("1e-30", _number),
+        "function_tolerance": ("1e-30", _number),
+        "co_phasing_fraction": ("0.1", _number),
+        "mutation_sigma": ("0.1", _at_least(0)),
+        "mutation_decay": ("0.99", _at_least(0)),
+        "stall_generations": ("50", _at_least(1, _integer)),
+        "delay_thr_s": ("1e-3", _number),
+        "rel_thr": ("0.99999", _number),
+        "beta_max": ("100", _number),
+        "p_max_w": ("0.1", _number),
+        "p_min_w": ("1e-6", _number),
+        "l_max": ("10", _integer),
+        "nb_min": ("1", _integer),
+        "nb_max": ("1000", _integer),
     },
     "sweep": {
-        "kind": "delay-ee",
-        "blocklength_grid": "60:300:12",
-        "arrival_rate_grid": "100:1300:200",
-        "beta_grid": "0:50:0.1",
-        "n_elements_grid": "",       # empty: kind-specific default
-        "blocklength": "360",        # fixed code length for the rel-beta sweep
-        "retransmissions": "1",      # delay-ee sweep replica count
-        "policy": "cophased",
-        "policy_power_w": "2.45e-3",
-        "policy_beta_total": "100",
-        "cophase_user": "auto",      # auto: plotted user of the sweep kind
+        "kind": ("delay-ee", _one_of(*SWEEP_KINDS)),
+        "blocklength_grid": ("60:300:12", _at_least(1, _integer_grid)),
+        "arrival_rate_grid": ("100:1300:200", _at_least(0, _grid, strict=True)),
+        "beta_grid": ("0:50:0.1", _at_least(0, _grid)),
+        # empty: kind-specific default
+        "n_elements_grid": ("", _unless("", _at_least(1, _integer_grid))),
+        "blocklength": ("360", _at_least(1, _integer)),    # fixed code length for the rel-beta sweep
+        "retransmissions": ("1", _at_least(1, _integer)),  # delay-ee sweep replica count
+        "policy": ("cophased", _one_of("cophased", "ga")),
+        "policy_power_w": ("2.45e-3", _at_least(0, strict=True)),
+        "policy_beta_total": ("100", _at_least(0)),
+        "cophase_user": ("auto", _unless("auto", _integer)),  # auto: plotted user of the sweep kind
     },
 }
 
@@ -138,8 +246,6 @@ PRESETS: dict[str, dict[tuple[str, str], str]] = {
         ("ga", "max_generations"): "200",
     },
 }
-
-SWEEP_KINDS = ("delay-ee", "rel-beta", "sjnr-n")
 
 # Default element-count grids per sweep kind (all perfect squares).
 DEFAULT_N_GRID = {
@@ -209,60 +315,6 @@ class ExperimentConfig:
         return f"sha256:{digest}"
 
 
-# ----------------------------------------------------------------------------
-#  Value parsers
-# ----------------------------------------------------------------------------
-
-def _parse_float(section: str, key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigValueError(f"[{section}] {key}: not a number: {value!r}") from exc
-
-
-def _parse_int(section: str, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigValueError(f"[{section}] {key}: not an integer: {value!r}") from exc
-
-
-def _parse_bool(section: str, key: str, value: str) -> bool:
-    if value in ("true", "false"):
-        return value == "true"
-    raise ConfigValueError(f"[{section}] {key}: expected true or false, got {value!r}")
-
-
-def _parse_float_list(section: str, key: str, value: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if not parts:
-        raise ConfigValueError(f"[{section}] {key}: empty list")
-    return tuple(_parse_float(section, key, p) for p in parts)
-
-
-def _parse_grid(section: str, key: str, value: str, as_int: bool = False):
-    """Parse 'start:stop:step' (stop inclusive) or a comma-separated list."""
-    if ":" in value:
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise ConfigValueError(f"[{section}] {key}: grid must be start:stop:step")
-        start, stop, step = (_parse_float(section, key, p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigValueError(f"[{section}] {key}: need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = tuple(start + i * step for i in range(count))
-    else:
-        values = _parse_float_list(section, key, value)
-    if as_int:
-        out = []
-        for v in values:
-            if abs(v - round(v)) > 1e-9:
-                raise ConfigValueError(f"[{section}] {key}: expected integers, got {v}")
-            out.append(int(round(v)))
-        return tuple(out)
-    return values
-
-
 def _broadcast(section: str, key: str, values: tuple, n_users: int) -> tuple:
     if len(values) == 1:
         return values * n_users
@@ -286,6 +338,14 @@ def square_geometry(n_elements: int, spacing_h: float = 0.25,
     """Square RIS with rows = cols = sqrt(n_elements)."""
     side = _square_side(n_elements)
     return RisGeometry(side, side, spacing_h, spacing_v, carrier_freq)
+
+
+def _build(what: str, factory: Callable, *args, **kwargs):
+    """Construct a domain object, reporting its ValueError as a config error."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigValueError(f"invalid {what}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------------
@@ -312,6 +372,19 @@ def _read_file_items(path: Path) -> dict[tuple[str, str], str]:
     return items
 
 
+def _parse_all(effective: dict[tuple[str, str], str]) -> dict[str, dict[str, Any]]:
+    """Every effective raw value, typed by its schema parser."""
+    typed: dict[str, dict[str, Any]] = {}
+    for section, keys in SCHEMA.items():
+        typed[section] = {}
+        for key, (_, parse) in keys.items():
+            try:
+                typed[section][key] = parse(effective[(section, key)])
+            except ValueError as exc:
+                raise ConfigValueError(f"[{section}] {key}: {exc}") from exc
+    return typed
+
+
 def load_config(path: str | Path | None = None, preset: str | None = None,
                 seed: int | None = None,
                 output_dir: str | Path = "results") -> ExperimentConfig:
@@ -323,7 +396,7 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     effective: dict[tuple[str, str], str] = {
         (section, key): default
         for section, keys in SCHEMA.items()
-        for key, default in keys.items()
+        for key, (default, _) in keys.items()
     }
     if preset is not None:
         if preset not in PRESETS:
@@ -333,175 +406,89 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         effective.update(_read_file_items(Path(path)))
     if seed is not None:
         effective[("ga", "rng_seed")] = str(int(seed))
+    typed = _parse_all(effective)
 
-    get = lambda section, key: effective[(section, key)]
-
-    # -- geometry ------------------------------------------------------------
-    rows_raw = get("geometry", "n_rows")
-    cols_raw = get("geometry", "n_cols")
-    spacing_h = _parse_float("geometry", "spacing_h", get("geometry", "spacing_h"))
-    spacing_v = _parse_float("geometry", "spacing_v", get("geometry", "spacing_v"))
-    carrier = _parse_float("geometry", "carrier_freq_hz", get("geometry", "carrier_freq_hz"))
-    if rows_raw or cols_raw:
-        if not (rows_raw and cols_raw):
-            raise ConfigValueError("[geometry] n_rows and n_cols must be given together")
-        geometry = RisGeometry(_parse_int("geometry", "n_rows", rows_raw),
-                               _parse_int("geometry", "n_cols", cols_raw),
-                               spacing_h, spacing_v, carrier)
+    geo = typed["geometry"]
+    if (geo["n_rows"] is None) != (geo["n_cols"] is None):
+        raise ConfigValueError("[geometry] n_rows and n_cols must be given together")
+    if geo["n_rows"] is None:
+        geometry = _build("geometry", square_geometry, geo["n_elements"],
+                          geo["spacing_h"], geo["spacing_v"], geo["carrier_freq_hz"])
     else:
-        n_elements = _parse_int("geometry", "n_elements", get("geometry", "n_elements"))
-        geometry = square_geometry(n_elements, spacing_h, spacing_v, carrier)
+        geometry = _build("geometry", RisGeometry, geo["n_rows"], geo["n_cols"],
+                          geo["spacing_h"], geo["spacing_v"], geo["carrier_freq_hz"])
 
-    # -- scenario ------------------------------------------------------------
-    dist_ue = _parse_float_list("scenario", "dist_ris_ue_m", get("scenario", "dist_ris_ue_m"))
-    n_users = len(dist_ue)
-    user_az = _broadcast("scenario", "user_azimuth_rad",
-                         _parse_float_list("scenario", "user_azimuth_rad",
-                                           get("scenario", "user_azimuth_rad")), n_users)
-    user_el = _broadcast("scenario", "user_elevation_rad",
-                         _parse_float_list("scenario", "user_elevation_rad",
-                                           get("scenario", "user_elevation_rad")), n_users)
-    ris_jam_raw = get("scenario", "dist_ris_jammer_m")
-    try:
-        scenario = LinkScenario(
-            path_gain_ref=db_to_linear(_parse_float("scenario", "path_gain_db",
-                                                    get("scenario", "path_gain_db"))),
-            path_loss_exp=_parse_float("scenario", "path_loss_exp",
-                                       get("scenario", "path_loss_exp")),
-            dist_ris_bs=_parse_float("scenario", "dist_ris_bs_m",
-                                     get("scenario", "dist_ris_bs_m")),
-            dist_ris_ue=dist_ue,
-            dist_jammer=_parse_float("scenario", "dist_jammer_m",
-                                     get("scenario", "dist_jammer_m")),
-            dir_bs=Direction(_parse_float("scenario", "bs_azimuth_rad",
-                                          get("scenario", "bs_azimuth_rad")),
-                             _parse_float("scenario", "bs_elevation_rad",
-                                          get("scenario", "bs_elevation_rad"))),
-            dir_jammer=Direction(_parse_float("scenario", "jammer_azimuth_rad",
-                                              get("scenario", "jammer_azimuth_rad")),
-                                 _parse_float("scenario", "jammer_elevation_rad",
-                                              get("scenario", "jammer_elevation_rad"))),
-            dir_users=tuple(Direction(a, e) for a, e in zip(user_az, user_el)),
-            jammer_power=_parse_float("scenario", "jammer_power_w",
-                                      get("scenario", "jammer_power_w")),
-            dist_ris_jammer=(None if not ris_jam_raw
-                             else _parse_float("scenario", "dist_ris_jammer_m", ris_jam_raw)),
-        )
-        noise = NoiseConfig.from_dbm(
-            _parse_float("scenario", "ris_noise_dbm", get("scenario", "ris_noise_dbm")),
-            _parse_float("scenario", "awgn_dbm", get("scenario", "awgn_dbm")))
-    except ValueError as exc:
-        raise ConfigValueError(f"invalid scenario: {exc}") from exc
-
-    # -- traffic / fbl ---------------------------------------------------------
-    rates = _broadcast("traffic", "arrival_rate_per_s",
-                       _parse_float_list("traffic", "arrival_rate_per_s",
-                                         get("traffic", "arrival_rate_per_s")), n_users)
-    try:
-        traffic = TrafficParams(rates, _parse_int("traffic", "retransmissions",
-                                                  get("traffic", "retransmissions")))
-    except ValueError as exc:
-        raise ConfigValueError(f"invalid traffic: {exc}") from exc
-    header_time = _parse_float("traffic", "header_time_s", get("traffic", "header_time_s"))
-    bandwidth = _parse_float("traffic", "bandwidth_hz", get("traffic", "bandwidth_hz"))
-    if header_time < 0 or bandwidth <= 0:
-        raise ConfigValueError("[traffic] header time must be >= 0 and bandwidth > 0")
-    blocklength = _parse_int("fbl", "blocklength", get("fbl", "blocklength"))
-    payload_bits = 8 * _parse_int("fbl", "payload_bytes", get("fbl", "payload_bytes"))
-    if blocklength < 1 or payload_bits < 8:
-        raise ConfigValueError("[fbl] blocklength and payload must be positive")
-
-    # -- ga / constraints ------------------------------------------------------
-    mut_raw = get("ga", "mutation_rate")
-    try:
-        ga = GaSettings(
-            population_size=_parse_int("ga", "population_size", get("ga", "population_size")),
-            max_generations=_parse_int("ga", "max_generations", get("ga", "max_generations")),
-            crossover_rate=_parse_float("ga", "crossover_rate", get("ga", "crossover_rate")),
-            mutation_rate=(None if mut_raw == "auto"
-                           else _parse_float("ga", "mutation_rate", mut_raw)),
-            elite_count=_parse_int("ga", "elite_count", get("ga", "elite_count")),
-            rng_seed=_parse_int("ga", "rng_seed", get("ga", "rng_seed")),
-            constraint_tolerance=_parse_float("ga", "constraint_tolerance",
-                                              get("ga", "constraint_tolerance")),
-            function_tolerance=_parse_float("ga", "function_tolerance",
-                                            get("ga", "function_tolerance")),
-            co_phasing_fraction=_parse_float("ga", "co_phasing_fraction",
-                                             get("ga", "co_phasing_fraction")),
-            mutation_sigma=_parse_float("ga", "mutation_sigma", get("ga", "mutation_sigma")),
-            mutation_decay=_parse_float("ga", "mutation_decay", get("ga", "mutation_decay")),
-            stall_generations=_parse_int("ga", "stall_generations",
-                                         get("ga", "stall_generations")),
-        )
-        constraints = ConstraintSet(
-            delay_thr=_parse_float("ga", "delay_thr_s", get("ga", "delay_thr_s")),
-            rel_thr=_parse_float("ga", "rel_thr", get("ga", "rel_thr")),
-            beta_max=_parse_float("ga", "beta_max", get("ga", "beta_max")),
-            p_max=_parse_float("ga", "p_max_w", get("ga", "p_max_w")),
-            l_max=_parse_int("ga", "l_max", get("ga", "l_max")),
-            p_min=_parse_float("ga", "p_min_w", get("ga", "p_min_w")),
-            nb_min=_parse_int("ga", "nb_min", get("ga", "nb_min")),
-            nb_max=_parse_int("ga", "nb_max", get("ga", "nb_max")),
-        )
-    except ValueError as exc:
-        raise ConfigValueError(f"invalid ga settings: {exc}") from exc
-
-    # -- sweep -----------------------------------------------------------------
-    kind = get("sweep", "kind")
-    if kind not in SWEEP_KINDS:
-        raise ConfigValueError(f"[sweep] kind must be one of {SWEEP_KINDS}, got {kind!r}")
-    n_grid_raw = get("sweep", "n_elements_grid")
-    n_grid = None
-    if n_grid_raw:
-        n_grid = _parse_grid("sweep", "n_elements_grid", n_grid_raw, as_int=True)
-        for n in n_grid:
-            _square_side(n)
-    cophase_raw = get("sweep", "cophase_user")
-    policy = get("sweep", "policy")
-    if policy not in ("cophased", "ga"):
-        raise ConfigValueError(f"[sweep] policy must be 'cophased' or 'ga', got {policy!r}")
-    sweep = SweepSpec(
-        kind=kind,
-        blocklength_grid=_parse_grid("sweep", "blocklength_grid",
-                                     get("sweep", "blocklength_grid"), as_int=True),
-        arrival_rate_grid=_parse_grid("sweep", "arrival_rate_grid",
-                                      get("sweep", "arrival_rate_grid")),
-        beta_grid=_parse_grid("sweep", "beta_grid", get("sweep", "beta_grid")),
-        n_elements_grid=n_grid,
-        blocklength=_parse_int("sweep", "blocklength", get("sweep", "blocklength")),
-        retransmissions=_parse_int("sweep", "retransmissions",
-                                   get("sweep", "retransmissions")),
-        policy=policy,
-        policy_power_w=_parse_float("sweep", "policy_power_w",
-                                    get("sweep", "policy_power_w")),
-        policy_beta_total=_parse_float("sweep", "policy_beta_total",
-                                       get("sweep", "policy_beta_total")),
-        cophase_user=(None if cophase_raw == "auto"
-                      else _parse_int("sweep", "cophase_user", cophase_raw)),
+    scen = typed["scenario"]
+    n_users = len(scen["dist_ris_ue_m"])
+    user_az = _broadcast("scenario", "user_azimuth_rad", scen["user_azimuth_rad"], n_users)
+    user_el = _broadcast("scenario", "user_elevation_rad", scen["user_elevation_rad"], n_users)
+    scenario = _build(
+        "scenario", LinkScenario,
+        path_gain_ref=scen["path_gain_db"],
+        path_loss_exp=scen["path_loss_exp"],
+        dist_ris_bs=scen["dist_ris_bs_m"],
+        dist_ris_ue=scen["dist_ris_ue_m"],
+        dist_jammer=scen["dist_jammer_m"],
+        dir_bs=Direction(scen["bs_azimuth_rad"], scen["bs_elevation_rad"]),
+        dir_jammer=Direction(scen["jammer_azimuth_rad"], scen["jammer_elevation_rad"]),
+        dir_users=tuple(Direction(a, e) for a, e in zip(user_az, user_el)),
+        jammer_power=scen["jammer_power_w"],
+        dist_ris_jammer=scen["dist_ris_jammer_m"],
     )
+
+    rates = _broadcast("traffic", "arrival_rate_per_s",
+                       typed["traffic"]["arrival_rate_per_s"], n_users)
+    traffic = _build("traffic", TrafficParams, rates, typed["traffic"]["retransmissions"])
+
+    ga = typed["ga"]
+    ga_settings = _build(
+        "ga settings", GaSettings,
+        population_size=ga["population_size"],
+        max_generations=ga["max_generations"],
+        crossover_rate=ga["crossover_rate"],
+        mutation_rate=ga["mutation_rate"],
+        elite_count=ga["elite_count"],
+        rng_seed=ga["rng_seed"],
+        constraint_tolerance=ga["constraint_tolerance"],
+        function_tolerance=ga["function_tolerance"],
+        co_phasing_fraction=ga["co_phasing_fraction"],
+        mutation_sigma=ga["mutation_sigma"],
+        mutation_decay=ga["mutation_decay"],
+        stall_generations=ga["stall_generations"],
+    )
+    constraints = _build(
+        "ga settings", ConstraintSet,
+        delay_thr=ga["delay_thr_s"],
+        rel_thr=ga["rel_thr"],
+        beta_max=ga["beta_max"],
+        p_max=ga["p_max_w"],
+        l_max=ga["l_max"],
+        p_min=ga["p_min_w"],
+        nb_min=ga["nb_min"],
+        nb_max=ga["nb_max"],
+    )
+
+    sweep = SweepSpec(**typed["sweep"])  # the [sweep] keys are the SweepSpec fields
+    for n in sweep.n_elements_grid or ():
+        _square_side(n)
     if sweep.cophase_user is not None and not 1 <= sweep.cophase_user <= n_users:
         raise ConfigValueError(f"[sweep] cophase_user out of range 1..{n_users}")
 
-    raw_canonical = tuple(
-        (section, key, effective[(section, key)])
-        for section in SCHEMA
-        for key in SCHEMA[section]
-    )
     return ExperimentConfig(
         geometry=geometry,
         scenario=scenario,
-        noise=noise,
+        noise=NoiseConfig(scen["ris_noise_dbm"], scen["awgn_dbm"]),
         traffic=traffic,
-        header_time=header_time,
-        bandwidth=bandwidth,
-        blocklength=blocklength,
-        payload_bits=payload_bits,
-        ga=ga,
+        header_time=typed["traffic"]["header_time_s"],
+        bandwidth=typed["traffic"]["bandwidth_hz"],
+        blocklength=typed["fbl"]["blocklength"],
+        payload_bits=8 * typed["fbl"]["payload_bytes"],
+        ga=ga_settings,
         constraints=constraints,
         sweep=sweep,
-        report_ris_power=_parse_bool("scenario", "report_ris_power",
-                                     get("scenario", "report_ris_power")),
+        report_ris_power=scen["report_ris_power"],
         output_dir=Path(output_dir),
-        seed=ga.rng_seed,
-        raw=raw_canonical,
+        seed=ga_settings.rng_seed,
+        raw=tuple((section, key, effective[(section, key)])
+                  for section, keys in SCHEMA.items() for key in keys),
     )

@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from risjam import config
+from risjam.cli import main
 from risjam.config import (ConfigNotFoundError, ConfigSyntaxError,
                            ConfigValueError, NonSquareGeometryError,
                            UnknownKeyError, load_config, square_geometry)
@@ -12,6 +16,101 @@ def write(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def positive(max_value=None):
+    return st.floats(min_value=0.0, max_value=max_value, exclude_min=True,
+                     allow_infinity=False)
+
+
+def non_negative():
+    return st.floats(min_value=0.0, allow_infinity=False)
+
+
+PROBABILITY = st.floats(min_value=0.0, max_value=1.0)
+ANGLE = st.floats(allow_nan=False, allow_infinity=False)
+
+# Every float-valued key (lists and float grids given as one value) with the
+# finite values it accepts while all other keys keep their defaults.
+FLOAT_DOMAINS = {
+    ("geometry", "spacing_h"): positive(),
+    ("geometry", "spacing_v"): positive(),
+    ("geometry", "carrier_freq_hz"): positive(),
+    ("scenario", "path_gain_db"): st.floats(min_value=-3000.0, max_value=3000.0),
+    ("scenario", "path_loss_exp"): non_negative(),
+    ("scenario", "dist_ris_bs_m"): positive(),
+    ("scenario", "dist_ris_ue_m"): positive(),
+    ("scenario", "dist_jammer_m"): positive(),
+    ("scenario", "dist_ris_jammer_m"): positive(),
+    ("scenario", "bs_azimuth_rad"): ANGLE,
+    ("scenario", "bs_elevation_rad"): ANGLE,
+    ("scenario", "user_azimuth_rad"): ANGLE,
+    ("scenario", "user_elevation_rad"): ANGLE,
+    ("scenario", "jammer_azimuth_rad"): ANGLE,
+    ("scenario", "jammer_elevation_rad"): ANGLE,
+    ("scenario", "jammer_power_w"): non_negative(),
+    ("scenario", "ris_noise_dbm"): st.floats(max_value=3000.0, allow_infinity=False),
+    ("scenario", "awgn_dbm"): st.floats(max_value=3000.0, allow_infinity=False),
+    ("traffic", "arrival_rate_per_s"): positive(),
+    ("traffic", "header_time_s"): non_negative(),
+    ("traffic", "bandwidth_hz"): positive(),
+    ("ga", "crossover_rate"): PROBABILITY,
+    ("ga", "mutation_rate"): PROBABILITY,
+    ("ga", "constraint_tolerance"): non_negative(),
+    ("ga", "function_tolerance"): non_negative(),
+    ("ga", "co_phasing_fraction"): PROBABILITY,
+    ("ga", "mutation_sigma"): non_negative(),
+    ("ga", "mutation_decay"): non_negative(),
+    ("ga", "delay_thr_s"): positive(),
+    ("ga", "rel_thr"): st.floats(min_value=0.0, max_value=1.0,
+                                 exclude_min=True, exclude_max=True),
+    ("ga", "beta_max"): positive(),
+    ("ga", "p_max_w"): st.floats(min_value=1e-6, allow_infinity=False),  # >= p_min_w
+    ("ga", "p_min_w"): positive(max_value=0.1),                          # <= p_max_w
+    ("sweep", "arrival_rate_grid"): positive(),
+    ("sweep", "beta_grid"): non_negative(),
+    ("sweep", "policy_power_w"): positive(),
+    ("sweep", "policy_beta_total"): non_negative(),
+}
+INTEGER_GRIDS = (("sweep", "blocklength_grid"), ("sweep", "n_elements_grid"))
+LIST_KEYS = (("scenario", "dist_ris_ue_m"), ("scenario", "user_azimuth_rad"),
+             ("scenario", "user_elevation_rad"), ("traffic", "arrival_rate_per_s"),
+             ("sweep", "arrival_rate_grid"), ("sweep", "beta_grid")) + INTEGER_GRIDS
+NON_FINITE_CASES = (
+    [(section, key, value) for section, key in [*FLOAT_DOMAINS, *INTEGER_GRIDS]
+     for value in ("nan", "inf", "-inf")]
+    + [(section, key, "1, nan") for section, key in LIST_KEYS]
+    + [("sweep", "beta_grid", "0:inf:1"), ("sweep", "arrival_rate_grid", "1:nan:2")])
+
+# (section, "key = value", expected message): values that used to load and
+# then fail at run time, or fail with an error that is no config error
+OUT_OF_DOMAIN_CASES = [
+    ("geometry", "n_elements = 0", "[geometry] n_elements: must be >= 1"),
+    ("geometry", "n_elements = -4", "[geometry] n_elements: must be >= 1"),
+    ("geometry", "spacing_h = -0.25", "invalid geometry: element spacings"),
+    ("geometry", "carrier_freq_hz = -1", "invalid geometry: carrier frequency"),
+    ("scenario", "path_gain_db = 4000", "[scenario] path_gain_db: too large"),
+    ("scenario", "awgn_dbm = 4000", "[scenario] awgn_dbm: too large"),
+    ("traffic", "header_time_s = -1e-6", "[traffic] header_time_s: must be >= 0"),
+    ("traffic", "bandwidth_hz = 0", "[traffic] bandwidth_hz: must be > 0"),
+    ("fbl", "blocklength = 0", "[fbl] blocklength: must be >= 1"),
+    ("fbl", "payload_bytes = 0", "[fbl] payload_bytes: must be >= 1"),
+    ("ga", "rng_seed = -1", "[ga] rng_seed: must be >= 0"),
+    ("ga", "mutation_sigma = -0.1", "[ga] mutation_sigma: must be >= 0"),
+    ("ga", "mutation_decay = -1", "[ga] mutation_decay: must be >= 0"),
+    ("ga", "stall_generations = -5", "[ga] stall_generations: must be >= 1"),
+    ("ga", "stall_generations = 0", "[ga] stall_generations: must be >= 1"),
+    ("sweep", "blocklength = 0", "[sweep] blocklength: must be >= 1"),
+    ("sweep", "retransmissions = 0", "[sweep] retransmissions: must be >= 1"),
+    ("sweep", "policy_power_w = 0", "[sweep] policy_power_w: must be > 0"),
+    ("sweep", "policy_power_w = -1", "[sweep] policy_power_w: must be > 0"),
+    ("sweep", "policy_beta_total = -1", "[sweep] policy_beta_total: must be >= 0"),
+    ("sweep", "blocklength_grid = 0, 60", "[sweep] blocklength_grid: must be >= 1"),
+    ("sweep", "arrival_rate_grid = 0, 100", "[sweep] arrival_rate_grid: must be > 0"),
+    ("sweep", "beta_grid = -1:1:1", "[sweep] beta_grid: must be >= 0"),
+    ("sweep", "n_elements_grid = 0, 4", "[sweep] n_elements_grid: must be >= 1"),
+    ("sweep", "n_elements_grid = -4", "[sweep] n_elements_grid: must be >= 1"),
+]
 
 
 class TestDefaults:
@@ -101,6 +200,47 @@ class TestErrors:
         with pytest.raises(ConfigValueError):
             load_config(write(tmp_path, "[sweep]\nkind = delay\n"))
 
+    @pytest.mark.parametrize("section,key,value", NON_FINITE_CASES)
+    def test_non_finite_value_names_key(self, tmp_path, section, key, value):
+        with pytest.raises(ConfigValueError, match=rf"^\[{section}\] {key}: not a finite"):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+
+    def test_non_finite_delay_threshold_exits_1(self, tmp_path, capsys):
+        # with separated users this config is feasible; a NaN threshold used
+        # to drop the delay constraint and report feasible = true
+        path = write(tmp_path, "\n".join([
+            "[scenario]", "user_azimuth_rad = 1.0, 1.5707963267948966",
+            "[ga]", "delay_thr_s = nan", ""]))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 1
+        assert "config error: [ga] delay_thr_s: not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,setting,message", OUT_OF_DOMAIN_CASES,
+                             ids=[f"{s}.{v}" for s, v, _ in OUT_OF_DOMAIN_CASES])
+    def test_out_of_domain_value(self, tmp_path, section, setting, message):
+        with pytest.raises(ConfigValueError, match=re.escape(message)):
+            load_config(write(tmp_path, f"[{section}]\n{setting}\n"))
+
+    def test_grid_point_cap(self, tmp_path, monkeypatch):
+        def bounded_range(stop):
+            # fails instead of allocating if a grid is built before its size is checked
+            assert stop <= config.MAX_GRID_POINTS
+            return range(stop)
+        monkeypatch.setattr(config, "range", bounded_range, raising=False)
+        for grid in ("1:1e12:1", "0:1e308:1e-308", "-1e308:1e308:1", "0:1000000:1"):
+            with pytest.raises(ConfigValueError, match=r"\[sweep\] beta_grid: grid has more"):
+                load_config(write(tmp_path, f"[sweep]\nbeta_grid = {grid}\n"))
+        # the largest grid the benchmark uses
+        cfg = load_config(write(tmp_path, "[sweep]\nbeta_grid = 0:50:0.001\n"))
+        assert len(cfg.sweep.beta_grid) == 50_001
+        # the cap is inclusive; 21 is the size of the default blocklength grid
+        monkeypatch.setattr(config, "MAX_GRID_POINTS", 21)
+        cfg = load_config(write(tmp_path, "[sweep]\nbeta_grid = 0:20:1\n"))
+        assert len(cfg.sweep.beta_grid) == len(cfg.sweep.blocklength_grid) == 21
+        with pytest.raises(ConfigValueError, match="more than 21 points"):
+            load_config(write(tmp_path, "[sweep]\nbeta_grid = 0:21:1\n"))
+
 
 class TestConversionsAndOverrides:
     def test_db_dbm_and_bytes(self, tmp_path):
@@ -176,6 +316,40 @@ class TestEchoAndHash:
         again = load_config(echo_path)
         assert again.config_hash == cfg.config_hash
         assert again.traffic.arrival_rates == (321.0, 321.0)
+
+    # Broadcast list, start:stop:step and comma-list grids, 'auto', an empty
+    # optional key and a bool.
+    EVERY_PARSER = "\n".join([
+        "[geometry]", "n_rows = 2", "n_cols = 3", "spacing_h = 0.5",
+        "[scenario]", "dist_ris_ue_m = 10, 20, 30", "user_azimuth_rad = 0.5",
+        "user_elevation_rad = -0.25, 0, 0.25", "dist_ris_jammer_m =",
+        "path_gain_db = 20", "awgn_dbm = -90", "report_ris_power = true",
+        "[traffic]", "arrival_rate_per_s = 100, 200, 300", "retransmissions = 3",
+        "[fbl]", "payload_bytes = 16",
+        "[ga]", "mutation_rate = auto", "delay_thr_s = 2e-3",
+        "[sweep]", "kind = rel-beta", "blocklength_grid = 60:120:20",
+        "arrival_rate_grid = 100, 300", "beta_grid = 0:10:0.5",
+        "n_elements_grid = 4, 16, 36", "cophase_user = 2", ""])
+
+    @pytest.mark.parametrize("preset,text,expected", [
+        (None, None, "sha256:917de066c405429c"),
+        ("paper", None, "sha256:63c70daa4e2839dd"),
+        (None, EVERY_PARSER, "sha256:7c60b948905558ca"),
+    ])
+    def test_hash_is_pinned(self, tmp_path, preset, text, expected):
+        path = None if text is None else write(tmp_path, text)
+        assert load_config(path, preset=preset).config_hash == expected
+
+    @pytest.mark.parametrize("section,key", list(FLOAT_DOMAINS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_finite_value_in_domain_loads_and_round_trips(
+            self, tmp_path_factory, section, key, data):
+        value = data.draw(FLOAT_DOMAINS[(section, key)], label=key)
+        work = tmp_path_factory.mktemp("domain")
+        cfg = load_config(write(work, f"[{section}]\n{key} = {value!r}\n"))
+        again = load_config(write(work, cfg.echo_text(), "echo.ini"))
+        assert again.config_hash == cfg.config_hash
 
 
 class TestSquareGeometry:
