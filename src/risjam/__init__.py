@@ -7,15 +7,14 @@ plus a genetic-algorithm energy-efficiency maximizer and a sweep harness.
 
 from ._version import __version__
 from .channel import (Direction, LinkScenario, RisGeometry, array_response,
-                      element_position, element_positions, jammer_direct_channel,
-                      ris_bs_channel, ris_jammer_channel, ris_ue_channel,
-                      wave_vector)
+                      element_positions, jammer_direct_channel, ris_bs_channel,
+                      ris_jammer_channel, ris_ue_channel, wave_vector)
 from .config import (ConfigError, ConfigNotFoundError, ConfigSyntaxError,
                      ConfigValueError, ExperimentConfig, NonSquareGeometryError,
                      SweepSpec, UnknownKeyError, load_config, square_geometry)
 from .link import (BeamformConfig, FblCode, NoiseConfig, PowerAllocation, bler,
                    co_phasing_phases, q_function, reliability, replica_success,
-                   sjnr, sjnr_all)
+                   sjnr_all)
 from .model import MetricsReport, SystemModel
 from .optimizer import (ConstraintSet, DecisionVector, GaSettings,
                         OptimizationResult, decode, evaluate_fitness,
@@ -25,7 +24,7 @@ from .sweeps import (SweepResult, build_model, read_solution_record,
                      sweep_delay_ee, sweep_reliability_vs_beta, sweep_sjnr_vs_n,
                      uniform_beta_sjnr, write_solution_record, write_sweep_csv)
 from .traffic import (FrameParams, TrafficParams, UnstableQueueError,
-                      energy_efficiency, frame_duration, mean_delay,
-                      simulate_md1, utilization)
+                      energy_efficiency, mean_delay, simulate_md1,
+                      utilization)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

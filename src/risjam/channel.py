@@ -123,22 +123,14 @@ class LinkScenario:
         return self.dist_jammer if self.dist_ris_jammer is None else self.dist_ris_jammer
 
 
-def element_position(geom: RisGeometry, n: int) -> np.ndarray:
-    """Position of 1-based element ``n`` in meters, [0, row_idx*dW, col_idx*dH].
-
-    Elements are indexed row by row: row index (n-1) mod n_rows, column index
-    floor((n-1)/n_rows). Spacing is the physical pitch dW = spacing_h*lambda
-    (already wavelength-scaled, no extra lambda factor).
-    """
-    if not 1 <= n <= geom.n_elements:
-        raise ValueError(f"element index {n} out of range 1..{geom.n_elements}")
-    i_r = (n - 1) % geom.n_rows
-    i_c = (n - 1) // geom.n_rows
-    return np.array([0.0, i_r * geom.element_width, i_c * geom.element_height])
-
-
 def element_positions(geom: RisGeometry) -> np.ndarray:
-    """All element positions as an (N, 3) array, element 1 first."""
+    """All element positions in meters as an (N, 3) array, element 1 first.
+
+    Row n-1 is element n at [0, row_idx*dW, col_idx*dH]. Elements are indexed
+    row by row: row index (n-1) mod n_rows, column index floor((n-1)/n_rows).
+    Spacing is the physical pitch dW = spacing_h*lambda (already
+    wavelength-scaled, no extra lambda factor).
+    """
     idx = np.arange(geom.n_elements)
     i_r = idx % geom.n_rows
     i_c = idx // geom.n_rows

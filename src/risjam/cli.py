@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, ConfigValueError, load_config
 from .sweeps import (UNSTABLE_MARKER, run_optimize, sweep_delay_ee,
                      sweep_reliability_vs_beta, sweep_sjnr_vs_n,
                      write_sweep_csv)
@@ -76,16 +76,29 @@ def _cmd_sweep(cfg, kind: str) -> int:
     return 0
 
 
+def _rho_targets(rho_spec: str) -> list[float]:
+    """The --rho utilization targets; each must be a number in (0, 1)."""
+    targets = []
+    for part in rho_spec.split(","):
+        try:
+            rho = float(part)
+        except ValueError:
+            raise ConfigValueError(f"--rho: {part.strip()!r} is not a number") from None
+        if not 0 < rho < 1:  # also rejects nan
+            raise ConfigValueError(f"--rho: {rho!r} is outside (0, 1)")
+        targets.append(rho)
+    return targets
+
+
 def _cmd_mdl_oracle(cfg, arrivals: int, rho_spec: str) -> int:
+    targets = _rho_targets(rho_spec)
+    if arrivals < 1:
+        raise ConfigValueError(f"--arrivals: {arrivals} is below 1")
     frame = FrameParams(cfg.header_time, cfg.bandwidth, cfg.blocklength)
     service = cfg.traffic.retransmissions * frame.duration
     worst = 0.0
     print(f"service time {service:.6g} s ({cfg.traffic.retransmissions} replicas)")
-    for i, target in enumerate(part.strip() for part in rho_spec.split(",")):
-        rho = float(target)
-        if not 0 < rho < 1:
-            print(f"skipping rho={rho} (need 0 < rho < 1)", file=sys.stderr)
-            continue
+    for i, rho in enumerate(targets):
         rate = rho / service
         analytic = mean_delay(frame, TrafficParams((rate,), cfg.traffic.retransmissions), 1)
         simulated = simulate_md1(rate, service, arrivals, seed=cfg.seed + i)

@@ -117,10 +117,10 @@ def co_phasing_phases(bs_channel: np.ndarray, ue_channel: np.ndarray) -> np.ndar
     return np.mod(-np.angle(bs_channel * ue_channel), 2.0 * np.pi)
 
 
-def sjnr(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex,
-         jammer_channel: np.ndarray, beam: BeamformConfig, powers: PowerAllocation,
-         jammer_power: float, noise: NoiseConfig, k: int) -> float:
-    """Received SJNR of user ``k`` (1-based) at the BS under SIC decoding.
+def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex,
+             jammer_channel: np.ndarray, beam: BeamformConfig, powers: PowerAllocation,
+             jammer_power: float, noise: NoiseConfig) -> np.ndarray:
+    """Received SJNR of every user at the BS under SIC decoding.
 
     Users are decoded in index order, so user k sees residual interference
     only from users k+1..K. The jammer contributes through its direct path
@@ -133,13 +133,10 @@ def sjnr(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex
         jammer_channel: (N,) jammer-to-RIS channel.
 
     Returns:
-        Linear power ratio (non-negative).
+        (K,) linear power ratios (non-negative), entry k-1 for user k.
     """
     ue = np.atleast_2d(np.asarray(ue_channels))
-    n_users = ue.shape[0]
-    if not 1 <= k <= n_users:
-        raise ValueError(f"user index {k} out of range 1..{n_users}")
-    if powers.n_users != n_users:
+    if powers.n_users != ue.shape[0]:
         raise ValueError("one transmit power per user required")
     n = bs_channel.shape[0]
     if ue.shape[1] != n or jammer_channel.shape[0] != n or beam.n_elements != n:
@@ -147,28 +144,26 @@ def sjnr(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex
 
     row = bs_channel * beam.weights  # I^T Theta as a row vector
     cascade_gains = np.abs(ue @ row) ** 2  # |I^T Theta G_k|^2 for every user
-    p = np.asarray(powers.user_powers)
-
-    signal = p[k - 1] * cascade_gains[k - 1]
-    sic_interference = float(np.sum(p[k:] * cascade_gains[k:]))
-    jamming = jammer_power * np.abs(jammer_direct + row @ jammer_channel) ** 2
-    ris_noise = float(np.sum(np.abs(row) ** 2)) * noise.ris_thermal_var
-    return float(signal / (sic_interference + jamming + ris_noise + noise.awgn_var))
+    received = np.asarray(powers.user_powers) * cascade_gains
+    return _sic_sjnr(received, row @ jammer_channel,
+                     float(np.sum(np.abs(row) ** 2)), jammer_direct,
+                     jammer_power, noise)
 
 
-def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex,
-             jammer_channel: np.ndarray, beam: BeamformConfig, powers: PowerAllocation,
-             jammer_power: float, noise: NoiseConfig) -> np.ndarray:
-    """SJNR of every user, sharing one evaluation of the common terms."""
-    ue = np.atleast_2d(np.asarray(ue_channels))
-    row = bs_channel * beam.weights
-    cascade_gains = np.abs(ue @ row) ** 2
-    p = np.asarray(powers.user_powers)
-    received = p * cascade_gains
-    jamming = jammer_power * np.abs(jammer_direct + row @ jammer_channel) ** 2
-    floor = jamming + float(np.sum(np.abs(row) ** 2)) * noise.ris_thermal_var + noise.awgn_var
+def _sic_sjnr(received, jammer_reflected, weight_norm_sq, jammer_direct: complex,
+              jammer_power: float, noise: NoiseConfig):
+    """SJNR from per-user received powers and the terms every user shares.
+
+    ``received`` holds p_k |I^T Theta G_k|^2 with users on axis 0; any
+    trailing axes (e.g. a grid of beams) broadcast against
+    ``jammer_reflected`` (I^T Theta g_J) and ``weight_norm_sq``
+    (||I^T Theta||^2, which scales the amplified RIS thermal noise).
+    """
     # residual SIC interference for user k is the tail sum over k+1..K
-    tail = np.concatenate([np.cumsum(received[::-1])[::-1][1:], [0.0]])
+    tail = np.concatenate([np.cumsum(received[::-1], axis=0)[::-1][1:],
+                           np.zeros_like(received[:1])])
+    jamming = jammer_power * np.abs(jammer_direct + jammer_reflected) ** 2
+    floor = jamming + weight_norm_sq * noise.ris_thermal_var + noise.awgn_var
     return received / (tail + floor)
 
 
@@ -209,12 +204,15 @@ def replica_success(blers):
     """Probability that one packet replica survives joint SIC decoding.
 
     Product of (1 - eps_k) over all K users; the same value applies to every
-    user because SIC success is a joint event.
+    user because SIC success is a joint event. Users lie on axis 0; any
+    trailing axes (e.g. an amplitude grid) are kept, so a (K,) input gives a
+    float and a (K, B) input a (B,) array.
     """
-    b = np.asarray(blers, dtype=float)
+    b = np.atleast_1d(np.asarray(blers, dtype=float))
     if np.any(b < 0) or np.any(b > 1):
         raise ValueError("block error rates must lie in [0, 1]")
-    return float(np.prod(1.0 - b))
+    omega = np.prod(1.0 - b, axis=0)
+    return float(omega) if b.ndim == 1 else omega
 
 
 def reliability(omega_s, retransmissions: int):

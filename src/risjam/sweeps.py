@@ -9,6 +9,7 @@ config and seed reproduces every byte except the timestamp.
 """
 
 import csv
+import itertools
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -18,7 +19,8 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig, square_geometry
-from .link import BeamformConfig, FblCode, PowerAllocation, bler, co_phasing_phases
+from .link import (BeamformConfig, FblCode, PowerAllocation, _sic_sjnr, bler,
+                   co_phasing_phases, reliability, replica_success)
 from .model import SystemModel
 from .optimizer import OptimizationResult, run_ga
 
@@ -88,6 +90,9 @@ def uniform_beta_sjnr(model: SystemModel, phases: np.ndarray, powers_w,
     over the amplitude axis; returns shape (K, len(betas)).
     """
     betas = np.asarray(betas, dtype=float)
+    # with uniform amplitude beta every weight is sqrt(beta) times the unit
+    # weight, so each term is a scalar product rescaled per grid point and no
+    # (len(betas), N) weight matrix is built
     row_unit = model.bs_channel * np.exp(1j * phases)
     s_users = model.ue_channels @ row_unit
     s_jam = row_unit @ model.jammer_channel
@@ -95,13 +100,9 @@ def uniform_beta_sjnr(model: SystemModel, phases: np.ndarray, powers_w,
 
     p = np.asarray(powers_w, dtype=float)[:, None]
     received = p * (np.abs(s_users) ** 2)[:, None] * betas[None, :]
-    tail = np.vstack([np.cumsum(received[::-1], axis=0)[::-1][1:],
-                      np.zeros_like(betas)])
-    jamming = model.scenario.jammer_power * np.abs(
-        model.jammer_direct + np.sqrt(betas) * s_jam) ** 2
-    floor = (jamming + betas * unit_norm_sq * model.noise.ris_thermal_var
-             + model.noise.awgn_var)
-    return received / (tail + floor[None, :])
+    return _sic_sjnr(received, np.sqrt(betas) * s_jam, betas * unit_norm_sq,
+                     model.jammer_direct, model.scenario.jammer_power,
+                     model.noise)
 
 
 # ----------------------------------------------------------------------------
@@ -170,8 +171,7 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
         gammas = uniform_beta_sjnr(model, phases,
                                    (cfg.sweep.policy_power_w,) * model.n_users,
                                    betas)
-        omega = np.prod(1.0 - bler(gammas, code), axis=0)
-        rel = 1.0 - (1.0 - omega) ** replicas
+        rel = reliability(replica_success(bler(gammas, code)), replicas)
 
         reached = np.nonzero(rel >= cfg.constraints.rel_thr)[0]
         threshold = float(betas[reached[0]]) if reached.size else None
@@ -244,18 +244,23 @@ def _decode_cell(text: str):
         return text
 
 
-def write_sweep_csv(result: SweepResult, path: str | Path) -> Path:
-    """Write metadata comment lines, a header row, then the data rows."""
+def _write_csv(path: str | Path, metadata: dict, columns, rows) -> Path:
+    """Write ``# key=value`` comment lines, a header row, then the data rows."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as handle:
-        for key, value in result.metadata.items():
+        for key, value in metadata.items():
             handle.write(f"# {key}={value}\n")
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(result.columns)
-        for row in result.rows:
+        writer.writerow(columns)
+        for row in rows:
             writer.writerow([_encode_cell(cell) for cell in row])
     return path
+
+
+def write_sweep_csv(result: SweepResult, path: str | Path) -> Path:
+    """Write metadata comment lines, a header row, then the data rows."""
+    return _write_csv(path, result.metadata, result.columns, result.rows)
 
 
 def read_sweep_csv(path: str | Path) -> SweepResult:
@@ -282,20 +287,11 @@ def write_convergence_csv(result: OptimizationResult, cfg: ExperimentConfig,
                           path: str | Path) -> Path:
     """Per-generation trace; deliberately timestamp-free so identical seeds
     reproduce identical bytes."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as handle:
-        handle.write(f"# kind=convergence\n")
-        handle.write(f"# config_hash={cfg.config_hash}\n")
-        handle.write(f"# seed={cfg.seed}\n")
-        handle.write(f"# version={__version__}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CONVERGENCE_COLUMNS)
-        for gen, (best, mean, frac) in enumerate(
-                zip(result.fitness_history, result.mean_history,
-                    result.feasible_fraction_history), start=1):
-            writer.writerow([gen, repr(best), repr(mean), repr(frac)])
-    return path
+    metadata = {"kind": "convergence", "config_hash": cfg.config_hash,
+                "seed": cfg.seed, "version": __version__}
+    rows = zip(itertools.count(1), result.fitness_history, result.mean_history,
+               result.feasible_fraction_history)
+    return _write_csv(path, metadata, CONVERGENCE_COLUMNS, rows)
 
 
 def _encode_value(value) -> str:
@@ -303,14 +299,10 @@ def _encode_value(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (tuple, list)):
         encoded = ",".join(_encode_value(v) for v in value)
         return encoded + "," if len(value) == 1 else encoded
-    return str(value)
+    return _encode_cell(value)
 
 
 def _decode_scalar(text: str):
@@ -320,12 +312,7 @@ def _decode_scalar(text: str):
         return True
     if text == "false":
         return False
-    if re.fullmatch(r"-?\d+", text):
-        return int(text)
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    return _decode_cell(text)
 
 
 def _decode_value(text: str):

@@ -46,6 +46,7 @@ class FrameParams:
 
     @property
     def duration(self) -> float:
+        """Total frame time: header plus payload."""
         return self.header_time + self.payload_time
 
 
@@ -67,11 +68,6 @@ class TrafficParams:
     @property
     def n_users(self) -> int:
         return len(self.arrival_rates)
-
-
-def frame_duration(frame: FrameParams) -> float:
-    """Total frame time: header plus payload."""
-    return frame.duration
 
 
 def utilization(frame: FrameParams, traffic: TrafficParams, k: int) -> float:

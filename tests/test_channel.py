@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from risjam.channel import (Direction, RisGeometry, array_response,
-                            element_position, element_positions,
-                            jammer_direct_channel, ris_bs_channel,
-                            ris_jammer_channel, ris_ue_channel, wave_vector)
+                            element_positions, jammer_direct_channel,
+                            ris_bs_channel, ris_jammer_channel, ris_ue_channel,
+                            wave_vector)
 from risjam.units import SPEED_OF_LIGHT
 
 from conftest import make_scenario
@@ -20,21 +20,15 @@ def random_direction(rng):
 class TestElementPosition:
     def test_first_element_at_origin(self):
         for geom in (GEOM_0107, RisGeometry(3, 5)):
-            assert np.array_equal(element_position(geom, 1), np.zeros(3))
+            assert np.array_equal(element_positions(geom)[0], np.zeros(3))
 
     def test_second_element_offset_row(self):
-        pos = element_position(GEOM_0107, 2)
+        pos = element_positions(GEOM_0107)[2 - 1]
         assert pos == pytest.approx([0.0, 0.25 * 0.0107, 0.0], rel=1e-12)
 
     def test_third_element_offset_column(self):
-        pos = element_position(GEOM_0107, 3)
+        pos = element_positions(GEOM_0107)[3 - 1]
         assert pos == pytest.approx([0.0, 0.0, 0.25 * 0.0107], rel=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            element_position(GEOM_0107, 0)
-        with pytest.raises(ValueError):
-            element_position(GEOM_0107, 5)
 
     def test_positions_form_distinct_grid(self):
         geom = RisGeometry(3, 4)
@@ -43,8 +37,11 @@ class TestElementPosition:
         cells = {(round(p[1] / geom.element_width),
                   round(p[2] / geom.element_height)) for p in pos}
         assert cells == {(r, c) for r in range(3) for c in range(4)}
-        single = np.vstack([element_position(geom, n) for n in range(1, 13)])
-        assert np.array_equal(single, pos)
+        # element n sits in row (n-1) mod n_rows, column floor((n-1)/n_rows)
+        for n in range(1, 13):
+            assert np.array_equal(pos[n - 1], [
+                0.0, ((n - 1) % 3) * geom.element_width,
+                ((n - 1) // 3) * geom.element_height])
 
 
 class TestWaveVector:

@@ -6,7 +6,7 @@ import pytest
 
 from risjam.link import (BeamformConfig, FblCode, NoiseConfig, PowerAllocation,
                          bler, co_phasing_phases, q_function, reliability,
-                         replica_success, sjnr, sjnr_all)
+                         replica_success, sjnr_all)
 
 
 def sjnr_scalar_oracle(ue, bs, h_direct, g_jam, amps, phases, powers,
@@ -54,18 +54,19 @@ def random_instance(rng, n_max=8, k_max=3):
 
 
 def vectorized(inst, k):
-    return sjnr(inst["ue"], inst["bs"], inst["h_direct"], inst["g_jam"],
-                BeamformConfig(inst["amps"], inst["phases"]),
-                PowerAllocation(inst["powers"]), inst["jam_power"],
-                NoiseConfig(inst["ris_var"], inst["awgn_var"]), k)
+    return sjnr_all(inst["ue"], inst["bs"], inst["h_direct"], inst["g_jam"],
+                    BeamformConfig(inst["amps"], inst["phases"]),
+                    PowerAllocation(inst["powers"]), inst["jam_power"],
+                    NoiseConfig(inst["ris_var"], inst["awgn_var"]))[k - 1]
 
 
 class TestSjnr:
     def test_hand_case_single_element(self):
-        value = sjnr(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), 0j,
-                     np.array([0j]), BeamformConfig(np.array([4.0]), np.array([0.0])),
-                     PowerAllocation((1.0,)), 0.0, NoiseConfig(0.0, 1.0), 1)
-        assert value == pytest.approx(4.0, rel=1e-12)
+        value = sjnr_all(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), 0j,
+                         np.array([0j]), BeamformConfig(np.array([4.0]), np.array([0.0])),
+                         PowerAllocation((1.0,)), 0.0, NoiseConfig(0.0, 1.0))
+        assert value.shape == (1,)
+        assert value[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_zero_amplitudes_zero_sjnr(self):
         rng = np.random.default_rng(2)
@@ -86,16 +87,17 @@ class TestSjnr:
                 assert vectorized(inst, k) == pytest.approx(expected, rel=1e-10)
 
     def test_sjnr_all_matches_per_user(self):
+        # user k's SJNR depends only on users k..K: evaluating the users that
+        # remain after SIC on their own gives user k the same value
         rng = np.random.default_rng(3)
         for _ in range(20):
             inst = random_instance(rng)
-            beam = BeamformConfig(inst["amps"], inst["phases"])
-            batched = sjnr_all(inst["ue"], inst["bs"], inst["h_direct"],
-                               inst["g_jam"], beam, PowerAllocation(inst["powers"]),
-                               inst["jam_power"],
-                               NoiseConfig(inst["ris_var"], inst["awgn_var"]))
-            for k in range(1, len(inst["powers"]) + 1):
-                assert batched[k - 1] == pytest.approx(vectorized(inst, k), rel=1e-10)
+            n_users = len(inst["powers"])
+            for k in range(1, n_users + 1):
+                remaining = dict(inst, ue=inst["ue"][k - 1:],
+                                 powers=inst["powers"][k - 1:])
+                assert vectorized(inst, k) == pytest.approx(
+                    vectorized(remaining, 1), rel=1e-12)
 
     def test_sic_interference_structure(self):
         rng = np.random.default_rng(4)
@@ -119,10 +121,16 @@ class TestSjnr:
         assert vectorized(last_up, n_users) > vectorized(inst, n_users)
 
     def test_mismatched_lengths_error(self):
-        with pytest.raises(ValueError):
-            sjnr(np.ones((1, 3), complex), np.ones(2, complex), 0j,
-                 np.ones(2, complex), BeamformConfig(np.ones(2), np.zeros(2)),
-                 PowerAllocation((1.0,)), 0.0, NoiseConfig(0.0, 1.0), 1)
+        cases = [(3, 2, 2, (1.0,)),        # user channels longer than the BS channel
+                 (2, 3, 2, (1.0,)),        # jammer channel
+                 (2, 2, 3, (1.0,)),        # beam
+                 (2, 2, 2, (1.0, 2.0))]    # two powers for one user
+        for n_ue, n_jam, n_beam, powers in cases:
+            with pytest.raises(ValueError):
+                sjnr_all(np.ones((1, n_ue), complex), np.ones(2, complex), 0j,
+                         np.ones(n_jam, complex),
+                         BeamformConfig(np.ones(n_beam), np.zeros(n_beam)),
+                         PowerAllocation(powers), 0.0, NoiseConfig(0.0, 1.0))
 
     def test_monotonicity_in_power_jammer_and_noise(self):
         rng = np.random.default_rng(8)
@@ -217,6 +225,25 @@ class TestReliability:
         assert replica_success([0.0, 0.0, 0.0]) == 1.0
         assert replica_success([0.1, 0.2]) == pytest.approx(0.72, rel=1e-12)
         assert replica_success([0.3, 1.0]) == 0.0
+
+    def test_grid_matches_column_by_column(self):
+        rng = np.random.default_rng(5)
+        for n_users in (1, 2, 3):
+            blers = rng.uniform(0.0, 1.0, (n_users, 40))
+            blers[:, 0] = 0.0
+            blers[-1, 1] = 1.0
+            omega = replica_success(blers)
+            columns = [replica_success(blers[:, j]) for j in range(40)]
+            assert omega.shape == (40,)
+            assert omega.tolist() == columns
+            for replicas in (1, 2):
+                assert reliability(omega, replicas).tolist() == [
+                    reliability(w, replicas) for w in columns]
+            # numpy's vectorized power may round the last bit of (1 - w)**7
+            # differently from the scalar power
+            np.testing.assert_allclose(
+                reliability(omega, 7), [reliability(w, 7) for w in columns],
+                rtol=0.0, atol=2 * np.finfo(float).eps)
 
     def test_single_shot_equals_omega(self):
         assert reliability(0.37, 1) == pytest.approx(0.37, rel=1e-12)

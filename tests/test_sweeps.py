@@ -1,15 +1,18 @@
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import risjam
 from risjam.config import load_config
-from risjam.link import BeamformConfig, PowerAllocation, sjnr_all
+from risjam.cli import main
+from risjam.link import BeamformConfig, NoiseConfig, PowerAllocation, sjnr_all
 from risjam.sweeps import (CONVERGENCE_COLUMNS, DELAY_EE_COLUMNS,
                            REL_BETA_COLUMNS, SJNR_N_COLUMNS, SweepResult,
-                           UNSTABLE_MARKER, build_model, read_solution_record,
+                           UNSTABLE_MARKER, read_solution_record,
                            read_sweep_csv, run_optimize, solution_record,
                            sweep_delay_ee, sweep_reliability_vs_beta,
                            sweep_sjnr_vs_n, uniform_beta_sjnr,
@@ -85,21 +88,34 @@ class TestSjnrSweep:
             assert row[2] == pytest.approx(row[1] / prev[1], rel=1e-12)
         assert "reference_sjnr_n4" in result.metadata
 
-    def test_uniform_beta_fast_path_matches_general_sjnr(self):
-        cfg = load_config()
-        model = build_model(cfg)
-        rng = np.random.default_rng(3)
-        phases = rng.uniform(0, 2 * np.pi, model.n_elements)
-        powers = (2e-3, 3e-3)
-        betas = np.array([0.0, 0.37, 5.0, 80.0])
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
+           n=st.integers(1, 16),
+           betas=st.lists(st.floats(1e-6, 100.0), max_size=5))
+    def test_uniform_beta_fast_path_matches_general_sjnr(self, seed, n_users, n,
+                                                         betas):
+        rng = np.random.default_rng(seed)
+        cplx = lambda shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        model = SimpleNamespace(
+            ue_channels=cplx((n_users, n)), bs_channel=cplx(n),
+            jammer_direct=complex(cplx(())), jammer_channel=cplx(n),
+            scenario=SimpleNamespace(jammer_power=float(rng.uniform(0, 0.01))),
+            noise=NoiseConfig(float(rng.uniform(0, 1e-10)),
+                              float(rng.uniform(1e-14, 1e-10))))
+        phases = rng.uniform(0, 2 * np.pi, n)
+        powers = tuple(rng.uniform(1e-4, 0.1, n_users))
+        # nonzero amplitudes start at 1e-6: near the subnormal range the
+        # reference's sqrt(beta)-scaled weights underflow and lose digits
+        betas = np.array([0.0, *betas])
         fast = uniform_beta_sjnr(model, phases, powers, betas)
+        assert fast.shape == (n_users, betas.size)
         for j, beta in enumerate(betas):
-            beam = BeamformConfig(np.full(model.n_elements, beta), phases)
+            beam = BeamformConfig(np.full(n, beta), phases)
             reference = sjnr_all(model.ue_channels, model.bs_channel,
                                  model.jammer_direct, model.jammer_channel,
                                  beam, PowerAllocation(powers),
                                  model.scenario.jammer_power, model.noise)
-            assert fast[:, j] == pytest.approx(reference, rel=1e-10)
+            assert fast[:, j] == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 class TestCsvRoundTrip:
@@ -232,6 +248,23 @@ class TestCli:
                             "--rho", "0.2,0.5", "--out", str(tmp_path / "o"))
         assert proc.returncode == 0
         assert "rel_err" in proc.stdout
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--rho", "2"), "--rho"),
+        (("--rho", "nan"), "--rho"),
+        (("--rho", "0"), "--rho"),
+        (("--rho", "abc"), "--rho"),
+        (("--rho", "0.5,2"), "--rho"),
+        (("--rho", "0.5,"), "--rho"),
+        (("--arrivals", "0"), "--arrivals"),
+        (("--arrivals", "-5"), "--arrivals"),
+    ])
+    def test_mdl_oracle_rejects_bad_flags(self, tmp_path, capsys, flags, named):
+        assert main(["mdl-oracle", *flags, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err and named in captured.err
+        # rejected before any simulation runs
+        assert captured.out == ""
 
     def test_version_flag(self):
         proc = self.run_cli("--version")

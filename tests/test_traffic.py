@@ -2,23 +2,23 @@ import numpy as np
 import pytest
 
 from risjam.traffic import (FrameParams, TrafficParams, UnstableQueueError,
-                            energy_efficiency, frame_duration, mean_delay,
-                            simulate_md1, utilization)
+                            energy_efficiency, mean_delay, simulate_md1,
+                            utilization)
 
 FRAME_108 = FrameParams(header_time=30e-6, bandwidth=180e3, blocklength=108)
 
 
 class TestFrameDuration:
     def test_reference_point(self):
-        assert frame_duration(FRAME_108) == pytest.approx(6.3e-4, rel=1e-12)
+        assert FRAME_108.duration == pytest.approx(6.3e-4, rel=1e-12)
 
     def test_headerless_unit_frame(self):
-        assert frame_duration(FrameParams(0.0, 1000.0, 1000)) == pytest.approx(1.0, rel=1e-12)
+        assert FrameParams(0.0, 1000.0, 1000).duration == pytest.approx(1.0, rel=1e-12)
 
     def test_minimum_is_one_channel_use(self):
         with pytest.raises(ValueError):
             FrameParams(30e-6, 180e3, 0)
-        assert frame_duration(FrameParams(30e-6, 180e3, 1)) == pytest.approx(
+        assert FrameParams(30e-6, 180e3, 1).duration == pytest.approx(
             30e-6 + 1 / 180e3, rel=1e-12)
 
 
