@@ -15,10 +15,11 @@ from .config import (ConfigError, ConfigNotFoundError, ConfigSyntaxError,
 from .link import (BeamformConfig, FblCode, NoiseConfig, PowerAllocation, bler,
                    co_phasing_phases, q_function, reliability, replica_success,
                    sjnr_all)
-from .model import MetricsReport, SystemModel
-from .optimizer import (ConstraintSet, DecisionVector, GaSettings,
-                        OptimizationResult, decode, evaluate_fitness,
-                        genome_dimension, rank, run_ga)
+from .model import MetricsBlock, MetricsReport, SystemModel
+from .optimizer import (ConstraintSet, DecisionBlock, DecisionVector,
+                        GaSettings, OptimizationResult, decode, decode_block,
+                        evaluate_fitness, genome_dimension, rank, run_ga,
+                        score_block)
 from .sweeps import (SweepResult, build_model, read_solution_record,
                      read_sweep_csv, run_optimize, solution_record,
                      sweep_delay_ee, sweep_reliability_vs_beta, sweep_sjnr_vs_n,

@@ -24,7 +24,8 @@ class BeamformConfig:
 
     Element n applies the complex weight sqrt(amplitude_n)*exp(j*phase_n).
     Amplitudes above 1 amplify, below 1 attenuate; the upper bound is a
-    constraint of the optimizer, not of this container.
+    constraint of the optimizer, not of this container. (B, N) amplitudes
+    and phases hold one beam per row, for B candidates at once.
     """
 
     amplitudes: np.ndarray
@@ -33,8 +34,9 @@ class BeamformConfig:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=float)
         phs = np.asarray(self.phases, dtype=float)
-        if amps.shape != phs.shape or amps.ndim != 1:
-            raise ValueError("amplitudes and phases must be 1-D arrays of equal length")
+        if amps.shape != phs.shape or amps.ndim not in (1, 2):
+            raise ValueError("amplitudes and phases must be 1-D or 2-D arrays "
+                             "of equal shape")
         if not np.all(np.isfinite(amps)) or not np.all(np.isfinite(phs)):
             raise ValueError("beamforming parameters must be finite")
         if np.any(amps < 0):
@@ -44,7 +46,7 @@ class BeamformConfig:
 
     @property
     def n_elements(self) -> int:
-        return self.amplitudes.size
+        return self.amplitudes.shape[-1]
 
     @property
     def weights(self) -> np.ndarray:
@@ -58,19 +60,23 @@ class BeamformConfig:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Transmit powers of the K users in watts."""
+    """Transmit powers of the K users in watts.
+
+    A (B, K) array holds one allocation per row, for B candidates at once.
+    """
 
     user_powers: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.user_powers) < 1:
+        p = np.asarray(self.user_powers, dtype=float)
+        if p.ndim not in (1, 2) or p.shape[-1] < 1:
             raise ValueError("at least one user power required")
-        if any(not (p > 0 and np.isfinite(p)) for p in self.user_powers):
+        if not np.all((p > 0) & np.isfinite(p)):
             raise ValueError("user powers must be positive and finite")
 
     @property
     def n_users(self) -> int:
-        return len(self.user_powers)
+        return np.shape(self.user_powers)[-1]
 
 
 @dataclass(frozen=True)
@@ -91,13 +97,16 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class FblCode:
-    """Short-packet code: channel uses per block and payload size in bits."""
+    """Short-packet code: channel uses per block and payload size in bits.
+
+    ``blocklength`` may be an integer array, one code per candidate.
+    """
 
     blocklength: int
     payload_bits: int
 
     def __post_init__(self):
-        if self.blocklength < 1:
+        if np.any(np.asarray(self.blocklength) < 1):
             raise ValueError("blocklength must be a positive integer")
         if self.payload_bits < 1:
             raise ValueError("payload must be a positive number of bits")
@@ -131,9 +140,12 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
         bs_channel: (N,) RIS-to-BS channel.
         jammer_direct: scalar jammer-to-BS channel.
         jammer_channel: (N,) jammer-to-RIS channel.
+        beam, powers: one candidate, or B candidates as (B, N) beams and
+            (B, K) powers.
 
     Returns:
-        (K,) linear power ratios (non-negative), entry k-1 for user k.
+        (K,) linear power ratios (non-negative), entry k-1 for user k; for B
+        candidates (K, B), column b for candidate b.
     """
     ue = np.atleast_2d(np.asarray(ue_channels))
     if powers.n_users != ue.shape[0]:
@@ -142,12 +154,20 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
     if ue.shape[1] != n or jammer_channel.shape[0] != n or beam.n_elements != n:
         raise ValueError("channel vectors and beamforming must share one element count")
 
-    row = bs_channel * beam.weights  # I^T Theta as a row vector
-    cascade_gains = np.abs(ue @ row) ** 2  # |I^T Theta G_k|^2 for every user
-    received = np.asarray(powers.user_powers) * cascade_gains
-    return _sic_sjnr(received, row @ jammer_channel,
-                     float(np.sum(np.abs(row) ** 2)), jammer_direct,
-                     jammer_power, noise)
+    # I^T Theta, one row per candidate. Every operand spans the whole block
+    # and each product is a stack of (1, N) rows, so a candidate gets the
+    # bits it gets alone: a broadcast operand or a plain matrix product can
+    # switch numpy to kernels that round differently.
+    weights = np.atleast_2d(beam.weights)
+    rows = np.tile(bs_channel, (weights.shape[0], 1)) * weights
+    stacked = rows[:, None, :]
+    cascade_gains = np.abs((stacked @ ue.T)[:, 0, :]).T ** 2  # |I^T Theta G_k|^2
+    received = np.atleast_2d(np.asarray(powers.user_powers, dtype=float)).T * cascade_gains
+    gammas = _sic_sjnr(received, (stacked @ jammer_channel[:, None])[:, 0, 0],
+                       np.sum(np.abs(rows) ** 2, axis=-1), jammer_direct,
+                       jammer_power, noise)
+    single = beam.amplitudes.ndim == 1 and np.ndim(powers.user_powers) == 1
+    return gammas[:, 0] if single else gammas
 
 
 def _sic_sjnr(received, jammer_reflected, weight_norm_sq, jammer_direct: complex,
@@ -215,15 +235,22 @@ def replica_success(blers):
     return float(omega) if b.ndim == 1 else omega
 
 
-def reliability(omega_s, retransmissions: int):
+def reliability(omega_s, retransmissions):
     """Packet reliability after ``retransmissions`` blind repetitions.
 
     1 - (1 - omega_s)^L: the packet is lost only if every replica fails.
+    ``retransmissions`` may be an integer array broadcasting against
+    ``omega_s``. The power always runs on arrays of at least one dimension
+    with L spelled out to the same shape, so a value gets the same bits
+    alone, in a slice or in a grid (numpy's scalar power and its square
+    fast path for L = 2 round differently from its array power).
     """
-    if retransmissions < 1:
+    replicas = np.asarray(retransmissions)
+    if np.any(replicas < 1):
         raise ValueError("retransmission count must be at least 1")
     w = np.asarray(omega_s, dtype=float)
     if np.any(w < 0) or np.any(w > 1):
         raise ValueError("replica success probability must lie in [0, 1]")
-    r = 1.0 - (1.0 - w) ** retransmissions
-    return float(r) if np.ndim(omega_s) == 0 else r
+    shape = np.broadcast_shapes(w.shape, replicas.shape, (1,))
+    r = 1.0 - np.power(np.full(shape, 1.0 - w), np.full(shape, replicas, dtype=float))
+    return float(r[0]) if w.ndim == 0 and replicas.ndim == 0 else r

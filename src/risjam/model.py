@@ -2,10 +2,11 @@
 Full metric chain for one physical configuration.
 
 ``SystemModel`` freezes the deterministic channels of a scenario once and
-then maps any candidate operating point (beamforming, powers, blocklength,
-replica count) to the complete per-user report:
+then maps candidate operating points (beamforming, powers, blocklength,
+replica count) to the complete per-user metrics:
 SJNR -> BLER -> replica success -> reliability -> utilization/delay ->
-energy efficiency.
+energy efficiency. ``evaluate_block`` runs the chain for a block of
+candidates at once; ``evaluate`` is its one-candidate case.
 """
 
 from dataclasses import dataclass
@@ -36,6 +37,40 @@ class MetricsReport:
     mean_delay: tuple[float | None, ...]
     energy_efficiency: float | None
     stable: bool
+
+
+@dataclass(frozen=True)
+class MetricsBlock:
+    """The metric chain of B candidates, candidate b in column (entry) b.
+
+    Per-user arrays are (K, B); the others (B,). ``mean_delay`` and
+    ``energy_efficiency`` are NaN where a queue is unstable.
+    """
+
+    sjnr: np.ndarray
+    bler: np.ndarray
+    replica_success: np.ndarray
+    reliability: np.ndarray
+    utilization: np.ndarray
+    mean_delay: np.ndarray
+    energy_efficiency: np.ndarray
+    stable: np.ndarray
+
+    def report(self, b: int) -> MetricsReport:
+        """The per-user report of candidate ``b``."""
+        n_users = self.sjnr.shape[0]
+        stable = bool(self.stable[b])
+        return MetricsReport(
+            sjnr=tuple(self.sjnr[:, b].tolist()),
+            bler=tuple(self.bler[:, b].tolist()),
+            replica_success=float(self.replica_success[b]),
+            reliability=(float(self.reliability[b]),) * n_users,
+            utilization=tuple(self.utilization[:, b].tolist()),
+            mean_delay=(tuple(self.mean_delay[:, b].tolist()) if stable
+                        else (None,) * n_users),
+            energy_efficiency=float(self.energy_efficiency[b]) if stable else None,
+            stable=stable,
+        )
 
 
 class SystemModel:
@@ -104,41 +139,58 @@ class SystemModel:
                  arrival_rates: tuple[float, ...] | None = None) -> MetricsReport:
         """Run the full metric chain for one operating point.
 
-        ``arrival_rates`` overrides the scenario rates for this evaluation
-        only (used by traffic sweeps; channels are unaffected).
+        The one-candidate case of ``evaluate_block``; ``arrival_rates``
+        overrides the scenario rates for this evaluation only (used by
+        traffic sweeps; channels are unaffected).
         """
-        code = FblCode(blocklength, self.payload_bits)
-        frame = FrameParams(self.header_time, self.bandwidth, blocklength)
+        block = self.evaluate_block(beam.amplitudes[None], beam.phases[None],
+                                    [powers.user_powers], [blocklength],
+                                    [retransmissions], arrival_rates)
+        return block.report(0)
+
+    def evaluate_block(self, amplitudes, phases, powers, blocklengths,
+                       retransmissions,
+                       arrival_rates: tuple[float, ...] | None = None) -> MetricsBlock:
+        """Run the full metric chain for B candidates at once.
+
+        Args:
+            amplitudes, phases: (B, N) RIS beams, one per row.
+            powers: (B, K) user transmit powers in watts.
+            blocklengths, retransmissions: (B,) integers.
+            arrival_rates: K rates overriding the scenario's for every
+                candidate of this call.
+
+        Each candidate gets the bits it gets when evaluated alone.
+        """
         rates = self.arrival_rates if arrival_rates is None else tuple(arrival_rates)
         if len(rates) != self.n_users:
             raise ValueError("one arrival rate per user required")
-        traffic = TrafficParams(rates, retransmissions)
+        blocklengths = np.asarray(blocklengths)
+        replicas = np.asarray(retransmissions)
+        allocation = PowerAllocation(np.asarray(powers, dtype=float))
+        code = FblCode(blocklengths, self.payload_bits)
+        frame = FrameParams(self.header_time, self.bandwidth, blocklengths)
+        traffic = TrafficParams(rates, replicas)
 
-        gammas = self.sjnr(beam, powers)
+        gammas = self.sjnr(BeamformConfig(amplitudes, phases), allocation)
         blers = bler(gammas, code)
         omega = replica_success(blers)
-        rel = reliability(omega, retransmissions)
+        rel = reliability(omega, replicas)
 
-        rhos = tuple(utilization(frame, traffic, k)
-                     for k in range(1, self.n_users + 1))
-        stable = all(rho < 1.0 for rho in rhos)
-        if stable:
-            delays = tuple(mean_delay(frame, traffic, k)
-                           for k in range(1, self.n_users + 1))
-            eta = energy_efficiency(self.payload_bits,
-                                    [rel] * self.n_users,
-                                    powers.user_powers, delays)
-        else:
-            delays = tuple(None for _ in range(self.n_users))
-            eta = None
+        users = range(1, self.n_users + 1)
+        rhos = np.stack([utilization(frame, traffic, k) for k in users])
+        stable = np.all(rhos < 1.0, axis=0)
+        delays = np.full(rhos.shape, np.nan)
+        eta = np.full(stable.shape, np.nan)
+        if np.any(stable):
+            # delay and efficiency exist only where every queue is stable
+            frame = FrameParams(self.header_time, self.bandwidth, blocklengths[stable])
+            traffic = TrafficParams(rates, replicas[stable])
+            delays[:, stable] = np.stack([mean_delay(frame, traffic, k) for k in users])
+            eta[stable] = energy_efficiency(
+                self.payload_bits, np.broadcast_to(rel[stable], delays[:, stable].shape),
+                allocation.user_powers[stable].T, delays[:, stable])
 
-        return MetricsReport(
-            sjnr=tuple(float(g) for g in np.atleast_1d(gammas)),
-            bler=tuple(float(b) for b in np.atleast_1d(blers)),
-            replica_success=omega,
-            reliability=tuple(rel for _ in range(self.n_users)),
-            utilization=rhos,
-            mean_delay=delays,
-            energy_efficiency=eta,
-            stable=stable,
-        )
+        return MetricsBlock(sjnr=gammas, bler=blers, replica_success=omega,
+                            reliability=rel, utilization=rhos, mean_delay=delays,
+                            energy_efficiency=eta, stable=stable)

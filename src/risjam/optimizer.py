@@ -13,6 +13,7 @@ construction of the genome decoding, so they never appear as residuals.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,12 @@ INFEASIBLE_OBJECTIVE = 1e30
 STRICT_MARGIN = 1e-9
 
 TWO_PI = 2.0 * np.pi
+
+# Largest number of genome cells (candidates x RIS elements) decoded and
+# scored in one call of the metric-chain kernel. Populations are evaluated
+# in row blocks of this size, which keeps the (B, N) temporaries of a large
+# RIS from growing with the population.
+BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,16 @@ class DecisionVector:
         return len(self.user_powers) + 2 * len(self.phases) + 2
 
 
+class DecisionBlock(NamedTuple):
+    """B decoded operating points, candidate b in row (entry) b."""
+
+    user_powers: np.ndarray      # (B, K) watts
+    phases: np.ndarray           # (B, N) radians
+    amplitudes: np.ndarray       # (B, N)
+    blocklength: np.ndarray      # (B,) integers
+    retransmissions: np.ndarray  # (B,) integers
+
+
 @dataclass
 class OptimizationResult:
     best_solution: DecisionVector
@@ -140,34 +157,40 @@ def genome_dimension(n_users: int, n_elements: int) -> int:
     return n_users + 2 * n_elements + 2
 
 
+def decode_block(genomes: np.ndarray, n_users: int, n_elements: int,
+                 constraints: ConstraintSet) -> DecisionBlock:
+    """Map a (B, dimension) block of normalized genomes to decision vectors
+    inside all box bounds, one per row."""
+    k, n = n_users, n_elements
+    genomes = np.asarray(genomes, dtype=float)
+    if genomes.ndim != 2 or genomes.shape[1] != genome_dimension(k, n):
+        raise ValueError("genome length does not match problem dimension")
+    if not np.all(np.isfinite(genomes)):
+        raise ValueError("genome must be finite")
+    g = np.clip(genomes, 0.0, 1.0)
+    c = constraints
+
+    powers = np.minimum(c.p_min + g[:, :k] * (c.p_max - c.p_min), c.p_max)
+    phases = np.minimum(g[:, k:k + n] * TWO_PI, TWO_PI)
+    amplitudes = np.minimum(g[:, k + n:k + 2 * n] * c.beta_max, c.beta_max)
+    # round half up onto the integer grids; genes in [0, 1] stay in range
+    blocklength = c.nb_min + np.floor(
+        g[:, k + 2 * n] * (c.nb_max - c.nb_min) + 0.5).astype(np.int64)
+    retransmissions = 1 + np.floor(
+        g[:, k + 2 * n + 1] * (c.l_max - 1) + 0.5).astype(np.int64)
+    return DecisionBlock(powers, phases, amplitudes, blocklength, retransmissions)
+
+
 def decode(genome: np.ndarray, n_users: int, n_elements: int,
            constraints: ConstraintSet) -> DecisionVector:
     """Map a normalized genome to a decision vector inside all box bounds."""
-    k, n = n_users, n_elements
-    if genome.shape != (genome_dimension(k, n),):
-        raise ValueError("genome length does not match problem dimension")
-    g = np.clip(genome, 0.0, 1.0)
-
-    powers = np.minimum(constraints.p_min + g[:k] * (constraints.p_max - constraints.p_min),
-                        constraints.p_max)
-    phases = np.minimum(g[k:k + n] * TWO_PI, TWO_PI)
-    amplitudes = np.minimum(g[k + n:k + 2 * n] * constraints.beta_max,
-                            constraints.beta_max)
-
-    nb_span = constraints.nb_max - constraints.nb_min
-    blocklength = constraints.nb_min + int(np.floor(g[k + 2 * n] * nb_span + 0.5))
-    blocklength = min(max(blocklength, constraints.nb_min), constraints.nb_max)
-
-    l_span = constraints.l_max - 1
-    retransmissions = 1 + int(np.floor(g[k + 2 * n + 1] * l_span + 0.5))
-    retransmissions = min(max(retransmissions, 1), constraints.l_max)
-
+    x = decode_block(np.asarray(genome)[None], n_users, n_elements, constraints)
     return DecisionVector(
-        user_powers=tuple(float(p) for p in powers),
-        phases=tuple(float(t) for t in phases),
-        amplitudes=tuple(float(b) for b in amplitudes),
-        blocklength=blocklength,
-        retransmissions=retransmissions,
+        user_powers=tuple(x.user_powers[0].tolist()),
+        phases=tuple(x.phases[0].tolist()),
+        amplitudes=tuple(x.amplitudes[0].tolist()),
+        blocklength=int(x.blocklength[0]),
+        retransmissions=int(x.retransmissions[0]),
     )
 
 
@@ -175,34 +198,50 @@ def decode(genome: np.ndarray, n_users: int, n_elements: int,
 #  Fitness and ranking
 # ----------------------------------------------------------------------------
 
-def evaluate_fitness(x: DecisionVector, model: SystemModel,
-                     constraints: ConstraintSet) -> tuple[float, dict[str, float]]:
-    """Objective 1/eta and non-negative residuals of the coupled constraints.
+def score_block(x: DecisionBlock, model: SystemModel, constraints: ConstraintSet
+                ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Objective 1/eta and non-negative residuals of the coupled constraints
+    for each candidate of a decoded block, through one metric-chain call.
 
     An unstable queue is not an error here: it yields the large finite
     stand-in objective plus a positive utilization residual, so the search
     can still rank such candidates.
     """
-    beam = BeamformConfig(np.asarray(x.amplitudes), np.asarray(x.phases))
-    powers = PowerAllocation(x.user_powers)
-    report = model.evaluate(beam, powers, x.blocklength, x.retransmissions)
-
+    c = constraints
+    chain = model.evaluate_block(x.amplitudes, x.phases, x.user_powers,
+                                 x.blocklength, x.retransmissions)
+    zero = np.zeros(chain.stable.shape)
+    # each residual adds its per-user terms one user after the other
     violations = {
-        "delay": sum(max(0.0, tau - constraints.delay_thr)
-                     for tau in report.mean_delay if tau is not None),
-        "reliability": sum(max(0.0, constraints.rel_thr - rel)
-                           for rel in report.reliability),
-        "utilization": sum(max(0.0, rho - (1.0 - STRICT_MARGIN))
-                           for rho in report.utilization),
-        "power_ordering": sum(max(0.0, x.user_powers[i] - x.user_powers[i + 1])
-                              for i in range(len(x.user_powers) - 1)),
+        "delay": sum(np.where(chain.stable,
+                              np.maximum(0.0, chain.mean_delay - c.delay_thr), 0.0),
+                     zero),
+        "reliability": sum([np.maximum(0.0, c.rel_thr - chain.reliability)]
+                           * model.n_users, zero),
+        "utilization": sum(np.maximum(0.0, chain.utilization - (1.0 - STRICT_MARGIN)),
+                           zero),
+        "power_ordering": sum(np.maximum(0.0, x.user_powers[:, :-1]
+                                         - x.user_powers[:, 1:]).T, zero),
     }
 
-    if report.energy_efficiency is None or report.energy_efficiency <= 0.0:
-        objective = INFEASIBLE_OBJECTIVE
-    else:
-        objective = min(1.0 / report.energy_efficiency, INFEASIBLE_OBJECTIVE)
+    eta = chain.energy_efficiency
+    usable = eta > 0.0  # false where the queue is unstable (NaN)
+    objective = np.where(
+        usable, np.minimum(1.0 / np.where(usable, eta, 1.0), INFEASIBLE_OBJECTIVE),
+        INFEASIBLE_OBJECTIVE)
     return objective, violations
+
+
+def evaluate_fitness(x: DecisionVector, model: SystemModel,
+                     constraints: ConstraintSet) -> tuple[float, dict[str, float]]:
+    """Objective 1/eta and residuals of one decision vector (``score_block``
+    for a block of one)."""
+    block = DecisionBlock(np.array([x.user_powers], dtype=float),
+                          np.array([x.phases], dtype=float),
+                          np.array([x.amplitudes], dtype=float),
+                          np.array([x.blocklength]), np.array([x.retransmissions]))
+    objective, violations = score_block(block, model, constraints)
+    return float(objective[0]), {name: float(v[0]) for name, v in violations.items()}
 
 
 def _dominance_key(objective: float, total_violation: float,
@@ -219,43 +258,85 @@ def rank(objectives, total_violations, tolerance: float) -> list[int]:
     one; feasible candidates compare by objective, infeasible ones by total
     violation; exact ties keep the lower index first.
     """
-    keys = [_dominance_key(o, v, tolerance)
-            for o, v in zip(objectives, total_violations)]
-    return sorted(range(len(keys)), key=lambda i: keys[i])  # stable sort
+    objectives = np.asarray(objectives, dtype=float)
+    total_violations = np.asarray(total_violations, dtype=float)
+    infeasible = total_violations > tolerance
+    value = np.where(infeasible, total_violations, objectives)
+    return np.lexsort((value, infeasible)).tolist()  # stable sort
 
 
-def _merit(objective: float, total_violation: float, tolerance: float) -> float:
-    """Scalar ranking value recorded in the convergence trace.
+def _merit(objective, total_violation, tolerance: float):
+    """Ranking value recorded in the convergence trace, candidate by candidate.
 
     Equals the objective once feasible; infeasible candidates sit above
     every feasible one by construction, ordered by violation.
     """
-    if total_violation <= tolerance:
-        return objective
-    return INFEASIBLE_OBJECTIVE + total_violation
+    return np.where(total_violation <= tolerance, objective,
+                    INFEASIBLE_OBJECTIVE + total_violation)
 
 
 # ----------------------------------------------------------------------------
 #  GA driver
 # ----------------------------------------------------------------------------
 
-class _Evaluated:
-    __slots__ = ("objective", "violations", "total")
-
-    def __init__(self, objective: float, violations: dict[str, float]):
-        self.objective = objective
-        self.violations = violations
-        self.total = sum(violations.values())
-
-
 def _evaluate_population(pop: np.ndarray, model: SystemModel,
-                         constraints: ConstraintSet) -> list[_Evaluated]:
-    out = []
-    for genome in pop:
-        x = decode(genome, model.n_users, model.n_elements, constraints)
-        objective, violations = evaluate_fitness(x, model, constraints)
-        out.append(_Evaluated(objective, violations))
-    return out
+                         constraints: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
+    """Objectives and total violations of a population, scored in row blocks
+    of at most ``BLOCK_CELLS`` genome cells."""
+    rows = max(1, BLOCK_CELLS // model.n_elements)
+    objective = np.empty(len(pop))
+    total = np.empty(len(pop))
+    for start in range(0, len(pop), rows):
+        x = decode_block(pop[start:start + rows], model.n_users,
+                         model.n_elements, constraints)
+        block_objective, violations = score_block(x, model, constraints)
+        objective[start:start + rows] = block_objective
+        total[start:start + rows] = sum(violations.values())
+    return objective, total
+
+
+def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
+           settings: GaSettings, mutation_rate: float, sigma: float,
+           n_users: int, n_elements: int) -> np.ndarray:
+    """Next population: the elites, then one child per remaining slot.
+
+    Children are made in row blocks of at most ``BLOCK_CELLS`` genes. Within
+    a block the random numbers are drawn child by child in a fixed order
+    (two tournaments, the crossover draw and its mask, the mutation mask and
+    steps); crossover, mutation, phase wrap and clipping then run on the
+    whole block.
+    """
+    k, n = n_users, n_elements
+    size, dim = pop.shape
+    position = np.empty(size, dtype=np.intp)
+    position[order] = np.arange(size)
+    new_pop = np.empty_like(pop)
+    new_pop[:settings.elite_count] = pop[order[:settings.elite_count]]
+
+    rows = max(1, BLOCK_CELLS // dim)
+    for start in range(settings.elite_count, size, rows):
+        count = min(rows, size - start)
+        parents = np.empty((count, 2), dtype=np.intp)
+        crossover = np.zeros((count, dim))  # gene from the first parent below 0.5
+        mutation = np.empty((count, dim))   # gene mutates below mutation_rate
+        steps = np.empty((count, dim))
+        for child in range(count):
+            for side in (0, 1):
+                i, j = rng.integers(0, size, size=2)
+                # size-2 tournament: the contestant ranked earlier wins
+                parents[child, side] = i if position[i] <= position[j] else j
+            if rng.random() < settings.crossover_rate:
+                rng.random(out=crossover[child])
+            rng.random(out=mutation[child])
+            steps[child] = rng.normal(0.0, sigma, dim)
+
+        children = np.where(crossover < 0.5, pop[parents[:, 0]], pop[parents[:, 1]])
+        children += (mutation < mutation_rate) * steps
+        children[:, k:k + n] = np.mod(children[:, k:k + n], 1.0)  # phases wrap
+        children[:, :k] = np.clip(children[:, :k], 0.0, 1.0)
+        children[:, k + n:] = np.clip(children[:, k + n:], 0.0, 1.0)
+        new_pop[start:start + count] = children
+    return new_pop
 
 
 def run_ga(model: SystemModel, constraints: ConstraintSet,
@@ -282,14 +363,12 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
         aligned = co_phasing_phases(model.bs_channel, model.ue_channels[user - 1])
         pop[i, k:k + n] = aligned / TWO_PI
 
-    evals = _evaluate_population(pop, model, constraints)
-    order = rank([e.objective for e in evals], [e.total for e in evals], tol)
-
-    def key_of(e: _Evaluated) -> tuple[int, float]:
-        return _dominance_key(e.objective, e.total, tol)
-
-    best_genome = pop[order[0]].copy()
-    best_eval = evals[order[0]]
+    objective, total = _evaluate_population(pop, model, constraints)
+    order = rank(objective, total, tol)
+    top = order[0]
+    best_genome = pop[top].copy()
+    best_key = _dominance_key(objective[top], total[top], tol)
+    best_merit = float(_merit(objective[top], total[top], tol))
 
     fitness_history: list[float] = []
     mean_history: list[float] = []
@@ -300,47 +379,22 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     generations_run = 0
 
     for _generation in range(settings.max_generations):
-        new_pop = np.empty_like(pop)
-        for slot in range(settings.elite_count):
-            new_pop[slot] = pop[order[slot]]
-
-        for slot in range(settings.elite_count, settings.population_size):
-            i1, i2 = rng.integers(0, settings.population_size, size=2)
-            p1 = min(int(i1), int(i2), key=lambda i: (key_of(evals[i]), i))
-            j1, j2 = rng.integers(0, settings.population_size, size=2)
-            p2 = min(int(j1), int(j2), key=lambda i: (key_of(evals[i]), i))
-
-            if rng.random() < settings.crossover_rate:
-                mask = rng.random(dim) < 0.5
-                child = np.where(mask, pop[p1], pop[p2])
-            else:
-                child = pop[p1].copy()
-
-            mutate = rng.random(dim) < mutation_rate
-            child = child + mutate * rng.normal(0.0, sigma, dim)
-            child[k:k + n] = np.mod(child[k:k + n], 1.0)  # phases wrap
-            child[:k] = np.clip(child[:k], 0.0, 1.0)
-            child[k + n:] = np.clip(child[k + n:], 0.0, 1.0)
-            new_pop[slot] = child
-
-        pop = new_pop
-        evals = _evaluate_population(pop, model, constraints)
-        order = rank([e.objective for e in evals], [e.total for e in evals], tol)
+        pop = _breed(pop, order, rng, settings, mutation_rate, sigma, k, n)
+        objective, total = _evaluate_population(pop, model, constraints)
+        order = rank(objective, total, tol)
         generations_run += 1
         sigma *= settings.mutation_decay
 
-        gen_best = evals[order[0]]
-        if key_of(gen_best) < key_of(best_eval):
-            best_eval = gen_best
-            best_genome = pop[order[0]].copy()
+        top = order[0]
+        key = _dominance_key(objective[top], total[top], tol)
+        if key < best_key:
+            best_key, best_genome = key, pop[top].copy()
+            best_merit = float(_merit(objective[top], total[top], tol))
 
-        best_merit = _merit(best_eval.objective, best_eval.total, tol)
         prev = fitness_history[-1] if fitness_history else None
         fitness_history.append(best_merit)
-        mean_history.append(float(np.mean([_merit(e.objective, e.total, tol)
-                                           for e in evals])))
-        feasible_fraction_history.append(
-            float(np.mean([e.total <= tol for e in evals])))
+        mean_history.append(float(np.mean(_merit(objective, total, tol))))
+        feasible_fraction_history.append(float(np.mean(total <= tol)))
 
         if stall_enabled:
             if prev is not None and prev - best_merit < settings.function_tolerance:

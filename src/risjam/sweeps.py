@@ -115,28 +115,31 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     All users share the swept arrival rate. The replica count comes from
     [sweep] retransmissions (default 1, the value consistent with the
     reference delay numbers). Unstable points carry a marker instead of a
-    delay.
+    delay. Each arrival rate is one metric-chain call over the whole
+    blocklength grid.
     """
     model = build_model(cfg)
     n_users = model.n_users
-    replicas = cfg.sweep.retransmissions
     beta_each = cfg.sweep.policy_beta_total / model.n_elements
     beam = model.co_phased_beam(_policy_user(cfg, n_users), beta_each)
-    powers = _policy_powers(cfg)
+    lengths = np.array(sorted(cfg.sweep.blocklength_grid))
+    amplitudes, phases, powers = (
+        np.tile(row, (lengths.size, 1))
+        for row in (beam.amplitudes, beam.phases, _policy_powers(cfg).user_powers))
+    replicas = np.full(lengths.size, cfg.sweep.retransmissions)
 
     rows: list[tuple] = []
     for rate in sorted(cfg.sweep.arrival_rate_grid):
-        for blocklength in sorted(cfg.sweep.blocklength_grid):
-            report = model.evaluate(beam, powers, blocklength, replicas,
-                                    arrival_rates=(rate,) * n_users)
-            rho = report.utilization[0]
-            if report.stable:
-                rows.append((float(rate), int(blocklength), float(rho),
-                             float(report.mean_delay[0]),
-                             float(report.energy_efficiency)))
+        chain = model.evaluate_block(amplitudes, phases, powers, lengths, replicas,
+                                     arrival_rates=(rate,) * n_users)
+        for b, blocklength in enumerate(lengths.tolist()):
+            rho = float(chain.utilization[0, b])
+            if chain.stable[b]:
+                rows.append((float(rate), blocklength, rho,
+                             float(chain.mean_delay[0, b]),
+                             float(chain.energy_efficiency[b])))
             else:
-                rows.append((float(rate), int(blocklength), float(rho),
-                             UNSTABLE_MARKER, None))
+                rows.append((float(rate), blocklength, rho, UNSTABLE_MARKER, None))
 
     metadata = _metadata(cfg, "delay-ee")
     delays = {(row[0], row[1]): row[3] for row in rows}

@@ -26,7 +26,10 @@ class UnstableQueueError(ValueError):
 
 @dataclass(frozen=True)
 class FrameParams:
-    """Frame timing: fixed header time plus payload time blocklength/bandwidth."""
+    """Frame timing: fixed header time plus payload time blocklength/bandwidth.
+
+    ``blocklength`` may be an integer array, one frame per candidate.
+    """
 
     header_time: float
     bandwidth: float
@@ -37,7 +40,7 @@ class FrameParams:
             raise ValueError("header time must be non-negative")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.blocklength < 1:
+        if np.any(np.asarray(self.blocklength) < 1):
             raise ValueError("blocklength must be a positive integer")
 
     @property
@@ -52,7 +55,10 @@ class FrameParams:
 
 @dataclass(frozen=True)
 class TrafficParams:
-    """Per-user Poisson arrival rates (packets/s) and the replica count L."""
+    """Per-user Poisson arrival rates (packets/s) and the replica count L.
+
+    ``retransmissions`` may be an integer array, one count per candidate.
+    """
 
     arrival_rates: tuple[float, ...]
     retransmissions: int
@@ -62,7 +68,7 @@ class TrafficParams:
             raise ValueError("at least one arrival rate required")
         if any(rate <= 0 for rate in self.arrival_rates):
             raise ValueError("arrival rates must be positive")
-        if self.retransmissions < 1:
+        if np.any(np.asarray(self.retransmissions) < 1):
             raise ValueError("retransmission count must be at least 1")
 
     @property
@@ -74,6 +80,7 @@ def utilization(frame: FrameParams, traffic: TrafficParams, k: int) -> float:
     """Server utilization of user ``k`` (1-based): L * T_f * Lambda_k.
 
     Values >= 1 are legal output; stability is checked where delay is needed.
+    Array blocklengths or replica counts give one utilization per candidate.
     """
     if not 1 <= k <= traffic.n_users:
         raise ValueError(f"user index {k} out of range 1..{traffic.n_users}")
@@ -83,20 +90,22 @@ def utilization(frame: FrameParams, traffic: TrafficParams, k: int) -> float:
 def mean_delay(frame: FrameParams, traffic: TrafficParams, k: int) -> float:
     """Mean packet sojourn time of user ``k``: M/D/1 with service L*T_f.
 
-    L*T_f * (2 - rho) / (2*(1 - rho)); requires rho < 1.
+    L*T_f * (2 - rho) / (2*(1 - rho)); requires rho < 1 for every
+    candidate when given arrays.
     """
     rho = utilization(frame, traffic, k)
-    if rho >= 1.0:
-        raise UnstableQueueError(rho, user=k)
+    if np.any(rho >= 1.0):
+        raise UnstableQueueError(float(np.max(rho)), user=k)
     service = traffic.retransmissions * frame.duration
     return service * (2.0 - rho) / (2.0 * (1.0 - rho))
 
 
-def energy_efficiency(payload_bits: int, reliabilities, powers, delays) -> float:
+def energy_efficiency(payload_bits: int, reliabilities, powers, delays):
     """System energy efficiency in bits per joule.
 
     Successfully decoded bits over consumed energy:
-    n_d * sum(Rel_k) / sum(P_k * tau_k).
+    n_d * sum(Rel_k) / sum(P_k * tau_k). Users lie on axis 0; (K,) inputs
+    give a float, (K, B) inputs one efficiency per column.
     """
     rel = np.asarray(reliabilities, dtype=float)
     p = np.asarray(powers, dtype=float)
@@ -105,10 +114,17 @@ def energy_efficiency(payload_bits: int, reliabilities, powers, delays) -> float
         raise ValueError("reliabilities, powers and delays must have one entry per user")
     if not np.all(np.isfinite(tau)):
         raise ValueError("delays must be finite (stable queues)")
-    energy = float(np.sum(p * tau))
-    if energy <= 0:
+    energy = _user_sum(p * tau)
+    if np.any(energy <= 0):
         raise ValueError("total consumed energy must be positive")
-    return float(payload_bits * np.sum(rel) / energy)
+    eta = payload_bits * _user_sum(rel) / energy
+    return float(eta) if rel.ndim == 1 else eta
+
+
+def _user_sum(values):
+    """Sum over the users on axis 0, along a contiguous axis, so that each
+    column's sum has the bits of the same sum over a 1-D array."""
+    return np.sum(np.ascontiguousarray(np.moveaxis(values, 0, -1)), axis=-1)
 
 
 def simulate_md1(arrival_rate: float, service_time: float, n_arrivals: int,

@@ -1,0 +1,166 @@
+"""
+The block metric-chain kernel against its one-candidate wrappers.
+
+Every number the GA ranks, reports and sweeps goes through
+``SystemModel.evaluate_block``; these tests check bit for bit that a
+candidate's numbers do not depend on the block it is scored in, and that
+``decode``, ``evaluate_fitness`` and ``SystemModel.evaluate`` are its B=1
+case.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from risjam.channel import RisGeometry
+from risjam.config import load_config
+from risjam.link import BeamformConfig, PowerAllocation
+from risjam.optimizer import (ConstraintSet, GaSettings, decode, decode_block,
+                              evaluate_fitness, genome_dimension, run_ga,
+                              score_block)
+from risjam.sweeps import UNSTABLE_MARKER, build_model, sweep_delay_ee
+
+from conftest import make_model, make_scenario
+
+# the search box is wide enough that random genomes mix stable and unstable
+# queues and reliable and unreliable links
+WIDE_BOX = ConstraintSet(p_min=1e-4, nb_min=20, nb_max=1000, l_max=10)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_case(seed: int, n_users: int, n_elements: int, n_candidates: int):
+    """A random scenario and a block of genomes, a share of them at 0 or 1."""
+    rng = np.random.default_rng(seed)
+    scenario = make_scenario(
+        n_users=n_users,
+        jammer_power=float(rng.choice([0.0, 5e-4, 5e-3])),
+        user_dirs=[(float(rng.uniform(0, np.pi)), float(rng.uniform(-0.5, 0.5)))
+                   for _ in range(n_users)])
+    model = make_model(RisGeometry(1, n_elements), scenario,
+                       arrival_rates=tuple(rng.uniform(50.0, 2000.0, n_users)))
+    genomes = rng.random((n_candidates, genome_dimension(n_users, n_elements)))
+    edges = rng.random(genomes.shape) < 0.2
+    genomes[edges] = rng.integers(0, 2, genomes.shape)[edges]
+    return model, genomes, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
+       n_elements=st.integers(1, 40), n_candidates=st.integers(1, 30))
+def test_block_boundaries_do_not_change_bits(seed, n_users, n_elements,
+                                             n_candidates):
+    model, genomes, rng = random_case(seed, n_users, n_elements, n_candidates)
+    whole = decode_block(genomes, n_users, n_elements, WIDE_BOX)
+    objective, violations = score_block(whole, model, WIDE_BOX)
+    chain = model.evaluate_block(whole.amplitudes, whole.phases,
+                                 whole.user_powers, whole.blocklength,
+                                 whole.retransmissions)
+
+    cuts = np.sort(rng.choice(np.arange(1, n_candidates),
+                              size=int(rng.integers(0, n_candidates)),
+                              replace=False)) if n_candidates > 1 else []
+    parts = [score_block(decode_block(part, n_users, n_elements, WIDE_BOX),
+                         model, WIDE_BOX)
+             for part in np.split(genomes, cuts)]
+    assert same_bits(np.concatenate([p[0] for p in parts]), objective)
+    for name, values in violations.items():
+        assert same_bits(np.concatenate([p[1][name] for p in parts]), values)
+
+    for b, genome in enumerate(genomes):
+        x = decode(genome, n_users, n_elements, WIDE_BOX)
+        single_objective, single_violations = evaluate_fitness(x, model, WIDE_BOX)
+        assert same_bits(single_objective, objective[b])
+        for name, value in single_violations.items():
+            assert same_bits(value, violations[name][b])
+
+        report = model.evaluate(BeamformConfig(np.array(x.amplitudes),
+                                               np.array(x.phases)),
+                                PowerAllocation(x.user_powers),
+                                x.blocklength, x.retransmissions)
+        assert repr(report) == repr(chain.report(b))
+
+
+def test_many_users_keep_their_bits():
+    # sums over eight or more users switch numpy to pairwise summation, whose
+    # grouping depends on the memory layout of the block
+    _, genomes, rng = random_case(11, 9, 4, 40)
+    # light traffic keeps most queues of all nine users stable
+    model = make_model(RisGeometry(1, 4), make_scenario(n_users=9),
+                       arrival_rates=tuple(rng.uniform(5.0, 50.0, 9)))
+    x = decode_block(genomes, 9, 4, WIDE_BOX)
+    chain = model.evaluate_block(x.amplitudes, x.phases, x.user_powers,
+                                 x.blocklength, x.retransmissions)
+    assert np.mean(chain.stable) > 0.5
+    for b in range(len(genomes)):
+        alone = model.evaluate_block(x.amplitudes[b:b + 1], x.phases[b:b + 1],
+                                     x.user_powers[b:b + 1], x.blocklength[b:b + 1],
+                                     x.retransmissions[b:b + 1])
+        assert repr(alone.report(0)) == repr(chain.report(b))
+
+
+def test_random_blocks_cover_unstable_and_infeasible_points():
+    # the property above is only meaningful if its inputs reach every branch
+    # (feasible points are rare; one user makes them common enough to see)
+    stable, feasible, reliable = set(), set(), set()
+    for seed in range(20):
+        model, genomes, _ = random_case(seed, 1, 9, 30)
+        x = decode_block(genomes, 1, 9, WIDE_BOX)
+        chain = model.evaluate_block(x.amplitudes, x.phases, x.user_powers,
+                                     x.blocklength, x.retransmissions)
+        objective, violations = score_block(x, model, WIDE_BOX)
+        stable.update(chain.stable.tolist())
+        feasible.update((sum(violations.values()) == 0.0).tolist())
+        reliable.update((chain.reliability >= WIDE_BOX.rel_thr).tolist())
+    assert stable == feasible == reliable == {True, False}
+
+
+def test_delay_ee_rows_equal_per_point_evaluations():
+    cfg = load_config()
+    result = sweep_delay_ee(cfg)
+    model = build_model(cfg)
+    beam = model.co_phased_beam(model.n_users,
+                                cfg.sweep.policy_beta_total / model.n_elements)
+    powers = PowerAllocation((cfg.sweep.policy_power_w,) * model.n_users)
+    markers = 0
+    for rate, blocklength, rho, delay, eta in result.rows:
+        report = model.evaluate(beam, powers, blocklength,
+                                cfg.sweep.retransmissions,
+                                arrival_rates=(rate,) * model.n_users)
+        assert same_bits(rho, report.utilization[0])
+        if report.stable:
+            assert same_bits(delay, report.mean_delay[0])
+            assert same_bits(eta, report.energy_efficiency)
+        else:
+            assert (delay, eta) == (UNSTABLE_MARKER, None)
+            markers += 1
+    assert 0 < markers < len(result.rows)
+
+
+def test_small_run_is_pinned():
+    # recorded from the per-candidate GA this block evaluation replaced; it
+    # guards the random draw order and the ranking, generation by generation
+    model = make_model(RisGeometry(2, 2), make_scenario(
+        jammer_power=5e-4, user_dirs=[(1.0, -0.3), (np.pi / 2, -0.1)]))
+    result = run_ga(model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160),
+                    GaSettings(rng_seed=7, population_size=40, max_generations=15))
+    assert result.fitness_history == [1e30] * 6 + [
+        3.4183561362487073e-07, 3.4183561362487073e-07,
+        1.8838364596917045e-07, 1.8838364596917045e-07] + [
+        1.8838364583361114e-07] * 5
+    assert result.mean_history == [1e30] * 6 + [
+        9.75e+29, 9.75e+29, 9e+29, 8.75e+29, 8.5e+29, 7.75e+29, 8.25e+29,
+        7.25e+29, 8.499999999999999e+29]
+    assert result.feasible_fraction_history == [0.0] * 6 + [
+        0.025, 0.025, 0.1, 0.125, 0.15, 0.225, 0.175, 0.275, 0.15]
+    best = result.best_solution
+    assert best.user_powers == (0.008465485773056511, 0.09416497115530618)
+    assert best.phases == (6.097518952227922, 6.206980208438396,
+                           0.5734019919279505, 1.110914657767231)
+    assert best.amplitudes == (56.73018274215009, 8.323545709006504,
+                               7.754657235100282, 62.94220009067569)
+    assert (best.blocklength, best.retransmissions) == (126, 1)
+    assert result.best_eta == 5308316.417674838
+    assert result.best_objective == 1.8838364583361114e-07

@@ -236,14 +236,31 @@ class TestReliability:
             columns = [replica_success(blers[:, j]) for j in range(40)]
             assert omega.shape == (40,)
             assert omega.tolist() == columns
-            for replicas in (1, 2):
+            for replicas in (1, 2, 7):
                 assert reliability(omega, replicas).tolist() == [
                     reliability(w, replicas) for w in columns]
-            # numpy's vectorized power may round the last bit of (1 - w)**7
-            # differently from the scalar power
-            np.testing.assert_allclose(
-                reliability(omega, 7), [reliability(w, 7) for w in columns],
-                rtol=0.0, atol=2 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("replicas", range(1, 11))
+    def test_same_bits_alone_in_a_slice_and_in_a_grid(self, replicas):
+        # numpy's scalar power, its square fast path (L = 2) and its array
+        # power round differently; every call shape must take the same one
+        omega = np.random.default_rng(replicas).uniform(0.0, 1.0, 1000)
+        grid = reliability(omega, replicas)
+        assert grid.shape == omega.shape
+        for i, w in enumerate(omega):
+            alone = reliability(w, replicas)
+            assert isinstance(alone, float)
+            assert alone == grid[i] == reliability(omega[i:i + 1], replicas)[0]
+            assert reliability(float(w), replicas) == alone
+        assert reliability(omega, np.full(omega.shape, replicas)).tolist() == grid.tolist()
+
+    def test_integer_array_replica_counts(self):
+        omega = np.array([0.3, 0.6, 0.9])
+        replicas = np.array([1, 2, 10])
+        assert reliability(omega, replicas).tolist() == [
+            reliability(w, int(r)) for w, r in zip(omega, replicas)]
+        with pytest.raises(ValueError):
+            reliability(omega, np.array([1, 0, 2]))
 
     def test_single_shot_equals_omega(self):
         assert reliability(0.37, 1) == pytest.approx(0.37, rel=1e-12)

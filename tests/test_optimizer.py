@@ -3,8 +3,8 @@ import pytest
 
 from risjam.channel import RisGeometry
 from risjam.optimizer import (ConstraintSet, DecisionVector, GaSettings,
-                              INFEASIBLE_OBJECTIVE, decode, evaluate_fitness,
-                              genome_dimension, rank, run_ga)
+                              INFEASIBLE_OBJECTIVE, decode, decode_block,
+                              evaluate_fitness, genome_dimension, rank, run_ga)
 
 from conftest import make_model, make_scenario
 
@@ -46,6 +46,36 @@ class TestDecode:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             decode(np.zeros(5), 2, 3, ConstraintSet())
+
+    @pytest.mark.parametrize("gene", ["power", "phase", "amplitude",
+                                      "blocklength", "replicas"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gene_rejected(self, gene, value):
+        # layout for K = 2, N = 3: powers 0-1, phases 2-4, amplitudes 5-7,
+        # blocklength 8, replicas 9
+        index = {"power": 1, "phase": 3, "amplitude": 7, "blocklength": 8,
+                 "replicas": 9}[gene]
+        genome = np.full(genome_dimension(2, 3), 0.5)
+        genome[index] = value
+        with pytest.raises(ValueError, match="genome must be finite"):
+            decode(genome, 2, 3, ConstraintSet())
+        block = np.vstack([np.full(genome.size, 0.5), genome])
+        with pytest.raises(ValueError, match="genome must be finite"):
+            decode_block(block, 2, 3, ConstraintSet())
+
+    def test_block_rows_match_single_decodes(self):
+        rng = np.random.default_rng(23)
+        cons = ConstraintSet(p_min=1e-3, p_max=0.05, beta_max=40.0, l_max=7,
+                             nb_min=80, nb_max=240)
+        genomes = rng.uniform(-0.2, 1.2, (50, genome_dimension(2, 5)))
+        block = decode_block(genomes, 2, 5, cons)
+        for b, genome in enumerate(genomes):
+            x = decode(genome, 2, 5, cons)
+            assert x.user_powers == tuple(block.user_powers[b].tolist())
+            assert x.phases == tuple(block.phases[b].tolist())
+            assert x.amplitudes == tuple(block.amplitudes[b].tolist())
+            assert x.blocklength == block.blocklength[b]
+            assert x.retransmissions == block.retransmissions[b]
 
 
 class TestRank:
