@@ -54,10 +54,6 @@ class RisGeometry:
     def element_height(self) -> float:
         return self.spacing_v * self.wavelength
 
-    @property
-    def element_area(self) -> float:
-        return self.element_width * self.element_height
-
 
 @dataclass(frozen=True)
 class Direction:

@@ -11,11 +11,18 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .config import ConfigError, ConfigValueError, load_config
+from .config import PRESETS, ConfigError, ConfigValueError, load_config
 from .sweeps import (UNSTABLE_MARKER, run_optimize, sweep_delay_ee,
                      sweep_reliability_vs_beta, sweep_sjnr_vs_n,
                      write_sweep_csv)
 from .traffic import FrameParams, mean_delay, simulate_md1, TrafficParams
+
+# sweep kind -> runner; the CLI's choices and its dispatch
+_SWEEPS = {
+    "delay-ee": sweep_delay_ee,
+    "rel-beta": sweep_reliability_vs_beta,
+    "sjnr-n": sweep_sjnr_vs_n,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the RNG seed")
     common.add_argument("--out", type=Path, default=Path("results"),
                         help="output directory")
-    common.add_argument("--preset", choices=("paper", "desk"), default=None,
+    common.add_argument("--preset", choices=tuple(PRESETS), default=None,
                         help="scale preset applied below the config file")
 
     parser = argparse.ArgumentParser(
@@ -39,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("optimize", parents=[common],
                    help="run the GA and persist convergence trace + solution")
     sweep = sub.add_parser("sweep", parents=[common], help="run a metric sweep")
-    sweep.add_argument("kind", choices=("delay-ee", "rel-beta", "sjnr-n"))
+    sweep.add_argument("kind", choices=tuple(_SWEEPS))
     oracle = sub.add_parser("mdl-oracle", parents=[common],
                             help="check the closed-form M/D/1 delay against a "
                                  "discrete-event simulation")
@@ -60,12 +67,7 @@ def _cmd_optimize(cfg) -> int:
 
 
 def _cmd_sweep(cfg, kind: str) -> int:
-    runner = {
-        "delay-ee": sweep_delay_ee,
-        "rel-beta": sweep_reliability_vs_beta,
-        "sjnr-n": sweep_sjnr_vs_n,
-    }[kind]
-    result = runner(cfg)
+    result = _SWEEPS[kind](cfg)
     path = write_sweep_csv(result, cfg.output_dir / f"{kind}.csv")
     print(f"{len(result.rows)} rows -> {path}")
     if kind == "delay-ee":

@@ -13,7 +13,7 @@ import hashlib
 import math
 from collections.abc import Callable
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isqrt
 from pathlib import Path
 from typing import Any
@@ -441,21 +441,9 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     traffic = _build("traffic", TrafficParams, rates, typed["traffic"]["retransmissions"])
 
     ga = typed["ga"]
-    ga_settings = _build(
-        "ga settings", GaSettings,
-        population_size=ga["population_size"],
-        max_generations=ga["max_generations"],
-        crossover_rate=ga["crossover_rate"],
-        mutation_rate=ga["mutation_rate"],
-        elite_count=ga["elite_count"],
-        rng_seed=ga["rng_seed"],
-        constraint_tolerance=ga["constraint_tolerance"],
-        function_tolerance=ga["function_tolerance"],
-        co_phasing_fraction=ga["co_phasing_fraction"],
-        mutation_sigma=ga["mutation_sigma"],
-        mutation_decay=ga["mutation_decay"],
-        stall_generations=ga["stall_generations"],
-    )
+    # the [ga] keys include the GaSettings fields, spelled the same
+    ga_settings = _build("ga settings", GaSettings,
+                         **{f.name: ga[f.name] for f in fields(GaSettings)})
     constraints = _build(
         "ga settings", ConstraintSet,
         delay_thr=ga["delay_thr_s"],

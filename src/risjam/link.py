@@ -53,10 +53,6 @@ class BeamformConfig:
         """Diagonal entries sqrt(beta_n)*exp(j*theta_n)."""
         return np.sqrt(self.amplitudes) * np.exp(1j * self.phases)
 
-    @classmethod
-    def uniform(cls, n_elements: int, amplitude: float, phases: np.ndarray) -> "BeamformConfig":
-        return cls(np.full(n_elements, float(amplitude)), np.asarray(phases, dtype=float))
-
 
 @dataclass(frozen=True)
 class PowerAllocation:

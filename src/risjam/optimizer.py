@@ -118,10 +118,6 @@ class DecisionVector:
     blocklength: int
     retransmissions: int
 
-    @property
-    def dimension(self) -> int:
-        return len(self.user_powers) + 2 * len(self.phases) + 2
-
 
 class DecisionBlock(NamedTuple):
     """B decoded operating points, candidate b in row (entry) b."""
@@ -244,11 +240,18 @@ def evaluate_fitness(x: DecisionVector, model: SystemModel,
     return float(objective[0]), {name: float(v[0]) for name, v in violations.items()}
 
 
-def _dominance_key(objective: float, total_violation: float,
-                   tolerance: float) -> tuple[int, float]:
-    if total_violation <= tolerance:
-        return (0, objective)
-    return (1, total_violation)
+def _standing(objectives, total_violations, tolerance: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Feasibility-dominance standing ``(infeasible, value)`` of each
+    candidate; standings compare as tuples, lower is better.
+
+    A candidate is infeasible when its total violation exceeds the
+    tolerance; its value is then that violation, otherwise its objective.
+    """
+    objectives = np.asarray(objectives, dtype=float)
+    total_violations = np.asarray(total_violations, dtype=float)
+    infeasible = total_violations > tolerance
+    return infeasible, np.where(infeasible, total_violations, objectives)
 
 
 def rank(objectives, total_violations, tolerance: float) -> list[int]:
@@ -258,21 +261,17 @@ def rank(objectives, total_violations, tolerance: float) -> list[int]:
     one; feasible candidates compare by objective, infeasible ones by total
     violation; exact ties keep the lower index first.
     """
-    objectives = np.asarray(objectives, dtype=float)
-    total_violations = np.asarray(total_violations, dtype=float)
-    infeasible = total_violations > tolerance
-    value = np.where(infeasible, total_violations, objectives)
+    infeasible, value = _standing(objectives, total_violations, tolerance)
     return np.lexsort((value, infeasible)).tolist()  # stable sort
 
 
-def _merit(objective, total_violation, tolerance: float):
-    """Ranking value recorded in the convergence trace, candidate by candidate.
+def _merit(infeasible, value):
+    """Ranking value recorded in the convergence trace for a standing.
 
     Equals the objective once feasible; infeasible candidates sit above
     every feasible one by construction, ordered by violation.
     """
-    return np.where(total_violation <= tolerance, objective,
-                    INFEASIBLE_OBJECTIVE + total_violation)
+    return np.where(infeasible, INFEASIBLE_OBJECTIVE + value, value)
 
 
 # ----------------------------------------------------------------------------
@@ -359,42 +358,36 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     pop = rng.random((settings.population_size, dim))
     n_seeded = int(round(settings.co_phasing_fraction * settings.population_size))
     for i in range(min(n_seeded, settings.population_size)):
-        user = (i % k) + 1
-        aligned = co_phasing_phases(model.bs_channel, model.ue_channels[user - 1])
+        aligned = co_phasing_phases(model.bs_channel, model.ue_channels[i % k])
         pop[i, k:k + n] = aligned / TWO_PI
 
-    objective, total = _evaluate_population(pop, model, constraints)
-    order = rank(objective, total, tol)
-    top = order[0]
-    best_genome = pop[top].copy()
-    best_key = _dominance_key(objective[top], total[top], tol)
-    best_merit = float(_merit(objective[top], total[top], tol))
-
+    best_standing = best_genome = None
     fitness_history: list[float] = []
     mean_history: list[float] = []
     feasible_fraction_history: list[float] = []
-
     sigma = settings.mutation_sigma
     stall_count = 0
-    generations_run = 0
 
-    for _generation in range(settings.max_generations):
-        pop = _breed(pop, order, rng, settings, mutation_rate, sigma, k, n)
+    # generation 0 is the initial population: ranked and tracked, not recorded
+    for generation in range(settings.max_generations + 1):
+        if generation:
+            pop = _breed(pop, order, rng, settings, mutation_rate, sigma, k, n)
+            sigma *= settings.mutation_decay
         objective, total = _evaluate_population(pop, model, constraints)
         order = rank(objective, total, tol)
-        generations_run += 1
-        sigma *= settings.mutation_decay
-
+        infeasible, value = _standing(objective, total, tol)
         top = order[0]
-        key = _dominance_key(objective[top], total[top], tol)
-        if key < best_key:
-            best_key, best_genome = key, pop[top].copy()
-            best_merit = float(_merit(objective[top], total[top], tol))
+        standing = (bool(infeasible[top]), float(value[top]))
+        if best_standing is None or standing < best_standing:
+            best_standing, best_genome = standing, pop[top].copy()
+        if not generation:
+            continue
 
         prev = fitness_history[-1] if fitness_history else None
+        best_merit = float(_merit(*best_standing))
         fitness_history.append(best_merit)
-        mean_history.append(float(np.mean(_merit(objective, total, tol))))
-        feasible_fraction_history.append(float(np.mean(total <= tol)))
+        mean_history.append(float(np.mean(_merit(infeasible, value))))
+        feasible_fraction_history.append(float(np.mean(~infeasible)))
 
         if stall_enabled:
             if prev is not None and prev - best_merit < settings.function_tolerance:
@@ -421,5 +414,5 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
         feasible=feasible,
         constraint_violations=violations,
         best_report=report,
-        generations_run=generations_run,
+        generations_run=len(fitness_history),
     )

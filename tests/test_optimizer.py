@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from risjam import optimizer
 from risjam.channel import RisGeometry
 from risjam.optimizer import (ConstraintSet, DecisionVector, GaSettings,
                               INFEASIBLE_OBJECTIVE, decode, decode_block,
@@ -26,7 +27,6 @@ class TestDecode:
             assert cons.nb_min <= x.blocklength <= cons.nb_max
             assert isinstance(x.retransmissions, int)
             assert 1 <= x.retransmissions <= cons.l_max
-            assert x.dimension == genome_dimension(k, n)
 
     def test_corner_genomes_hit_bounds(self):
         cons = ConstraintSet(p_min=1e-3, p_max=0.05, beta_max=40.0, l_max=7,
@@ -176,6 +176,28 @@ class TestRunGa:
         history = result.fitness_history
         assert len(history) == 40
         assert all(b <= a for a, b in zip(history, history[1:]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_elites_keep_the_best_seen(self, toy_model, toy_constraints,
+                                            monkeypatch, seed):
+        # without elites a generation's top can be worse than an earlier one;
+        # the recorded and returned best must still be the best seen
+        tops = []
+
+        def recording_rank(objectives, total_violations, tolerance):
+            feasible = np.asarray(total_violations) <= tolerance
+            tops.append(np.min(np.asarray(objectives)[feasible], initial=np.inf))
+            return rank(objectives, total_violations, tolerance)
+
+        monkeypatch.setattr(optimizer, "rank", recording_rank)
+        result = run_ga(toy_model, toy_constraints,
+                        GaSettings(rng_seed=seed, population_size=20,
+                                   max_generations=30, elite_count=0))
+        assert len(tops) == 31  # the initial population and 30 generations
+        assert any(b > min(tops[:i + 1]) for i, b in enumerate(tops[1:]))
+        history = result.fitness_history
+        assert all(b <= a for a, b in zip(history, history[1:]))
+        assert result.best_objective == min(tops)
 
     def test_feasible_output_when_feasible_points_exist(self, toy_model,
                                                         toy_constraints):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import risjam
-from risjam.config import load_config
-from risjam.cli import main
+from risjam.config import PRESETS, load_config
+from risjam.cli import _build_parser, main
 from risjam.link import BeamformConfig, NoiseConfig, PowerAllocation, sjnr_all
 from risjam.sweeps import (CONVERGENCE_COLUMNS, DELAY_EE_COLUMNS,
                            REL_BETA_COLUMNS, SJNR_N_COLUMNS, SweepResult,
@@ -221,6 +221,27 @@ class TestCli:
         proc = self.run_cli("sweep", "sjnr-n", "--out", str(tmp_path / "o"))
         assert proc.returncode == 0
         assert (tmp_path / "o" / "sjnr-n.csv").exists()
+
+    def test_sweep_through_main_writes_csv(self, tmp_path):
+        ini = tmp_path / "grid.ini"
+        ini.write_text("[sweep]\narrival_rate_grid = 100, 500\n"
+                       "blocklength_grid = 108, 120\n")
+        assert main(["sweep", "delay-ee", "--config", str(ini),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(read_sweep_csv(tmp_path / "o" / "delay-ee.csv").rows) == 4
+
+    def test_sweep_with_every_point_unstable_exits_two(self, tmp_path, capsys):
+        # utilization about 8.5 at 5000 packets/s and blocklength 300
+        ini = tmp_path / "unstable.ini"
+        ini.write_text("[sweep]\narrival_rate_grid = 5000\nblocklength_grid = 300\n")
+        assert main(["sweep", "delay-ee", "--config", str(ini),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "every grid point is unstable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_preset_is_a_cli_choice(self, preset):
+        args = _build_parser().parse_args(["optimize", "--preset", preset])
+        assert args.preset == preset
 
     def test_missing_config_exits_one(self, tmp_path):
         proc = self.run_cli("optimize", "--config", str(tmp_path / "nope.ini"))
