@@ -2,8 +2,8 @@
 Command-line interface.
 
 Subcommands: optimize, sweep {delay-ee, rel-beta, sjnr-n}, mdl-oracle.
-Exit codes: 0 success, 1 config error, 2 infeasible/unstable result,
-3 internal error.
+Exit codes: 0 success, 1 config or usage error, 2 infeasible/unstable
+result, 3 internal error.
 """
 
 import argparse
@@ -25,6 +25,15 @@ _SWEEPS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own 2 means infeasible/unstable
+    here. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None,
@@ -36,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", choices=tuple(PRESETS), default=None,
                         help="scale preset applied below the config file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="risjam",
         description="Active-RIS uplink NOMA simulator and energy-efficiency "
                     "optimizer under jamming")

@@ -251,7 +251,6 @@ PRESETS: dict[str, dict[tuple[str, str], str]] = {
 DEFAULT_N_GRID = {
     "rel-beta": (4, 100, 400, 900),
     "sjnr-n": (4, 16, 36, 64, 100, 196, 400, 625, 900),
-    "delay-ee": (),
 }
 
 
@@ -269,11 +268,11 @@ class SweepSpec:
     policy_beta_total: float
     cophase_user: int | None
 
-    def element_grid(self, kind: str | None = None) -> tuple[int, ...]:
+    def element_grid(self, kind: str) -> tuple[int, ...]:
         """Configured element-count grid, or the default of the given sweep kind."""
         if self.n_elements_grid is not None:
             return self.n_elements_grid
-        return DEFAULT_N_GRID[kind if kind is not None else self.kind]
+        return DEFAULT_N_GRID[kind]
 
 
 @dataclass(frozen=True)

@@ -226,16 +226,6 @@ def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
 #  CSV persistence
 # ----------------------------------------------------------------------------
 
-def _encode_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _decode_cell(text: str):
     if text == "":
         return None
@@ -248,7 +238,12 @@ def _decode_cell(text: str):
 
 
 def _write_csv(path: str | Path, metadata: dict, columns, rows) -> Path:
-    """Write ``# key=value`` comment lines, a header row, then the data rows."""
+    """Write ``# key=value`` comment lines, a header row, then the data rows.
+
+    ``csv.writer`` writes None as an empty cell, integers with ``str`` and
+    floats (numpy float64 too) as their shortest round-tripping repr, which
+    ``_decode_cell`` reads back.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as handle:
@@ -256,8 +251,7 @@ def _write_csv(path: str | Path, metadata: dict, columns, rows) -> Path:
             handle.write(f"# {key}={value}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_encode_cell(cell) for cell in row])
+        writer.writerows(rows)
     return path
 
 
@@ -305,7 +299,7 @@ def _encode_value(value) -> str:
     if isinstance(value, (tuple, list)):
         encoded = ",".join(_encode_value(v) for v in value)
         return encoded + "," if len(value) == 1 else encoded
-    return _encode_cell(value)
+    return str(value)  # str of a float or float64 is its shortest repr
 
 
 def _decode_scalar(text: str):

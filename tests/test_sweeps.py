@@ -139,6 +139,26 @@ class TestCsvRoundTrip:
         assert CONVERGENCE_COLUMNS == ("generation", "best_objective",
                                        "mean_objective", "feasible_fraction")
 
+    def test_cell_text_is_pinned(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        rows = [(7, np.int64(-3), 0.1, np.float64(0.1)),
+                (np.int64(2 ** 40), 1e-05, np.float64(1e-05), np.float64(1e+16)),
+                (0, np.float64(5e-324), np.float64(-0.0), np.float64(nan)),
+                (1, np.float64(inf), None, UNSTABLE_MARKER)]
+        result = SweepResult("pin", ("a", "b", "c", "d"), rows,
+                             {"kind": "pin", "seed": "1"})
+        path = write_sweep_csv(result, tmp_path / "pin.csv")
+        assert path.read_text() == (
+            "# kind=pin\n# seed=1\na,b,c,d\n7,-3,0.1,0.1\n"
+            "1099511627776,1e-05,1e-05,1e+16\n0,5e-324,-0.0,nan\n"
+            "1,inf,,unstable\n")
+        again = read_sweep_csv(path)
+        assert again.metadata == result.metadata
+        # repr tells -0.0 from 0.0 and shows nan, which never compares equal
+        assert repr(again.rows) == repr(
+            [(7, -3, 0.1, 0.1), (2 ** 40, 1e-05, 1e-05, 1e+16),
+             (0, 5e-324, -0.0, nan), (1, inf, None, "unstable")])
+
     def test_metadata_written_and_restored(self, tmp_path):
         result = sweep_sjnr_vs_n(load_config())
         text = write_sweep_csv(result, tmp_path / "m.csv").read_text()
@@ -242,6 +262,24 @@ class TestCli:
     def test_every_preset_is_a_cli_choice(self, preset):
         args = _build_parser().parse_args(["optimize", "--preset", preset])
         assert args.preset == preset
+
+    @pytest.mark.parametrize("argv, code", [
+        (["optimize", "--preset", "huge"], 1),
+        (["optimize", "--seed", "x"], 1),
+        (["mdl-oracle", "--arrivals", "abc"], 1),
+        (["sweep", "nope"], 1),
+        (["nosuch"], 1),
+        (["--bogus"], 1),
+        (["--help"], 0),
+        (["sweep", "--help"], 0),
+    ])
+    def test_usage_error_exit_codes(self, capsys, argv, code):
+        # 2 is reserved for infeasible or unstable results
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == code
+        if code:
+            assert "usage:" in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path):
         proc = self.run_cli("optimize", "--config", str(tmp_path / "nope.ini"))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from risjam.traffic import (FrameParams, TrafficParams, UnstableQueueError,
                             energy_efficiency, mean_delay, simulate_md1,
@@ -119,6 +120,27 @@ class TestDiscreteEventQueue:
             simulate_md1(100.0, -1.0, 100, seed=1)
         with pytest.raises(ValueError):
             simulate_md1(100.0, 1e-3, 0, seed=1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                simulate_md1(bad, 1e-3, 100, seed=1)
+            with pytest.raises(ValueError):
+                simulate_md1(100.0, bad, 100, seed=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 2000), rho=st.floats(1e-3, 2.0),
+           service=st.floats(1e-6, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_packet_reference(self, n, rho, service, seed):
+        # the same arrivals walked packet by packet through Lindley's
+        # recursion, including overloaded queues (rho > 1)
+        rate = rho / service
+        gaps = np.random.default_rng(seed).exponential(1.0 / rate, size=n)
+        clock = server_free_at = total = 0.0
+        for gap in gaps:
+            clock += gap
+            server_free_at = max(clock, server_free_at) + service
+            total += server_free_at - clock
+        assert simulate_md1(rate, service, n, seed) == pytest.approx(
+            total / n, rel=1e-9, abs=0.0)
 
 
 class TestParamValidation:
