@@ -83,8 +83,8 @@ class NoiseConfig:
     awgn_var: float
 
     def __post_init__(self):
-        if self.ris_thermal_var < 0 or self.awgn_var < 0:
-            raise ValueError("noise variances must be non-negative")
+        if not (0 <= self.ris_thermal_var < np.inf and 0 <= self.awgn_var < np.inf):
+            raise ValueError("noise variances must be non-negative and finite")
 
     @classmethod
     def from_dbm(cls, ris_thermal_dbm: float, awgn_dbm: float) -> "NoiseConfig":
@@ -120,6 +120,24 @@ def co_phasing_phases(bs_channel: np.ndarray, ue_channel: np.ndarray) -> np.ndar
     maximizes that user's received power for any fixed amplitudes.
     """
     return np.mod(-np.angle(bs_channel * ue_channel), 2.0 * np.pi)
+
+
+def sic_balanced_weights(bs_channel: np.ndarray, ue_channels: np.ndarray,
+                         jammer_channel: np.ndarray, ratio: float) -> np.ndarray:
+    """Minimum-norm RIS weights that grade the users' cascades for SIC and
+    null the jammer's reflection.
+
+    Solves (I o G_k)^T w = ratio^(-(k-1)/2) for each user k and
+    (I o g_J)^T w = 0, so each user's cascade gain |.|^2 is ``ratio`` times
+    the next user's, and the jammer reaches the BS only directly. Weight n
+    is sqrt(beta_n)*exp(j*theta_n) up to a common positive scale. With
+    fewer than K + 1 elements, or users the array cannot tell apart, this is
+    the least-squares solution instead.
+    """
+    ue = np.atleast_2d(ue_channels)
+    system = np.vstack([ue, jammer_channel]) * bs_channel
+    targets = np.append(ratio ** (-0.5 * np.arange(ue.shape[0])), 0.0)
+    return np.linalg.lstsq(system, targets.astype(complex), rcond=None)[0]
 
 
 def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex,

@@ -148,6 +148,31 @@ class SystemModel:
                                     [retransmissions], arrival_rates)
         return block.report(0)
 
+    def queue_block(self, blocklengths, retransmissions,
+                    arrival_rates: tuple[float, ...] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The queueing stage of the metric chain for B (blocklength,
+        replicas) pairs: utilization (K, B), stability of every queue (B,)
+        and mean delay (K, B), NaN where a queue is unstable. It depends on
+        neither beams nor powers."""
+        rates = self.arrival_rates if arrival_rates is None else tuple(arrival_rates)
+        if len(rates) != self.n_users:
+            raise ValueError("one arrival rate per user required")
+        blocklengths = np.asarray(blocklengths)
+        replicas = np.asarray(retransmissions)
+        frame = FrameParams(self.header_time, self.bandwidth, blocklengths)
+        traffic = TrafficParams(rates, replicas)
+        users = range(1, self.n_users + 1)
+        rhos = np.stack([utilization(frame, traffic, k) for k in users])
+        stable = np.all(rhos < 1.0, axis=0)
+        delays = np.full(rhos.shape, np.nan)
+        if np.any(stable):
+            # delay exists only where every queue is stable
+            frame = FrameParams(self.header_time, self.bandwidth, blocklengths[stable])
+            traffic = TrafficParams(rates, replicas[stable])
+            delays[:, stable] = np.stack([mean_delay(frame, traffic, k) for k in users])
+        return rhos, stable, delays
+
     def evaluate_block(self, amplitudes, phases, powers, blocklengths,
                        retransmissions,
                        arrival_rates: tuple[float, ...] | None = None) -> MetricsBlock:
@@ -162,31 +187,19 @@ class SystemModel:
 
         Each candidate gets the bits it gets when evaluated alone.
         """
-        rates = self.arrival_rates if arrival_rates is None else tuple(arrival_rates)
-        if len(rates) != self.n_users:
-            raise ValueError("one arrival rate per user required")
         blocklengths = np.asarray(blocklengths)
         replicas = np.asarray(retransmissions)
         allocation = PowerAllocation(np.asarray(powers, dtype=float))
         code = FblCode(blocklengths, self.payload_bits)
-        frame = FrameParams(self.header_time, self.bandwidth, blocklengths)
-        traffic = TrafficParams(rates, replicas)
 
         gammas = self.sjnr(BeamformConfig(amplitudes, phases), allocation)
         blers = bler(gammas, code)
         omega = replica_success(blers)
         rel = reliability(omega, replicas)
 
-        users = range(1, self.n_users + 1)
-        rhos = np.stack([utilization(frame, traffic, k) for k in users])
-        stable = np.all(rhos < 1.0, axis=0)
-        delays = np.full(rhos.shape, np.nan)
+        rhos, stable, delays = self.queue_block(blocklengths, replicas, arrival_rates)
         eta = np.full(stable.shape, np.nan)
         if np.any(stable):
-            # delay and efficiency exist only where every queue is stable
-            frame = FrameParams(self.header_time, self.bandwidth, blocklengths[stable])
-            traffic = TrafficParams(rates, replicas[stable])
-            delays[:, stable] = np.stack([mean_delay(frame, traffic, k) for k in users])
             eta[stable] = energy_efficiency(
                 self.payload_bits, np.broadcast_to(rel[stable], delays[:, stable].shape),
                 allocation.user_powers[stable].T, delays[:, stable])

@@ -10,6 +10,10 @@ Constraint handling is feasibility dominance: a feasible candidate always
 outranks an infeasible one, feasible candidates compare by objective and
 infeasible ones by total constraint violation. Box bounds hold by
 construction of the genome decoding, so they never appear as residuals.
+Every genome is repaired before it is scored: its powers are put in SIC
+order and its blocklength and replica genes are clamped onto the pairs that
+meet the closed-form delay and utilization constraints, which the residuals
+still check.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .link import BeamformConfig, PowerAllocation, co_phasing_phases
+from .link import BeamformConfig, PowerAllocation, co_phasing_phases, \
+    sic_balanced_weights
 from .model import SystemModel, MetricsReport
 
 # Stand-in objective when the metric chain yields no usable efficiency
@@ -35,7 +40,7 @@ TWO_PI = 2.0 * np.pi
 # scored in one call of the metric-chain kernel. Populations are evaluated
 # in row blocks of this size, which keeps the (B, N) temporaries of a large
 # RIS from growing with the population.
-BLOCK_CELLS = 1 << 13
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,8 @@ class ConstraintSet:
     nb_max: int = 1000
 
     def __post_init__(self):
-        if self.delay_thr <= 0 or self.beta_max <= 0 or self.p_max <= 0:
-            raise ValueError("thresholds and bounds must be positive")
+        if not all(0 < v < np.inf for v in (self.delay_thr, self.beta_max, self.p_max)):
+            raise ValueError("thresholds and bounds must be positive and finite")
         if not 0 < self.rel_thr < 1:
             raise ValueError("reliability threshold must lie in (0, 1)")
         if self.l_max < 1:
@@ -104,8 +109,11 @@ class GaSettings:
             raise ValueError("mutation rate must be a probability")
         if not 0 <= self.co_phasing_fraction <= 1:
             raise ValueError("co-phasing seed fraction must be a probability")
-        if self.constraint_tolerance < 0 or self.function_tolerance < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not (0 <= self.constraint_tolerance < np.inf
+                and 0 <= self.function_tolerance < np.inf):
+            raise ValueError("tolerances must be non-negative and finite")
+        if not (0 <= self.mutation_sigma < np.inf and 0 <= self.mutation_decay < np.inf):
+            raise ValueError("mutation spread and decay must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -169,12 +177,14 @@ def decode_block(genomes: np.ndarray, n_users: int, n_elements: int,
     powers = np.minimum(c.p_min + g[:, :k] * (c.p_max - c.p_min), c.p_max)
     phases = np.minimum(g[:, k:k + n] * TWO_PI, TWO_PI)
     amplitudes = np.minimum(g[:, k + n:k + 2 * n] * c.beta_max, c.beta_max)
-    # round half up onto the integer grids; genes in [0, 1] stay in range
-    blocklength = c.nb_min + np.floor(
-        g[:, k + 2 * n] * (c.nb_max - c.nb_min) + 0.5).astype(np.int64)
-    retransmissions = 1 + np.floor(
-        g[:, k + 2 * n + 1] * (c.l_max - 1) + 0.5).astype(np.int64)
+    blocklength = _on_grid(g[:, k + 2 * n], c.nb_min, c.nb_max)
+    retransmissions = _on_grid(g[:, k + 2 * n + 1], 1, c.l_max)
     return DecisionBlock(powers, phases, amplitudes, blocklength, retransmissions)
+
+
+def _on_grid(genes: np.ndarray, low: int, high: int) -> np.ndarray:
+    """Integers low..high of genes in [0, 1], rounded half up."""
+    return low + np.floor(genes * (high - low) + 0.5).astype(np.int64)
 
 
 def decode(genome: np.ndarray, n_users: int, n_elements: int,
@@ -188,6 +198,84 @@ def decode(genome: np.ndarray, n_users: int, n_elements: int,
         blocklength=int(x.blocklength[0]),
         retransmissions=int(x.retransmissions[0]),
     )
+
+
+# ----------------------------------------------------------------------------
+#  Genome repair
+# ----------------------------------------------------------------------------
+# Utilization and delay depend only on the blocklength n_b, the replica count
+# L and the arrival rates, in closed form, and both grow with n_b and with L.
+# The pairs that meet them are therefore n_b = nb_min..cap(L) for
+# L = 1..len(caps), with cap(L) non-increasing.
+
+def _largest_feasible(feasible, low, high) -> np.ndarray:
+    """Per entry, the largest integer in low..high at which ``feasible``
+    holds, by bisection; ``feasible`` must hold at ``low`` and stay false
+    once it turns false."""
+    low = np.asarray(low, dtype=np.int64)
+    high = np.asarray(high, dtype=np.int64) + 1  # the first point known to fail
+    while np.any(high - low > 1):
+        middle = (low + high) // 2
+        ok = feasible(middle)
+        low, high = np.where(ok, middle, low), np.where(ok, high, middle)
+    return low
+
+
+def _blocklength_caps(model: SystemModel, constraints: ConstraintSet) -> np.ndarray:
+    """Largest blocklength meeting the utilization and delay constraints for
+    each replica count L = 1, 2, ... that admits one (entry L - 1).
+
+    Empty when not even (nb_min, 1) qualifies. One bisection over L at
+    n_b = nb_min, then one over n_b for every admitted L at once; no
+    (n_b x L) grid is built, so unbounded boxes cost a few dozen steps.
+    """
+    c = constraints
+
+    def feasible(blocklengths, replicas):
+        # as score_block checks them; a delay is NaN, so not within the
+        # threshold, where a queue is unstable
+        rhos, _, delays = model.queue_block(*np.broadcast_arrays(
+            np.asarray(blocklengths, dtype=np.int64), np.asarray(replicas, dtype=np.int64)))
+        return np.all((rhos < 1.0 - STRICT_MARGIN) & (delays <= c.delay_thr), axis=0)
+
+    if not feasible([c.nb_min], [1])[0]:
+        return np.empty(0, dtype=np.int64)
+    l_cap = int(_largest_feasible(lambda replicas: feasible([c.nb_min], replicas)[0],
+                                  1, c.l_max))
+    replicas = np.arange(1, l_cap + 1)
+    return _largest_feasible(lambda blocklengths: feasible(blocklengths, replicas),
+                             np.full(l_cap, c.nb_min), np.full(l_cap, c.nb_max))
+
+
+def _repair(genomes: np.ndarray, n_users: int, n_elements: int,
+            constraints: ConstraintSet, caps: np.ndarray) -> None:
+    """Move a (B, dimension) block of genomes in place into the box and onto
+    the closed-form part of the feasible set.
+
+    Phase genes wrap and the others clip to [0, 1]; the power genes are
+    sorted so that p_1 <= ... <= p_K; the blocklength gene is clamped to the
+    largest admitted blocklength, cap(1), and then the replica gene to the
+    largest replica count admitted at the decoded blocklength. A clamped
+    gene sits at the centre of its cap's rounding interval, so it decodes to
+    the cap exactly. Without an admitted pair nothing is clamped.
+    """
+    k, n, c = n_users, n_elements, constraints
+    np.mod(genomes[:, k:k + n], 1.0, out=genomes[:, k:k + n])
+    np.clip(genomes[:, :k], 0.0, 1.0, out=genomes[:, :k])
+    np.clip(genomes[:, k + n:], 0.0, 1.0, out=genomes[:, k + n:])
+    genomes[:, :k].sort(axis=1)
+    if not len(caps):
+        return
+    blocklength_gene = genomes[:, k + 2 * n]
+    replica_gene = genomes[:, k + 2 * n + 1]
+    if c.nb_max > c.nb_min:
+        np.minimum(blocklength_gene, (caps[0] - c.nb_min) / (c.nb_max - c.nb_min),
+                   out=blocklength_gene)
+    if c.l_max > 1:
+        # the replica counts admitted at a blocklength are 1..(caps >= it)
+        admitted = np.searchsorted(-caps, -_on_grid(blocklength_gene, c.nb_min, c.nb_max),
+                                   side="right")
+        np.minimum(replica_gene, (admitted - 1) / (c.l_max - 1), out=replica_gene)
 
 
 # ----------------------------------------------------------------------------
@@ -295,47 +383,75 @@ def _evaluate_population(pop: np.ndarray, model: SystemModel,
 
 
 def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
-           settings: GaSettings, mutation_rate: float, sigma: float,
-           n_users: int, n_elements: int) -> np.ndarray:
-    """Next population: the elites, then one child per remaining slot.
+           settings: GaSettings, mutation_rate: float, sigma: float) -> np.ndarray:
+    """Next population: the elites, then one child per remaining slot, not
+    yet repaired.
 
-    Children are made in row blocks of at most ``BLOCK_CELLS`` genes. Within
-    a block the random numbers are drawn child by child in a fixed order
-    (two tournaments, the crossover draw and its mask, the mutation mask and
-    steps); crossover, mutation, phase wrap and clipping then run on the
-    whole block.
+    The random numbers come in whole arrays, in an order that does not
+    depend on ``BLOCK_CELLS``: every tournament contestant, every crossover
+    flag, then row by row each child's crossover and mutation uniforms
+    (drawn in row blocks of at most ``BLOCK_CELLS`` genes per kind), and
+    last one Gaussian step for each gene that mutates, in row-major order.
     """
-    k, n = n_users, n_elements
     size, dim = pop.shape
+    elites = settings.elite_count
+    n_children = size - elites
     position = np.empty(size, dtype=np.intp)
     position[order] = np.arange(size)
-    new_pop = np.empty_like(pop)
-    new_pop[:settings.elite_count] = pop[order[:settings.elite_count]]
+    new_pop = np.empty(pop.shape)  # C order: the children reshape to a flat view
+    new_pop[:elites] = pop[order[:elites]]
+    children = new_pop[elites:]
 
+    # size-2 tournaments, two per child: the contestant ranked earlier wins
+    contestants = rng.integers(0, size, (n_children, 2, 2))
+    standing = position[contestants]
+    parents = np.where(standing[..., 0] <= standing[..., 1],
+                       contestants[..., 0], contestants[..., 1])
+    crossing = rng.random(n_children) < settings.crossover_rate
+    mutating = []  # flat indices into the children, row-major
     rows = max(1, BLOCK_CELLS // dim)
-    for start in range(settings.elite_count, size, rows):
-        count = min(rows, size - start)
-        parents = np.empty((count, 2), dtype=np.intp)
-        crossover = np.zeros((count, dim))  # gene from the first parent below 0.5
-        mutation = np.empty((count, dim))   # gene mutates below mutation_rate
-        steps = np.empty((count, dim))
-        for child in range(count):
-            for side in (0, 1):
-                i, j = rng.integers(0, size, size=2)
-                # size-2 tournament: the contestant ranked earlier wins
-                parents[child, side] = i if position[i] <= position[j] else j
-            if rng.random() < settings.crossover_rate:
-                rng.random(out=crossover[child])
-            rng.random(out=mutation[child])
-            steps[child] = rng.normal(0.0, sigma, dim)
-
-        children = np.where(crossover < 0.5, pop[parents[:, 0]], pop[parents[:, 1]])
-        children += (mutation < mutation_rate) * steps
-        children[:, k:k + n] = np.mod(children[:, k:k + n], 1.0)  # phases wrap
-        children[:, :k] = np.clip(children[:, :k], 0.0, 1.0)
-        children[:, k + n:] = np.clip(children[:, k + n:], 0.0, 1.0)
-        new_pop[start:start + count] = children
+    for start in range(0, n_children, rows):
+        block = slice(start, min(start + rows, n_children))
+        uniforms = rng.random((block.stop - start, 2, dim))
+        # a crossing child takes a gene from its second parent where its
+        # crossover uniform is 0.5 or more
+        second = crossing[block, None] & (uniforms[:, 0] >= 0.5)
+        children[block] = np.where(second, pop[parents[block, 1]], pop[parents[block, 0]])
+        mutating.append(start * dim + np.flatnonzero(uniforms[:, 1] < mutation_rate))
+    mutating = np.concatenate(mutating)
+    children.reshape(-1)[mutating] += rng.normal(0.0, sigma, len(mutating))
     return new_pop
+
+
+def _initial_population(model: SystemModel, settings: GaSettings,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Uniform random genomes, the first ``co_phasing_fraction`` of them
+    with seeded beams.
+
+    With one user every seed slot co-phases that user. With K >= 2 the
+    even slots co-phase the users in turn and the odd slots hold
+    SIC-balanced beams (``link.sic_balanced_weights``), with consecutive
+    users' gain ratio r log-spaced over [1, 10^3] across those slots; the
+    seeds draw no random numbers.
+    """
+    k, n = model.n_users, model.n_elements
+    size = settings.population_size
+    pop = rng.random((size, genome_dimension(k, n)))
+    n_seeded = min(int(round(settings.co_phasing_fraction * size)), size)
+    if k == 1:
+        cophased, balanced = range(n_seeded), range(0)
+    else:
+        cophased, balanced = range(0, n_seeded, 2), range(1, n_seeded, 2)
+    for j, i in enumerate(cophased):
+        aligned = co_phasing_phases(model.bs_channel, model.ue_channels[j % k])
+        pop[i, k:k + n] = aligned / TWO_PI
+    for i, ratio in zip(balanced, np.logspace(0.0, 3.0, len(balanced))):
+        weights = sic_balanced_weights(model.bs_channel, model.ue_channels,
+                                       model.jammer_channel, ratio)
+        pop[i, k:k + n] = np.mod(np.angle(weights) / TWO_PI, 1.0)
+        squared = np.abs(weights) ** 2
+        pop[i, k + n:k + 2 * n] = squared / np.max(squared)
+    return pop
 
 
 def run_ga(model: SystemModel, constraints: ConstraintSet,
@@ -343,9 +459,13 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     """Evolve a population and return the best-ranked operating point.
 
     Tournament selection of size 2 under the dominance rule, uniform
-    crossover, Gaussian mutation with decaying spread; phase genes wrap,
-    all others clip to their box. The same seed reproduces the run bit for
-    bit; with at least one elite the recorded best value never worsens.
+    crossover, Gaussian mutation with decaying spread. The initial
+    population and every bred one are repaired (``_repair``): phase genes
+    wrap, all others clip to their box, powers are ordered and the
+    blocklength and replica genes are clamped onto the pairs that meet the
+    delay and utilization constraints. The same seed reproduces the run
+    bit for bit; with at least one elite the recorded best value never
+    worsens.
     """
     k, n = model.n_users, model.n_elements
     dim = genome_dimension(k, n)
@@ -354,12 +474,10 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     tol = settings.constraint_tolerance
     eps = float(np.finfo(float).eps)
     stall_enabled = settings.function_tolerance >= eps
+    caps = _blocklength_caps(model, constraints)
 
-    pop = rng.random((settings.population_size, dim))
-    n_seeded = int(round(settings.co_phasing_fraction * settings.population_size))
-    for i in range(min(n_seeded, settings.population_size)):
-        aligned = co_phasing_phases(model.bs_channel, model.ue_channels[i % k])
-        pop[i, k:k + n] = aligned / TWO_PI
+    pop = _initial_population(model, settings, rng)
+    _repair(pop, k, n, constraints, caps)
 
     best_standing = best_genome = None
     fitness_history: list[float] = []
@@ -371,7 +489,8 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     # generation 0 is the initial population: ranked and tracked, not recorded
     for generation in range(settings.max_generations + 1):
         if generation:
-            pop = _breed(pop, order, rng, settings, mutation_rate, sigma, k, n)
+            pop = _breed(pop, order, rng, settings, mutation_rate, sigma)
+            _repair(pop[settings.elite_count:], k, n, constraints, caps)
             sigma *= settings.mutation_decay
         objective, total = _evaluate_population(pop, model, constraints)
         order = rank(objective, total, tol)

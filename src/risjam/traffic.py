@@ -36,10 +36,10 @@ class FrameParams:
     blocklength: int
 
     def __post_init__(self):
-        if self.header_time < 0:
-            raise ValueError("header time must be non-negative")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 <= self.header_time < np.inf:
+            raise ValueError("header time must be non-negative and finite")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
         if np.any(np.asarray(self.blocklength) < 1):
             raise ValueError("blocklength must be a positive integer")
 
@@ -66,8 +66,8 @@ class TrafficParams:
     def __post_init__(self):
         if len(self.arrival_rates) < 1:
             raise ValueError("at least one arrival rate required")
-        if any(rate <= 0 for rate in self.arrival_rates):
-            raise ValueError("arrival rates must be positive")
+        if not all(0 < rate < np.inf for rate in self.arrival_rates):
+            raise ValueError("arrival rates must be positive and finite")
         if np.any(np.asarray(self.retransmissions) < 1):
             raise ValueError("retransmission count must be at least 1")
 

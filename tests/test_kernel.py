@@ -140,27 +140,28 @@ def test_delay_ee_rows_equal_per_point_evaluations():
 
 
 def test_small_run_is_pinned():
-    # recorded from the per-candidate GA this block evaluation replaced; it
-    # guards the random draw order and the ranking, generation by generation
+    # recorded from the GA that breeds whole blocks per random draw and
+    # repairs genomes onto the closed-form feasible box; it guards the random
+    # draw order, the repair and the ranking, generation by generation
     model = make_model(RisGeometry(2, 2), make_scenario(
         jammer_power=5e-4, user_dirs=[(1.0, -0.3), (np.pi / 2, -0.1)]))
     result = run_ga(model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160),
                     GaSettings(rng_seed=7, population_size=40, max_generations=15))
-    assert result.fitness_history == [1e30] * 6 + [
-        3.4183561362487073e-07, 3.4183561362487073e-07,
-        1.8838364596917045e-07, 1.8838364596917045e-07] + [
-        1.8838364583361114e-07] * 5
-    assert result.mean_history == [1e30] * 6 + [
-        9.75e+29, 9.75e+29, 9e+29, 8.75e+29, 8.5e+29, 7.75e+29, 8.25e+29,
-        7.25e+29, 8.499999999999999e+29]
-    assert result.feasible_fraction_history == [0.0] * 6 + [
-        0.025, 0.025, 0.1, 0.125, 0.15, 0.225, 0.175, 0.275, 0.15]
+    assert result.fitness_history == [1e30] * 4 + [
+        2.4381229595293755e-07] * 6 + [2.1305822750928473e-07] * 2 + [
+        1.9790526103674595e-07] * 3
+    assert result.mean_history == [1e30] * 4 + [
+        9.75e+29, 9.75e+29, 9.5e+29, 9.5e+29, 9.249999999999999e+29,
+        9.249999999999999e+29, 9e+29, 8.75e+29, 6.5e+29, 7.000000000000001e+29,
+        6.2500000000000005e+29]
+    assert result.feasible_fraction_history == [0.0] * 4 + [
+        0.025, 0.025, 0.05, 0.05, 0.075, 0.075, 0.1, 0.125, 0.35, 0.3, 0.375]
     best = result.best_solution
-    assert best.user_powers == (0.008465485773056511, 0.09416497115530618)
-    assert best.phases == (6.097518952227922, 6.206980208438396,
-                           0.5734019919279505, 1.110914657767231)
-    assert best.amplitudes == (56.73018274215009, 8.323545709006504,
-                               7.754657235100282, 62.94220009067569)
-    assert (best.blocklength, best.retransmissions) == (126, 1)
-    assert result.best_eta == 5308316.417674838
-    assert result.best_objective == 1.8838364583361114e-07
+    assert best.user_powers == (0.037016677429160455, 0.0742013446440159)
+    assert best.phases == (2.194985292024292, 3.6066757664757403,
+                           3.2642078831186128, 3.239124460046525)
+    assert best.amplitudes == (100.0, 0.9351306221556394,
+                               1.0648534809967314, 99.37128204649667)
+    assert (best.blocklength, best.retransmissions) == (123, 1)
+    assert result.best_eta == 5052922.771033993
+    assert result.best_objective == 1.9790526103674595e-07

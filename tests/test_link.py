@@ -291,3 +291,12 @@ class TestReliability:
             reliability(1.5, 2)
         with pytest.raises(ValueError):
             replica_success([0.2, 1.3])
+
+
+class TestNoiseConfig:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-12])
+    def test_rejects_bad_variances(self, bad):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            NoiseConfig(bad, 1e-13)
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            NoiseConfig(1e-13, bad)

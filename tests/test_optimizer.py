@@ -1,13 +1,34 @@
 import numpy as np
 import pytest
 
+from hypothesis import example, given, settings as hypothesis_settings, \
+    strategies as st
+
 from risjam import optimizer
 from risjam.channel import RisGeometry
+from risjam.cli import main
+from risjam.config import load_config
+from risjam.link import co_phasing_phases
 from risjam.optimizer import (ConstraintSet, DecisionVector, GaSettings,
-                              INFEASIBLE_OBJECTIVE, decode, decode_block,
-                              evaluate_fitness, genome_dimension, rank, run_ga)
+                              INFEASIBLE_OBJECTIVE, STRICT_MARGIN, decode,
+                              decode_block, evaluate_fitness, genome_dimension,
+                              rank, run_ga, score_block)
+from risjam.sweeps import build_model
 
 from conftest import make_model, make_scenario
+
+
+def queue_feasible(model, constraints, blocklengths, replicas) -> np.ndarray:
+    """Whether (blocklength, replicas) pairs meet the utilization and delay
+    constraints, read from the metric chain of the kernel."""
+    blocklengths, replicas = np.broadcast_arrays(np.atleast_1d(blocklengths),
+                                                 np.atleast_1d(replicas))
+    b, n, k = len(blocklengths), model.n_elements, model.n_users
+    chain = model.evaluate_block(np.ones((b, n)), np.zeros((b, n)),
+                                 np.full((b, k), 1e-3), blocklengths, replicas)
+    delay_met = np.where(chain.stable, chain.mean_delay <= constraints.delay_thr,
+                         False)
+    return np.all((chain.utilization < 1.0 - STRICT_MARGIN) & delay_met, axis=0)
 
 
 class TestDecode:
@@ -152,21 +173,34 @@ class TestRunGa:
         result = run_ga(toy_model, toy_constraints, settings)
         assert result.generations_run == 0
         assert result.fitness_history == []
-        # reconstruct the seeded initial population and rank it by hand
+        # reconstruct the seeded, repaired initial population and rank it by
+        # hand; layout for K = N = 1: power, phase, amplitude, blocklength,
+        # replicas
         rng = np.random.default_rng(9)
-        dim = genome_dimension(1, 1)
-        pop = rng.random((30, dim))
+        pop = rng.random((30, genome_dimension(1, 1)))
         seeded = int(round(settings.co_phasing_fraction * 30))
-        from risjam.link import co_phasing_phases
         aligned = co_phasing_phases(toy_model.bs_channel, toy_model.ue_channels[0])
-        for i in range(seeded):
-            pop[i, 1:2] = aligned / (2 * np.pi)
-        evals = [evaluate_fitness(decode(g, 1, 1, toy_constraints),
-                                  toy_model, toy_constraints) for g in pop]
+        pop[:seeded, 1] = aligned[0] / (2 * np.pi)
+        # the feasible blocklength caps per replica count, by enumeration
+        c = toy_constraints
+        blocklengths = np.arange(c.nb_min, c.nb_max + 1)
+        caps = []
+        for replicas in range(1, c.l_max + 1):
+            feasible = queue_feasible(toy_model, c, blocklengths, replicas)
+            if not feasible[0]:
+                break
+            caps.append(blocklengths[feasible].max())
+        assert 1 < len(caps) < c.l_max  # both genes get clamped somewhere
+        pop[:, 3] = np.minimum(pop[:, 3], (caps[0] - c.nb_min) / (c.nb_max - c.nb_min))
+        for genome in pop:
+            blocklength = decode(genome, 1, 1, c).blocklength
+            admitted = sum(cap >= blocklength for cap in caps)
+            genome[4] = min(genome[4], (admitted - 1) / (c.l_max - 1))
+        evals = [evaluate_fitness(decode(g, 1, 1, c), toy_model, c) for g in pop]
         order = rank([o for o, _ in evals],
                      [sum(v.values()) for _, v in evals],
                      settings.constraint_tolerance)
-        expected = decode(pop[order[0]], 1, 1, toy_constraints)
+        expected = decode(pop[order[0]], 1, 1, c)
         assert result.best_solution == expected
 
     def test_elite_history_never_worsens(self, toy_model, toy_constraints):
@@ -191,7 +225,7 @@ class TestRunGa:
 
         monkeypatch.setattr(optimizer, "rank", recording_rank)
         result = run_ga(toy_model, toy_constraints,
-                        GaSettings(rng_seed=seed, population_size=20,
+                        GaSettings(rng_seed=seed, population_size=16,
                                    max_generations=30, elite_count=0))
         assert len(tops) == 31  # the initial population and 30 generations
         assert any(b > min(tops[:i + 1]) for i, b in enumerate(tops[1:]))
@@ -249,3 +283,154 @@ class TestRunGa:
             GaSettings(population_size=10, elite_count=10)
         with pytest.raises(ValueError):
             GaSettings(crossover_rate=1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda bad: ConstraintSet(delay_thr=bad),
+        lambda bad: ConstraintSet(beta_max=bad),
+        lambda bad: ConstraintSet(p_max=bad),
+        lambda bad: GaSettings(mutation_sigma=bad),
+        lambda bad: GaSettings(mutation_decay=bad),
+        lambda bad: GaSettings(constraint_tolerance=bad),
+        lambda bad: GaSettings(function_tolerance=bad),
+    ], ids=["delay_thr", "beta_max", "p_max", "mutation_sigma", "mutation_decay",
+            "constraint_tolerance", "function_tolerance"])
+    def test_non_finite_settings_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
+
+    @pytest.mark.parametrize("field", ["mutation_sigma", "mutation_decay"])
+    def test_negative_mutation_settings_rejected(self, field):
+        with pytest.raises(ValueError, match="non-negative"):
+            GaSettings(**{field: -0.1})
+
+    def test_results_do_not_depend_on_block_cells(self, two_user_model,
+                                                  monkeypatch):
+        cons = ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)
+        settings = GaSettings(rng_seed=5, population_size=40, max_generations=15)
+        default = run_ga(two_user_model, cons, settings)
+        # 64 cells hold one 36-gene genome: every row is its own block
+        monkeypatch.setattr(optimizer, "BLOCK_CELLS", 64)
+        small = run_ga(two_user_model, cons, settings)
+        assert small.fitness_history == default.fitness_history
+        assert small.mean_history == default.mean_history
+        assert small.feasible_fraction_history == default.feasible_fraction_history
+        assert small.best_solution == default.best_solution
+        assert small.best_eta == default.best_eta
+
+    def test_desk_seed_90_ends_feasible(self, tmp_path):
+        # the separated-user desk config at seed 90 ended with a delay
+        # residual before the genome repair
+        path = tmp_path / "desk.ini"
+        path.write_text("[scenario]\n"
+                        "user_azimuth_rad = 1.0, 1.5707963267948966\n"
+                        "[ga]\nrng_seed = 90\npopulation_size = 200\n"
+                        "max_generations = 100\n"
+                        "[geometry]\nn_elements = 16\n")
+        cfg = load_config(path)
+        result = run_ga(build_model(cfg), cfg.constraints, cfg.ga)
+        assert result.feasible
+        assert all(v == 0.0 for v in result.constraint_violations.values())
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("n_users", [2, 3])
+    def test_sic_balanced_seeds(self, n_users):
+        directions = [(1.0, -0.3), (np.pi / 2, -0.1), (2.2, -0.5)][:n_users]
+        model = make_model(RisGeometry(4, 4), make_scenario(n_users=n_users,
+                                                            user_dirs=directions))
+        k, n = n_users, model.n_elements
+        settings = GaSettings(population_size=50, co_phasing_fraction=0.4)
+        rng = np.random.default_rng(5)
+        pop = optimizer._initial_population(model, settings, rng)
+
+        # the seeds draw no random numbers: past the 20 seed slots the
+        # population is the plain draw, and the generator has moved by it
+        plain_rng = np.random.default_rng(5)
+        plain = plain_rng.random(pop.shape)
+        assert np.array_equal(pop[20:], plain[20:])
+        assert rng.bit_generator.state == plain_rng.bit_generator.state
+
+        # even slots co-phase the users in turn
+        for j, i in enumerate(range(0, 20, 2)):
+            aligned = co_phasing_phases(model.bs_channel, model.ue_channels[j % k])
+            assert np.array_equal(pop[i, k:k + n], aligned / (2 * np.pi))
+        # odd slots grade consecutive users' cascade gains by r and null the
+        # jammer's reflection
+        x = decode_block(pop[1:20:2], k, n, ConstraintSet())
+        weights = np.sqrt(x.amplitudes) * np.exp(1j * x.phases)
+        gains = np.abs(weights @ (model.bs_channel * model.ue_channels).T) ** 2
+        ratios = np.logspace(0.0, 3.0, 10)
+        np.testing.assert_allclose(gains[:, :-1] / gains[:, 1:],
+                                   np.broadcast_to(ratios[:, None], (10, k - 1)),
+                                   rtol=1e-9)
+        jamming = np.abs(weights @ (model.bs_channel * model.jammer_channel)) ** 2
+        assert np.all(jamming <= 1e-20 * gains[:, -1])
+        assert np.max(x.amplitudes, axis=1) == pytest.approx(100.0, rel=1e-12)
+
+
+class TestRepair:
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
+           nb_min=st.integers(1, 400),
+           nb_spread=st.one_of(st.integers(0, 3000), st.integers(0, 10 ** 9)),
+           l_max=st.integers(1, 30), delay_exponent=st.floats(-6.0, -1.0))
+    @example(seed=1, n_users=2, nb_min=60, nb_spread=0, l_max=10, delay_exponent=-3.0)
+    @example(seed=2, n_users=2, nb_min=1, nb_spread=999, l_max=1, delay_exponent=-3.0)
+    @example(seed=3, n_users=2, nb_min=1, nb_spread=999, l_max=10, delay_exponent=-6.0)
+    def test_repaired_genomes_meet_the_closed_form_constraints(
+            self, seed, n_users, nb_min, nb_spread, l_max, delay_exponent):
+        rng = np.random.default_rng(seed)
+        model = make_model(RisGeometry(1, 2), make_scenario(n_users=n_users),
+                           arrival_rates=tuple(rng.uniform(10.0, 3000.0, n_users)),
+                           header_time=float(rng.uniform(0.0, 1e-4)),
+                           bandwidth=float(rng.uniform(5e4, 1e6)))
+        c = ConstraintSet(delay_thr=10.0 ** delay_exponent, p_min=1e-4,
+                          nb_min=nb_min, nb_max=nb_min + nb_spread, l_max=l_max)
+        k, n = n_users, model.n_elements
+        genomes = rng.random((40, genome_dimension(k, n)))
+        edges = rng.random(genomes.shape) < 0.2
+        genomes[edges] = rng.integers(0, 2, genomes.shape)[edges]
+        before = genomes.copy()
+
+        caps = optimizer._blocklength_caps(model, c)
+        optimizer._repair(genomes, k, n, c, caps)
+        x = decode_block(genomes, k, n, c)
+        _, violations = score_block(x, model, c)
+        assert np.all(np.diff(x.user_powers, axis=1) >= 0.0)
+        assert np.all(violations["power_ordering"] == 0.0)
+        integer_genes = slice(k + 2 * n, None)
+        if not len(caps):
+            # no pair qualifies: nothing is clamped
+            assert not queue_feasible(model, c, c.nb_min, 1)[0]
+            assert np.array_equal(genomes[:, integer_genes], before[:, integer_genes])
+            return
+
+        assert np.all(violations["delay"] == 0.0)
+        assert np.all(violations["utilization"] == 0.0)
+        # the caps are the largest qualifying pairs
+        replicas = np.arange(1, len(caps) + 1)
+        assert np.all(queue_feasible(model, c, caps, replicas))
+        beyond = caps < c.nb_max
+        assert not np.any(queue_feasible(model, c, caps[beyond] + 1, replicas[beyond]))
+        assert np.all(np.diff(caps) <= 0)
+        if len(caps) < l_max:
+            assert not queue_feasible(model, c, c.nb_min, len(caps) + 1)[0]
+        # a capped gene decodes exactly to its cap
+        capped = genomes[:, k + 2 * n] < before[:, k + 2 * n]
+        assert np.all(x.blocklength[capped] == caps[0])
+        capped = genomes[:, -1] < before[:, -1]
+        admitted = np.sum(caps[None, :] >= x.blocklength[:, None], axis=1)
+        assert np.all(x.retransmissions[capped] == admitted[capped])
+        assert np.all(x.retransmissions <= admitted)
+
+    def test_optimize_exits_2_without_a_qualifying_pair(self, tmp_path, capsys):
+        # a 1 us delay budget is below every frame duration
+        path = tmp_path / "tight.ini"
+        path.write_text("[scenario]\nuser_azimuth_rad = 1.0, 1.5707963267948966\n"
+                        "[ga]\ndelay_thr_s = 1e-6\npopulation_size = 10\n"
+                        "max_generations = 2\n")
+        cfg = load_config(path)
+        assert not len(optimizer._blocklength_caps(build_model(cfg), cfg.constraints))
+        assert main(["optimize", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2

@@ -157,3 +157,15 @@ class TestParamValidation:
             FrameParams(-1e-6, 180e3, 108)
         with pytest.raises(ValueError):
             FrameParams(30e-6, 0.0, 108)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda bad: FrameParams(bad, 180e3, 108),
+        lambda bad: FrameParams(30e-6, bad, 108),
+        lambda bad: TrafficParams((bad,), 1),
+        lambda bad: TrafficParams((500.0, bad), 1),
+    ], ids=["header_time", "bandwidth", "arrival_rate", "second_arrival_rate"])
+    def test_non_finite_values_rejected(self, build, bad):
+        # a nan used to pass the sign checks and turn mean_delay into nan
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
