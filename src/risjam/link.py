@@ -8,14 +8,19 @@ success probability of a single replica, and the reliability achieved by
 blind repetition of each packet.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .units import dbm_to_watts
 
 LOG2E = float(np.log2(np.e))
+
+# libm's erfc(z) is exactly 2 for z <= ERFC_TWO_UPTO and exactly 0 for
+# z >= ERFC_ZERO_FROM; q_function fills both ends without calling it.
+ERFC_TWO_UPTO = -5.863584748755168
+ERFC_ZERO_FROM = 27.226364135742188
 
 
 @dataclass(frozen=True)
@@ -204,10 +209,21 @@ def _sic_sjnr(received, jammer_reflected, weight_norm_sq, jammer_direct: complex
 def q_function(x):
     """Gaussian tail probability Q(x) = 0.5*erfc(x/sqrt(2)).
 
-    Accurate to ~1e-15 relative on |x| <= 8 and underflows gracefully to 0
-    for large arguments. Accepts scalars or arrays.
+    Each element gets the bits of ``0.5 * math.erfc(x / math.sqrt(2))``, so
+    a value gets the same bits alone, in a slice or in a grid. Measured
+    against a 50-digit erfc: libm's erfc is within 2.3 ulp on x/sqrt(2) in
+    [-6, 26], and Q is within 2e-13 relative on x in [-8, 37], down to
+    Q ~ 1e-300. Q turns subnormal above x ~ 37.5 and is 0 from x ~ 38.48.
+    NaN stays NaN. Accepts scalars or arrays.
     """
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    z = np.asarray(x, dtype=float) / math.sqrt(2.0)
+    low = z <= ERFC_TWO_UPTO
+    out = np.where(low, 2.0, 0.0)
+    # only the unsaturated elements pay for a Python-level call; NaN is one
+    mid = ~(low | (z >= ERFC_ZERO_FROM))
+    out[mid] = np.fromiter(map(math.erfc, z[mid].tolist()), float,
+                           np.count_nonzero(mid))
+    return 0.5 * out
 
 
 def bler(gamma, code: FblCode):

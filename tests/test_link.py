@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from risjam.link import (BeamformConfig, FblCode, NoiseConfig, PowerAllocation,
-                         bler, co_phasing_phases, q_function, reliability,
-                         replica_success, sjnr_all)
+from risjam.link import (ERFC_TWO_UPTO, ERFC_ZERO_FROM, BeamformConfig, FblCode,
+                         NoiseConfig, PowerAllocation, bler, co_phasing_phases,
+                         q_function, reliability, replica_success, sjnr_all)
 
 
 def sjnr_scalar_oracle(ue, bs, h_direct, g_jam, amps, phases, powers,
@@ -184,6 +184,59 @@ class TestQFunction:
     def test_symmetry(self):
         for x in np.linspace(-8, 8, 161):
             assert q_function(x) + q_function(-x) == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def libm_q(xs):
+        return np.array([0.5 * math.erfc(x / math.sqrt(2.0)) for x in xs])
+
+    @staticmethod
+    def walk(x, steps):
+        """``steps`` floats on each side of ``x``, spaced one ulp apart."""
+        below, above = [x], [x]
+        for _ in range(steps):
+            below.append(np.nextafter(below[-1], -np.inf))
+            above.append(np.nextafter(above[-1], np.inf))
+        return np.array(below[::-1] + above[1:])
+
+    def test_saturation_points_are_where_libm_erfc_saturates(self):
+        assert math.erfc(ERFC_TWO_UPTO) == 2.0
+        assert math.erfc(np.nextafter(ERFC_TWO_UPTO, np.inf)) < 2.0
+        assert math.erfc(ERFC_ZERO_FROM) == 0.0
+        assert math.erfc(np.nextafter(ERFC_ZERO_FROM, -np.inf)) > 0.0
+
+    def test_bits_of_libm_erfc_on_a_dense_grid(self):
+        edges = np.concatenate([self.walk(z * math.sqrt(2.0), 200)
+                                for z in (ERFC_TWO_UPTO, ERFC_ZERO_FROM)])
+        # x/sqrt(2) hits each saturation point and its unsaturated neighbour
+        assert {ERFC_TWO_UPTO, np.nextafter(ERFC_TWO_UPTO, np.inf),
+                ERFC_ZERO_FROM, np.nextafter(ERFC_ZERO_FROM, -np.inf)} <= set(
+                    (edges / math.sqrt(2.0)).tolist())
+        xs = np.concatenate([np.linspace(-60.0, 60.0, 240_001), edges,
+                             [-np.inf, np.inf, -1e300, 1e300, 0.0, -0.0]])
+        assert q_function(xs).tobytes() == self.libm_q(xs).tobytes()
+
+    def test_same_bits_alone_in_a_slice_and_in_a_grid(self):
+        xs = np.random.default_rng(9).uniform(-12.0, 42.0, 1200)
+        grid = q_function(xs.reshape(30, 40))
+        assert grid.shape == (30, 40)
+        flat = grid.ravel()
+        for i, x in enumerate(xs):
+            alone = q_function(x)
+            assert isinstance(alone, np.float64)
+            assert alone == flat[i] == q_function(xs[i:i + 1])[0]
+            assert q_function(float(x)) == alone
+
+    def test_nan_propagates(self):
+        assert np.isnan(q_function(np.nan))
+        values = q_function(np.array([np.nan, 0.0, np.nan]))
+        assert np.isnan(values[0]) and values[1] == 0.5 and np.isnan(values[2])
+
+    def test_matches_50_digit_erfc_down_to_the_normal_range(self):
+        import mpmath
+        mpmath.mp.dps = 50
+        for x in np.linspace(-8.0, 37.0, 1501):
+            exact = mpmath.erfc(mpmath.mpf(float(x)) / mpmath.sqrt(2)) / 2
+            assert abs(q_function(x) / exact - 1) <= 1e-12, x
 
 
 class TestBler:
