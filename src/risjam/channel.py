@@ -160,11 +160,15 @@ def array_response(geom: RisGeometry, direction: Direction) -> np.ndarray:
     return np.exp(1j * phases)
 
 
+def _path_term(geom: RisGeometry, scen: LinkScenario, dist: float) -> complex:
+    """Path-loss amplitude times propagation phase over ``dist`` meters."""
+    amp = np.sqrt(scen.path_gain_ref * dist ** (-scen.path_loss_exp))
+    return amp * np.exp(-2j * pi * dist / geom.wavelength)
+
+
 def _los_channel(geom: RisGeometry, scen: LinkScenario, dist: float,
                  direction: Direction) -> np.ndarray:
-    amp = np.sqrt(scen.path_gain_ref * dist ** (-scen.path_loss_exp))
-    phase = np.exp(-2j * pi * dist / geom.wavelength)
-    return amp * phase * array_response(geom, direction)
+    return _path_term(geom, scen, dist) * array_response(geom, direction)
 
 
 def ris_ue_channel(geom: RisGeometry, scen: LinkScenario, k: int) -> np.ndarray:
@@ -181,9 +185,7 @@ def ris_bs_channel(geom: RisGeometry, scen: LinkScenario) -> np.ndarray:
 
 def jammer_direct_channel(geom: RisGeometry, scen: LinkScenario) -> complex:
     """Scalar direct channel from the jammer to the base station."""
-    d = scen.dist_jammer
-    amp = np.sqrt(scen.path_gain_ref * d ** (-scen.path_loss_exp))
-    return complex(amp * np.exp(-2j * pi * d / geom.wavelength))
+    return complex(_path_term(geom, scen, scen.dist_jammer))
 
 
 def ris_jammer_channel(geom: RisGeometry, scen: LinkScenario) -> np.ndarray:

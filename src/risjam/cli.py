@@ -129,10 +129,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, preset=args.preset, seed=args.seed,
                           output_dir=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "optimize":
             return _cmd_optimize(cfg)
         if args.command == "sweep":

@@ -352,13 +352,13 @@ def _build(what: str, factory: Callable, *args, **kwargs):
 # ----------------------------------------------------------------------------
 
 def _read_file_items(path: Path) -> dict[tuple[str, str], str]:
-    if not path.exists():
-        raise ConfigNotFoundError(f"config file not found: {path}")
     parser = ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except ConfigParserError as exc:
+    except OSError as exc:
+        raise ConfigNotFoundError(f"cannot read config {path}: {exc.strerror}") from exc
+    except (ConfigParserError, UnicodeDecodeError) as exc:
         raise ConfigSyntaxError(f"malformed config {path}: {exc}") from exc
     items: dict[tuple[str, str], str] = {}
     for section in parser.sections():

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import dbm_to_watts
-
 LOG2E = float(np.log2(np.e))
 
 # libm's erfc(z) is exactly 2 for z <= ERFC_TWO_UPTO and exactly 0 for
@@ -90,10 +88,6 @@ class NoiseConfig:
     def __post_init__(self):
         if not (0 <= self.ris_thermal_var < np.inf and 0 <= self.awgn_var < np.inf):
             raise ValueError("noise variances must be non-negative and finite")
-
-    @classmethod
-    def from_dbm(cls, ris_thermal_dbm: float, awgn_dbm: float) -> "NoiseConfig":
-        return cls(dbm_to_watts(ris_thermal_dbm), dbm_to_watts(awgn_dbm))
 
 
 @dataclass(frozen=True)
@@ -231,22 +225,18 @@ def bler(gamma, code: FblCode):
 
     Q( sqrt(n_b / v(gamma)) * (C(gamma) - n_d/n_b) ) with capacity
     C = log2(1+gamma) and dispersion v = (1 - 1/(1+gamma)^2)*(log2 e)^2.
-    Zero SJNR carries no positive-rate payload, so bler(0) = 1 by
-    continuity. Accepts scalars or arrays.
+    The dispersion is 0 only where 1 + gamma rounds to 1 (gamma = 0 among
+    them); there the capacity is 0, below every positive rate, and the BLER
+    is 1. Accepts scalars or arrays.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0) or not np.all(np.isfinite(g)):
         raise ValueError("SJNR must be finite and non-negative")
     capacity = np.log2(1.0 + g)
     dispersion = (1.0 - 1.0 / (1.0 + g) ** 2) * LOG2E ** 2
-    rate = code.rate
     safe_v = np.where(dispersion > 0, dispersion, 1.0)
-    arg = np.sqrt(code.blocklength / safe_v) * (capacity - rate)
-    eps = np.where(
-        dispersion > 0,
-        q_function(arg),
-        np.where(capacity > rate, 0.0, np.where(capacity == rate, 0.5, 1.0)),
-    )
+    arg = np.sqrt(code.blocklength / safe_v) * (capacity - code.rate)
+    eps = np.where(dispersion > 0, q_function(arg), 1.0)
     return float(eps) if np.ndim(gamma) == 0 else eps
 
 

@@ -223,7 +223,8 @@ def _largest_feasible(feasible, low, high) -> np.ndarray:
 
 def _blocklength_caps(model: SystemModel, constraints: ConstraintSet) -> np.ndarray:
     """Largest blocklength meeting the utilization and delay constraints for
-    each replica count L = 1, 2, ... that admits one (entry L - 1).
+    each replica count L = 1, 2, ... that admits one (entry L - 1); a pair
+    meets them when both its residuals in ``score_block`` are 0.
 
     Empty when not even (nb_min, 1) qualifies. One bisection over L at
     n_b = nb_min, then one over n_b for every admitted L at once; no
@@ -232,11 +233,10 @@ def _blocklength_caps(model: SystemModel, constraints: ConstraintSet) -> np.ndar
     c = constraints
 
     def feasible(blocklengths, replicas):
-        # as score_block checks them; a delay is NaN, so not within the
-        # threshold, where a queue is unstable
-        rhos, _, delays = model.queue_block(*np.broadcast_arrays(
+        queue = model.queue_block(*np.broadcast_arrays(
             np.asarray(blocklengths, dtype=np.int64), np.asarray(replicas, dtype=np.int64)))
-        return np.all((rhos < 1.0 - STRICT_MARGIN) & (delays <= c.delay_thr), axis=0)
+        delay, utilization = _queue_residuals(*queue, c)
+        return (delay == 0.0) & (utilization == 0.0)
 
     if not feasible([c.nb_min], [1])[0]:
         return np.empty(0, dtype=np.int64)
@@ -282,6 +282,17 @@ def _repair(genomes: np.ndarray, n_users: int, n_elements: int,
 #  Fitness and ranking
 # ----------------------------------------------------------------------------
 
+def _queue_residuals(rhos, stable, delays, constraints: ConstraintSet
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Delay and utilization residuals (B,) of ``SystemModel.queue_block``'s
+    output; where a queue is unstable only the utilization one is positive."""
+    zero = np.zeros(stable.shape)
+    delay = sum(np.where(stable, np.maximum(0.0, delays - constraints.delay_thr), 0.0),
+                zero)
+    utilization = sum(np.maximum(0.0, rhos - (1.0 - STRICT_MARGIN)), zero)
+    return delay, utilization
+
+
 def score_block(x: DecisionBlock, model: SystemModel, constraints: ConstraintSet
                 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Objective 1/eta and non-negative residuals of the coupled constraints
@@ -295,15 +306,14 @@ def score_block(x: DecisionBlock, model: SystemModel, constraints: ConstraintSet
     chain = model.evaluate_block(x.amplitudes, x.phases, x.user_powers,
                                  x.blocklength, x.retransmissions)
     zero = np.zeros(chain.stable.shape)
+    delay, utilization = _queue_residuals(chain.utilization, chain.stable,
+                                          chain.mean_delay, c)
     # each residual adds its per-user terms one user after the other
     violations = {
-        "delay": sum(np.where(chain.stable,
-                              np.maximum(0.0, chain.mean_delay - c.delay_thr), 0.0),
-                     zero),
+        "delay": delay,
         "reliability": sum([np.maximum(0.0, c.rel_thr - chain.reliability)]
                            * model.n_users, zero),
-        "utilization": sum(np.maximum(0.0, chain.utilization - (1.0 - STRICT_MARGIN)),
-                           zero),
+        "utilization": utilization,
         "power_ordering": sum(np.maximum(0.0, x.user_powers[:, :-1]
                                          - x.user_powers[:, 1:]).T, zero),
     }
@@ -356,8 +366,11 @@ def rank(objectives, total_violations, tolerance: float) -> list[int]:
 def _merit(infeasible, value):
     """Ranking value recorded in the convergence trace for a standing.
 
-    Equals the objective once feasible; infeasible candidates sit above
-    every feasible one by construction, ordered by violation.
+    Equals the objective once feasible. An infeasible standing records
+    ``INFEASIBLE_OBJECTIVE`` plus its violation, which in float64 is exactly
+    1e30 for every violation below about 7e13 (``np.spacing(1e30) / 2``), so
+    the trace does not order infeasible candidates; the feasible fraction
+    shows their progress.
     """
     return np.where(infeasible, INFEASIBLE_OBJECTIVE + value, value)
 
@@ -497,22 +510,22 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
         infeasible, value = _standing(objective, total, tol)
         top = order[0]
         standing = (bool(infeasible[top]), float(value[top]))
+        previous = best_standing
         if best_standing is None or standing < best_standing:
             best_standing, best_genome = standing, pop[top].copy()
         if not generation:
             continue
 
-        prev = fitness_history[-1] if fitness_history else None
-        best_merit = float(_merit(*best_standing))
-        fitness_history.append(best_merit)
+        fitness_history.append(float(_merit(*best_standing)))
         mean_history.append(float(np.mean(_merit(infeasible, value))))
         feasible_fraction_history.append(float(np.mean(~infeasible)))
 
         if stall_enabled:
-            if prev is not None and prev - best_merit < settings.function_tolerance:
-                stall_count += 1
-            else:
-                stall_count = 0
+            # a generation stalls unless the best turns feasible or its
+            # value drops by the tolerance
+            stalled = (previous[0] == best_standing[0]
+                       and previous[1] - best_standing[1] < settings.function_tolerance)
+            stall_count = stall_count + 1 if stalled else 0
             if stall_count >= settings.stall_generations:
                 break
 

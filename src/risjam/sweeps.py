@@ -56,12 +56,15 @@ class SweepResult:
 #  Model construction and the fixed beamforming policy
 # ----------------------------------------------------------------------------
 
-def build_model(cfg: ExperimentConfig, geometry=None) -> SystemModel:
-    """System model for the configured scenario (optionally a swept geometry)."""
-    return SystemModel(
-        geometry if geometry is not None else cfg.geometry,
-        cfg.scenario, cfg.noise, cfg.header_time, cfg.bandwidth,
-        cfg.payload_bits, cfg.traffic.arrival_rates)
+def build_model(cfg: ExperimentConfig, n_elements: int | None = None) -> SystemModel:
+    """System model for the configured scenario; with ``n_elements``, on a
+    square RIS of that many elements with the configured pitches and
+    carrier instead of the configured array."""
+    g = cfg.geometry
+    geometry = g if n_elements is None else square_geometry(
+        n_elements, g.spacing_h, g.spacing_v, g.carrier_freq)
+    return SystemModel(geometry, cfg.scenario, cfg.noise, cfg.header_time,
+                       cfg.bandwidth, cfg.payload_bits, cfg.traffic.arrival_rates)
 
 
 def _policy_powers(cfg: ExperimentConfig) -> PowerAllocation:
@@ -132,14 +135,13 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     for rate in sorted(cfg.sweep.arrival_rate_grid):
         chain = model.evaluate_block(amplitudes, phases, powers, lengths, replicas,
                                      arrival_rates=(rate,) * n_users)
-        for b, blocklength in enumerate(lengths.tolist()):
-            rho = float(chain.utilization[0, b])
-            if chain.stable[b]:
-                rows.append((float(rate), blocklength, rho,
-                             float(chain.mean_delay[0, b]),
-                             float(chain.energy_efficiency[b])))
-            else:
-                rows.append((float(rate), blocklength, rho, UNSTABLE_MARKER, None))
+        # object arrays hold Python floats, and the marker where unstable
+        delay = chain.mean_delay[0].astype(object)
+        delay[~chain.stable] = UNSTABLE_MARKER
+        eta = chain.energy_efficiency.astype(object)
+        eta[~chain.stable] = None
+        rows.extend(zip(itertools.repeat(float(rate)), lengths.tolist(),
+                        chain.utilization[0].tolist(), delay.tolist(), eta.tolist()))
 
     metadata = _metadata(cfg, "delay-ee")
     delays = {(row[0], row[1]): row[3] for row in rows}
@@ -165,10 +167,7 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
 
     rows: list[tuple] = []
     for n_elements in cfg.sweep.element_grid("rel-beta"):
-        geometry = square_geometry(n_elements, cfg.geometry.spacing_h,
-                                   cfg.geometry.spacing_v,
-                                   cfg.geometry.carrier_freq)
-        model = build_model(cfg, geometry)
+        model = build_model(cfg, n_elements)
         user = _policy_user(cfg, model.n_users)
         phases = co_phasing_phases(model.bs_channel, model.ue_channels[user - 1])
         gammas = uniform_beta_sjnr(model, phases,
@@ -183,8 +182,7 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
         reference = REFERENCE_REL_BETA_THRESHOLDS.get(n_elements)
         if reference is not None:
             metadata[f"reference_threshold_beta_n{n_elements}"] = repr(reference)
-        rows.extend((int(n_elements), float(b), float(r))
-                    for b, r in zip(betas, rel))
+        rows.extend(zip(itertools.repeat(n_elements), betas.tolist(), rel.tolist()))
     return SweepResult("rel-beta", REL_BETA_COLUMNS, rows, metadata)
 
 
@@ -201,20 +199,17 @@ def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
     rows: list[tuple] = []
     previous = None
     for n_elements in cfg.sweep.element_grid("sjnr-n"):
-        geometry = square_geometry(n_elements, cfg.geometry.spacing_h,
-                                   cfg.geometry.spacing_v,
-                                   cfg.geometry.carrier_freq)
-        model = build_model(cfg, geometry)
+        model = build_model(cfg, n_elements)
         if cfg.sweep.policy == "ga":
             result = run_ga(model, cfg.constraints, cfg.ga)
-            gamma_1 = float(result.best_report.sjnr[0])
+            gamma_1 = result.best_report.sjnr[0]
         else:
             beam = model.co_phased_beam(
                 _policy_user(cfg, 1),
                 cfg.sweep.policy_beta_total / model.n_elements)
             gamma_1 = float(model.sjnr(beam, _policy_powers(cfg))[0])
-        growth = None if previous is None else float(gamma_1 / previous)
-        rows.append((int(n_elements), gamma_1, growth))
+        growth = None if previous is None else gamma_1 / previous
+        rows.append((n_elements, gamma_1, growth))
         previous = gamma_1
         reference = REFERENCE_SJNR.get(n_elements)
         if reference is not None:

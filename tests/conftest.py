@@ -5,6 +5,7 @@ from risjam.channel import Direction, LinkScenario, RisGeometry
 from risjam.link import NoiseConfig
 from risjam.model import SystemModel
 from risjam.optimizer import ConstraintSet
+from risjam.units import dbm_to_watts
 
 
 def make_scenario(n_users=2, jammer_power=5e-3, user_dirs=None, **overrides):
@@ -29,7 +30,7 @@ def make_scenario(n_users=2, jammer_power=5e-3, user_dirs=None, **overrides):
 def make_model(geometry, scenario, noise=None, arrival_rates=None,
                header_time=30e-6, bandwidth=180e3, payload_bits=256):
     if noise is None:
-        noise = NoiseConfig.from_dbm(-100, -100)
+        noise = NoiseConfig(dbm_to_watts(-100), dbm_to_watts(-100))
     if arrival_rates is None:
         arrival_rates = (500.0,) * scenario.n_users
     return SystemModel(geometry, scenario, noise, header_time, bandwidth,

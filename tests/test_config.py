@@ -216,6 +216,23 @@ class TestErrors:
         assert "config error: [ga] delay_thr_s: not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content,error,message", [
+        (None, ConfigNotFoundError, "cannot read config"),  # a directory
+        (b"[geometry]\n# caf\xe9\n", ConfigSyntaxError, "malformed config"),  # Latin-1
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_file_exits_1(self, tmp_path, capsys, content, error, message):
+        path = tmp_path / "exp.ini"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(error):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message} {path}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,setting,message", OUT_OF_DOMAIN_CASES,
                              ids=[f"{s}.{v}" for s, v, _ in OUT_OF_DOMAIN_CASES])
     def test_out_of_domain_value(self, tmp_path, section, setting, message):

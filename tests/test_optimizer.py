@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ def queue_feasible(model, constraints, blocklengths, replicas) -> np.ndarray:
                                  np.full((b, k), 1e-3), blocklengths, replicas)
     delay_met = np.where(chain.stable, chain.mean_delay <= constraints.delay_thr,
                          False)
-    return np.all((chain.utilization < 1.0 - STRICT_MARGIN) & delay_met, axis=0)
+    return np.all((chain.utilization <= 1.0 - STRICT_MARGIN) & delay_met, axis=0)
 
 
 class TestDecode:
@@ -259,6 +261,20 @@ class TestRunGa:
         assert result.generations_run < 400
         assert len(result.fitness_history) == result.generations_run
 
+    def test_stall_detection_follows_infeasible_progress(self, weak_link_model):
+        # while the best is infeasible its merit is exactly 1e30, so stall
+        # detection must follow its violation, which here keeps falling until
+        # the run turns feasible in generation 7
+        cons = ConstraintSet(p_min=1e-3, nb_min=60, nb_max=160)
+        settings = dict(rng_seed=3, population_size=120, max_generations=60,
+                        co_phasing_fraction=0.0)
+        result = run_ga(weak_link_model, cons, GaSettings(
+            **settings, function_tolerance=1e-9, stall_generations=3))
+        full = run_ga(weak_link_model, cons, GaSettings(**settings))
+        assert result.feasible
+        assert 4 < result.generations_run < full.generations_run
+        assert result.fitness_history == full.fitness_history[:result.generations_run]
+
     def test_phase_alignment_emerges(self, weak_link_model):
         # reliability on this link is only attainable near coherence, with or
         # without co-phased seeding
@@ -423,6 +439,19 @@ class TestRepair:
         admitted = np.sum(caps[None, :] >= x.blocklength[:, None], axis=1)
         assert np.all(x.retransmissions[capped] == admitted[capped])
         assert np.all(x.retransmissions <= admitted)
+
+    def test_caps_admit_the_utilization_boundary(self):
+        # a utilization of exactly 1 - STRICT_MARGIN leaves score_block's
+        # residual at 0, so the caps admit every pair in the box
+        c = ConstraintSet(nb_min=60, nb_max=160, l_max=4)
+
+        def queue_block(blocklengths, replicas):
+            shape = (1, len(blocklengths))
+            return (np.full(shape, 1.0 - STRICT_MARGIN), np.ones(shape[1], dtype=bool),
+                    np.zeros(shape))
+
+        caps = optimizer._blocklength_caps(SimpleNamespace(queue_block=queue_block), c)
+        assert caps.tolist() == [160] * 4
 
     def test_optimize_exits_2_without_a_qualifying_pair(self, tmp_path, capsys):
         # a 1 us delay budget is below every frame duration

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,9 +12,10 @@ import risjam
 from risjam.config import PRESETS, load_config
 from risjam.cli import _build_parser, main
 from risjam.link import BeamformConfig, NoiseConfig, PowerAllocation, sjnr_all
+from risjam.optimizer import run_ga
 from risjam.sweeps import (CONVERGENCE_COLUMNS, DELAY_EE_COLUMNS,
                            REL_BETA_COLUMNS, SJNR_N_COLUMNS, SweepResult,
-                           UNSTABLE_MARKER, read_solution_record,
+                           UNSTABLE_MARKER, build_model, read_solution_record,
                            read_sweep_csv, run_optimize, solution_record,
                            sweep_delay_ee, sweep_reliability_vs_beta,
                            sweep_sjnr_vs_n, uniform_beta_sjnr,
@@ -87,6 +90,17 @@ class TestSjnrSweep:
         for prev, row in zip(result.rows, result.rows[1:]):
             assert row[2] == pytest.approx(row[1] / prev[1], rel=1e-12)
         assert "reference_sjnr_n4" in result.metadata
+
+    def test_ga_policy_rows_come_from_run_ga(self, tmp_path):
+        path = tmp_path / "ga.ini"
+        path.write_text("[ga]\npopulation_size = 20\nmax_generations = 3\n"
+                        "[sweep]\npolicy = ga\nn_elements_grid = 4, 16\n")
+        cfg = load_config(path)
+        result = sweep_sjnr_vs_n(cfg)
+        expected = [run_ga(build_model(cfg, n), cfg.constraints, cfg.ga).best_report.sjnr[0]
+                    for n in (4, 16)]
+        assert result.rows == [(4, expected[0], None),
+                               (16, expected[1], expected[1] / expected[0])]
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
@@ -234,8 +248,12 @@ class TestOptimizeDriver:
 
 class TestCli:
     def run_cli(self, *args):
+        src = str(Path(risjam.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         return subprocess.run([sys.executable, "-m", "risjam.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
 
     def test_sweep_exit_zero_and_writes_csv(self, tmp_path):
         proc = self.run_cli("sweep", "sjnr-n", "--out", str(tmp_path / "o"))
