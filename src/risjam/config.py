@@ -157,8 +157,6 @@ def _linear(convert: Callable[[float], float]) -> Callable:
 #  GaSettings, ConstraintSet) enforce are not repeated here.
 # ----------------------------------------------------------------------------
 
-SWEEP_KINDS = ("delay-ee", "rel-beta", "sjnr-n")
-
 SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
     "geometry": {
         "n_elements": ("16", _at_least(1, _integer)),  # square array, rows = cols = sqrt(N)
@@ -219,18 +217,17 @@ SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
         "nb_max": ("1000", _integer),
     },
     "sweep": {
-        "kind": ("delay-ee", _one_of(*SWEEP_KINDS)),
         "blocklength_grid": ("60:300:12", _at_least(1, _integer_grid)),
         "arrival_rate_grid": ("100:1300:200", _at_least(0, _grid, strict=True)),
         "beta_grid": ("0:50:0.1", _at_least(0, _grid)),
-        # empty: kind-specific default
+        # empty: each element sweep's own default
         "n_elements_grid": ("", _unless("", _at_least(1, _integer_grid))),
-        "blocklength": ("360", _at_least(1, _integer)),    # fixed code length for the rel-beta sweep
-        "retransmissions": ("1", _at_least(1, _integer)),  # delay-ee sweep replica count
+        "blocklength": ("360", _at_least(1, _integer)),    # fixed code length of the reliability sweep
+        "retransmissions": ("1", _at_least(1, _integer)),  # replica count of the delay sweep
         "policy": ("cophased", _one_of("cophased", "ga")),
         "policy_power_w": ("2.45e-3", _at_least(0, strict=True)),
         "policy_beta_total": ("100", _at_least(0)),
-        "cophase_user": ("auto", _unless("auto", _integer)),  # auto: plotted user of the sweep kind
+        "cophase_user": ("auto", _unless("auto", _integer)),  # auto: the sweep's plotted user
     },
 }
 
@@ -247,16 +244,8 @@ PRESETS: dict[str, dict[tuple[str, str], str]] = {
     },
 }
 
-# Default element-count grids per sweep kind (all perfect squares).
-DEFAULT_N_GRID = {
-    "rel-beta": (4, 100, 400, 900),
-    "sjnr-n": (4, 16, 36, 64, 100, 196, 400, 625, 900),
-}
-
-
 @dataclass(frozen=True)
 class SweepSpec:
-    kind: str
     blocklength_grid: tuple[int, ...]
     arrival_rate_grid: tuple[float, ...]
     beta_grid: tuple[float, ...]
@@ -267,12 +256,6 @@ class SweepSpec:
     policy_power_w: float
     policy_beta_total: float
     cophase_user: int | None
-
-    def element_grid(self, kind: str) -> tuple[int, ...]:
-        """Configured element-count grid, or the default of the given sweep kind."""
-        if self.n_elements_grid is not None:
-            return self.n_elements_grid
-        return DEFAULT_N_GRID[kind]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from ._version import __version__
 from .config import ExperimentConfig, square_geometry
 from .link import (BeamformConfig, FblCode, PowerAllocation, _sic_sjnr, bler,
-                   co_phasing_phases, reliability, replica_success)
+                   reliability, replica_success)
 from .model import SystemModel
 from .optimizer import OptimizationResult, run_ga
 
@@ -67,12 +67,14 @@ def build_model(cfg: ExperimentConfig, n_elements: int | None = None) -> SystemM
                        cfg.bandwidth, cfg.payload_bits, cfg.traffic.arrival_rates)
 
 
-def _policy_powers(cfg: ExperimentConfig) -> PowerAllocation:
-    return PowerAllocation((cfg.sweep.policy_power_w,) * cfg.scenario.n_users)
-
-
-def _policy_user(cfg: ExperimentConfig, default: int) -> int:
-    return cfg.sweep.cophase_user if cfg.sweep.cophase_user is not None else default
+def _policy(cfg: ExperimentConfig, model: SystemModel,
+            plotted_user: int) -> tuple[BeamformConfig, PowerAllocation]:
+    """The fixed policy: phases co-phased to ``cophase_user`` (by default the
+    sweep's ``plotted_user``), amplitude ``policy_beta_total / N`` on every
+    element and power ``policy_power_w`` for every user."""
+    user = cfg.sweep.cophase_user if cfg.sweep.cophase_user is not None else plotted_user
+    beam = model.co_phased_beam(user, cfg.sweep.policy_beta_total / model.n_elements)
+    return beam, PowerAllocation((cfg.sweep.policy_power_w,) * model.n_users)
 
 
 def _metadata(cfg: ExperimentConfig, kind: str) -> dict[str, str]:
@@ -123,12 +125,11 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     """
     model = build_model(cfg)
     n_users = model.n_users
-    beta_each = cfg.sweep.policy_beta_total / model.n_elements
-    beam = model.co_phased_beam(_policy_user(cfg, n_users), beta_each)
+    beam, allocation = _policy(cfg, model, n_users)
     lengths = np.array(sorted(cfg.sweep.blocklength_grid))
     amplitudes, phases, powers = (
         np.tile(row, (lengths.size, 1))
-        for row in (beam.amplitudes, beam.phases, _policy_powers(cfg).user_powers))
+        for row in (beam.amplitudes, beam.phases, allocation.user_powers))
     replicas = np.full(lengths.size, cfg.sweep.retransmissions)
 
     rows: list[tuple] = []
@@ -154,7 +155,8 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
 
 
 def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
-    """Reliability against uniform RIS amplitude for each element count.
+    """Reliability against uniform RIS amplitude for each element count
+    (``n_elements_grid``, by default 4, 100, 400 and 900).
 
     Phases are co-phased to the plotted (last by default) user; the smallest
     grid amplitude reaching the reliability threshold is recorded per element
@@ -166,13 +168,10 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
     metadata = _metadata(cfg, "rel-beta")
 
     rows: list[tuple] = []
-    for n_elements in cfg.sweep.element_grid("rel-beta"):
+    for n_elements in cfg.sweep.n_elements_grid or (4, 100, 400, 900):
         model = build_model(cfg, n_elements)
-        user = _policy_user(cfg, model.n_users)
-        phases = co_phasing_phases(model.bs_channel, model.ue_channels[user - 1])
-        gammas = uniform_beta_sjnr(model, phases,
-                                   (cfg.sweep.policy_power_w,) * model.n_users,
-                                   betas)
+        beam, allocation = _policy(cfg, model, model.n_users)
+        gammas = uniform_beta_sjnr(model, beam.phases, allocation.user_powers, betas)
         rel = reliability(replica_success(bler(gammas, code)), replicas)
 
         reached = np.nonzero(rel >= cfg.constraints.rel_thr)[0]
@@ -187,7 +186,8 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
 
 
 def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
-    """First user's SJNR against the RIS element count.
+    """First user's SJNR against the RIS element count (``n_elements_grid``,
+    by default nine squares from 4 to 900).
 
     The default policy co-phases to user 1 and spreads a constant total
     amplification uniformly over the elements; policy 'ga' runs the full
@@ -198,16 +198,13 @@ def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
     metadata["reference_growth_percent"] = repr(REFERENCE_SJNR_GROWTH_PERCENT)
     rows: list[tuple] = []
     previous = None
-    for n_elements in cfg.sweep.element_grid("sjnr-n"):
+    for n_elements in cfg.sweep.n_elements_grid or (4, 16, 36, 64, 100, 196, 400, 625, 900):
         model = build_model(cfg, n_elements)
         if cfg.sweep.policy == "ga":
             result = run_ga(model, cfg.constraints, cfg.ga)
             gamma_1 = result.best_report.sjnr[0]
         else:
-            beam = model.co_phased_beam(
-                _policy_user(cfg, 1),
-                cfg.sweep.policy_beta_total / model.n_elements)
-            gamma_1 = float(model.sjnr(beam, _policy_powers(cfg))[0])
+            gamma_1 = float(model.sjnr(*_policy(cfg, model, 1))[0])
         growth = None if previous is None else gamma_1 / previous
         rows.append((n_elements, gamma_1, growth))
         previous = gamma_1

@@ -196,9 +196,15 @@ class TestErrors:
         with pytest.raises(ConfigValueError):
             load_config(preset="galactic")
 
-    def test_bad_sweep_kind(self, tmp_path):
-        with pytest.raises(ConfigValueError):
-            load_config(write(tmp_path, "[sweep]\nkind = delay\n"))
+    def test_bad_sweep_kind(self, tmp_path, capsys):
+        # the CLI's positional argument is the only sweep selector
+        path = write(tmp_path, "[sweep]\nkind = delay-ee\n")
+        with pytest.raises(UnknownKeyError):
+            load_config(path)
+        assert main(["sweep", "delay-ee", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: unknown key 'kind' in section [sweep]\n")
 
     @pytest.mark.parametrize("section,key,value", NON_FINITE_CASES)
     def test_non_finite_value_names_key(self, tmp_path, section, key, value):
@@ -310,11 +316,6 @@ class TestConversionsAndOverrides:
         with pytest.raises(ConfigValueError):
             load_config(write(tmp_path, "[sweep]\nbeta_grid = 5:1:1\n", "bad.ini"))
 
-    def test_element_grid_defaults_per_kind(self):
-        cfg = load_config()
-        assert cfg.sweep.element_grid("rel-beta") == (4, 100, 400, 900)
-        assert cfg.sweep.element_grid("sjnr-n") == (4, 16, 36, 64, 100, 196, 400, 625, 900)
-
     def test_ris_jammer_distance_override(self, tmp_path):
         cfg = load_config(write(tmp_path, "[scenario]\ndist_ris_jammer_m = 45\n"))
         assert cfg.scenario.effective_dist_ris_jammer == 45.0
@@ -344,14 +345,14 @@ class TestEchoAndHash:
         "[traffic]", "arrival_rate_per_s = 100, 200, 300", "retransmissions = 3",
         "[fbl]", "payload_bytes = 16",
         "[ga]", "mutation_rate = auto", "delay_thr_s = 2e-3",
-        "[sweep]", "kind = rel-beta", "blocklength_grid = 60:120:20",
+        "[sweep]", "blocklength_grid = 60:120:20",
         "arrival_rate_grid = 100, 300", "beta_grid = 0:10:0.5",
         "n_elements_grid = 4, 16, 36", "cophase_user = 2", ""])
 
     @pytest.mark.parametrize("preset,text,expected", [
-        (None, None, "sha256:917de066c405429c"),
-        ("paper", None, "sha256:63c70daa4e2839dd"),
-        (None, EVERY_PARSER, "sha256:7c60b948905558ca"),
+        (None, None, "sha256:7150563a3532d0db"),
+        ("paper", None, "sha256:afa95f6a0fe700d0"),
+        (None, EVERY_PARSER, "sha256:aa1b07e806f6f8b1"),
     ])
     def test_hash_is_pinned(self, tmp_path, preset, text, expected):
         path = None if text is None else write(tmp_path, text)

@@ -81,6 +81,17 @@ class TestRelBetaSweep:
         assert first[2] == 0.0
 
 
+    def test_element_grid_defaults_per_sweep(self, tmp_path):
+        # an empty n_elements_grid leaves each element sweep its own grid
+        path = tmp_path / "rb.ini"
+        path.write_text("[sweep]\nbeta_grid = 0, 1\n")
+        cfg = load_config(path)
+        rel_beta = sweep_reliability_vs_beta(cfg)
+        assert [row[0] for row in rel_beta.rows] == [4, 4, 100, 100, 400, 400, 900, 900]
+        assert [row[0] for row in sweep_sjnr_vs_n(cfg).rows] == [
+            4, 16, 36, 64, 100, 196, 400, 625, 900]
+
+
 class TestSjnrSweep:
     def test_grid_and_growth_ratios(self):
         result = sweep_sjnr_vs_n(load_config())
