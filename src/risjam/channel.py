@@ -35,8 +35,10 @@ class RisGeometry:
             raise ValueError(f"element grid must be at least 1x1, got {self.n_rows}x{self.n_cols}")
         if self.spacing_h <= 0 or self.spacing_v <= 0:
             raise ValueError("element spacings must be positive")
-        if not (self.carrier_freq > 0 and isfinite(self.carrier_freq)):
-            raise ValueError("carrier frequency must be positive and finite")
+        if not (self.carrier_freq > 0 and isfinite(self.carrier_freq)
+                and isfinite(self.wavelength)):
+            raise ValueError("carrier frequency must be positive and finite, "
+                             "with a finite wavelength")
 
     @property
     def n_elements(self) -> int:
@@ -109,6 +111,14 @@ class LinkScenario:
             raise ValueError("jammer power must be non-negative")
         if self.dist_ris_jammer is not None and self.dist_ris_jammer <= 0:
             raise ValueError("RIS-jammer distance must be positive")
+        distances = (self.dist_ris_bs, *self.dist_ris_ue, self.dist_jammer,
+                     self.effective_dist_ris_jammer)
+        try:
+            finite = all(isfinite(self.path_gain(d)) for d in distances)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("path gain must be finite at every distance")
 
     @property
     def n_users(self) -> int:
@@ -117,6 +127,10 @@ class LinkScenario:
     @property
     def effective_dist_ris_jammer(self) -> float:
         return self.dist_jammer if self.dist_ris_jammer is None else self.dist_ris_jammer
+
+    def path_gain(self, dist: float) -> float:
+        """Linear power gain of a path of ``dist`` meters."""
+        return self.path_gain_ref * dist ** (-self.path_loss_exp)
 
 
 def element_positions(geom: RisGeometry) -> np.ndarray:
@@ -162,7 +176,7 @@ def array_response(geom: RisGeometry, direction: Direction) -> np.ndarray:
 
 def _path_term(geom: RisGeometry, scen: LinkScenario, dist: float) -> complex:
     """Path-loss amplitude times propagation phase over ``dist`` meters."""
-    amp = np.sqrt(scen.path_gain_ref * dist ** (-scen.path_loss_exp))
+    amp = np.sqrt(scen.path_gain(dist))
     return amp * np.exp(-2j * pi * dist / geom.wavelength)
 
 

@@ -21,7 +21,7 @@ from typing import Any
 from .channel import Direction, LinkScenario, RisGeometry
 from .link import NoiseConfig
 from .optimizer import ConstraintSet, GaSettings
-from .traffic import TrafficParams
+from .traffic import FrameParams, TrafficParams
 from .units import db_to_linear, dbm_to_watts
 
 
@@ -108,10 +108,11 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 def _integer_grid(text: str) -> tuple[int, ...]:
+    """Integers read through ``_grid``'s floats, so at most 2**53 in size."""
     values = _grid(text)
     for v in values:
-        if abs(v - round(v)) > 1e-9:
-            raise ValueError(f"expected integers, got {v}")
+        if abs(v - round(v)) > 1e-9 or abs(v) > 2 ** 53:
+            raise ValueError(f"expected integers up to 2**53, got {v}")
     return tuple(int(round(v)) for v in values)
 
 
@@ -421,6 +422,11 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     rates = _broadcast("traffic", "arrival_rate_per_s",
                        typed["traffic"]["arrival_rate_per_s"], n_users)
     traffic = _build("traffic", TrafficParams, rates, typed["traffic"]["retransmissions"])
+    frame = _build("traffic", FrameParams, typed["traffic"]["header_time_s"],
+                   typed["traffic"]["bandwidth_hz"], typed["fbl"]["blocklength"])
+    if not math.isfinite(traffic.retransmissions * frame.duration):
+        raise ConfigValueError("invalid traffic: the service time retransmissions * "
+                               "(header_time_s + blocklength / bandwidth_hz) is not finite")
 
     ga = typed["ga"]
     # the [ga] keys include the GaSettings fields, spelled the same

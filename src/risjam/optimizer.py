@@ -42,6 +42,11 @@ TWO_PI = 2.0 * np.pi
 # RIS from growing with the population.
 BLOCK_CELLS = 1 << 16
 
+# Largest nb_max and l_max. ``_on_grid`` maps a gene in [0, 1] onto at most
+# this many integer steps, where adding 0.5 is still exact in float64, so a
+# decoded integer never leaves its box.
+MAX_INTEGER_BOUND = 2 ** 52
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -66,12 +71,12 @@ class ConstraintSet:
             raise ValueError("thresholds and bounds must be positive and finite")
         if not 0 < self.rel_thr < 1:
             raise ValueError("reliability threshold must lie in (0, 1)")
-        if self.l_max < 1:
-            raise ValueError("maximum retransmission count must be at least 1")
+        if not 1 <= self.l_max <= MAX_INTEGER_BOUND:
+            raise ValueError("maximum retransmission count must lie in 1..2**52")
         if not 0 < self.p_min <= self.p_max:
             raise ValueError("need 0 < p_min <= p_max")
-        if not 1 <= self.nb_min <= self.nb_max:
-            raise ValueError("need 1 <= nb_min <= nb_max")
+        if not 1 <= self.nb_min <= self.nb_max <= MAX_INTEGER_BOUND:
+            raise ValueError("need 1 <= nb_min <= nb_max <= 2**52")
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,10 @@ class GaSettings:
     """Population, operator and stopping configuration of the GA.
 
     ``mutation_rate`` of None means one expected mutation per genome
-    (1/dimension). Tolerances below machine epsilon request exact
-    feasibility and disable stall detection.
+    (1/dimension). ``function_tolerance`` is relative, as MATLAB ``ga``'s
+    FunctionTolerance: a generation stalls unless the best standing's value
+    drops by at least that fraction of its previous value. Tolerances below
+    machine epsilon request exact feasibility and disable stall detection.
     """
 
     population_size: int = 200
@@ -522,9 +529,10 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
 
         if stall_enabled:
             # a generation stalls unless the best turns feasible or its
-            # value drops by the tolerance
+            # value drops by the tolerance times its previous value
             stalled = (previous[0] == best_standing[0]
-                       and previous[1] - best_standing[1] < settings.function_tolerance)
+                       and previous[1] - best_standing[1]
+                       < settings.function_tolerance * abs(previous[1]))
             stall_count = stall_count + 1 if stalled else 0
             if stall_count >= settings.stall_generations:
                 break

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from risjam import config
+from risjam.channel import RisGeometry
 from risjam.cli import main
 from risjam.config import (ConfigNotFoundError, ConfigSyntaxError,
                            ConfigValueError, NonSquareGeometryError,
                            UnknownKeyError, load_config, square_geometry)
+from risjam.optimizer import ConstraintSet, GaSettings
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -28,6 +30,13 @@ def non_negative():
 
 
 PROBABILITY = st.floats(min_value=0.0, max_value=1.0)
+# positive values that keep the wavelength c / f, and with the default 30 dB
+# gain and exponent 2 the path gain 1000 / d**2, finite
+CARRIER = st.floats(min_value=1e-299, allow_infinity=False)
+DISTANCE = st.floats(min_value=1e-152, allow_infinity=False)
+# values that keep the default service time 10 * (header + 108 / bandwidth) finite
+HEADER_TIME = st.floats(min_value=0.0, max_value=1e307)
+BANDWIDTH = st.floats(min_value=1e-305, allow_infinity=False)
 ANGLE = st.floats(allow_nan=False, allow_infinity=False)
 
 # Every float-valued key (lists and float grids given as one value) with the
@@ -35,13 +44,13 @@ ANGLE = st.floats(allow_nan=False, allow_infinity=False)
 FLOAT_DOMAINS = {
     ("geometry", "spacing_h"): positive(),
     ("geometry", "spacing_v"): positive(),
-    ("geometry", "carrier_freq_hz"): positive(),
+    ("geometry", "carrier_freq_hz"): CARRIER,
     ("scenario", "path_gain_db"): st.floats(min_value=-3000.0, max_value=3000.0),
     ("scenario", "path_loss_exp"): non_negative(),
-    ("scenario", "dist_ris_bs_m"): positive(),
-    ("scenario", "dist_ris_ue_m"): positive(),
-    ("scenario", "dist_jammer_m"): positive(),
-    ("scenario", "dist_ris_jammer_m"): positive(),
+    ("scenario", "dist_ris_bs_m"): DISTANCE,
+    ("scenario", "dist_ris_ue_m"): DISTANCE,
+    ("scenario", "dist_jammer_m"): DISTANCE,
+    ("scenario", "dist_ris_jammer_m"): DISTANCE,
     ("scenario", "bs_azimuth_rad"): ANGLE,
     ("scenario", "bs_elevation_rad"): ANGLE,
     ("scenario", "user_azimuth_rad"): ANGLE,
@@ -52,8 +61,8 @@ FLOAT_DOMAINS = {
     ("scenario", "ris_noise_dbm"): st.floats(max_value=3000.0, allow_infinity=False),
     ("scenario", "awgn_dbm"): st.floats(max_value=3000.0, allow_infinity=False),
     ("traffic", "arrival_rate_per_s"): positive(),
-    ("traffic", "header_time_s"): non_negative(),
-    ("traffic", "bandwidth_hz"): positive(),
+    ("traffic", "header_time_s"): HEADER_TIME,
+    ("traffic", "bandwidth_hz"): BANDWIDTH,
     ("ga", "crossover_rate"): PROBABILITY,
     ("ga", "mutation_rate"): PROBABILITY,
     ("ga", "constraint_tolerance"): non_negative(),
@@ -113,6 +122,29 @@ OUT_OF_DOMAIN_CASES = [
 ]
 
 
+# (section, "key = value", command, message): values that used to load and
+# then end the command as an internal error (exit 3)
+OVERFLOW_CASES = [
+    ("geometry", "carrier_freq_hz = 1e-300", ["optimize"],
+     "invalid geometry: carrier frequency must be positive and finite, with a finite wavelength"),
+    ("scenario", "dist_ris_ue_m = 1e-300", ["optimize"],
+     "invalid scenario: path gain must be finite at every distance"),
+    ("scenario", "dist_jammer_m = 1e-300", ["optimize"],
+     "invalid scenario: path gain must be finite at every distance"),
+    ("scenario", "dist_ris_bs_m = 1e-300", ["optimize"],
+     "invalid scenario: path gain must be finite at every distance"),
+    ("ga", "nb_max = 100000000000000000000", ["optimize"],
+     "invalid ga settings: need 1 <= nb_min <= nb_max <= 2**52"),
+    ("ga", "l_max = 100000000000000000000", ["optimize"],
+     "invalid ga settings: maximum retransmission count must lie in 1..2**52"),
+    ("sweep", "blocklength_grid = 100000000000000000000", ["sweep", "delay-ee"],
+     "[sweep] blocklength_grid: expected integers up to 2**53, got 1e+20"),
+    ("traffic", "header_time_s = 1e308", ["mdl-oracle"],
+     "invalid traffic: the service time retransmissions * "
+     "(header_time_s + blocklength / bandwidth_hz) is not finite"),
+]
+
+
 class TestDefaults:
     def test_no_file_gives_reference_defaults(self):
         cfg = load_config()
@@ -143,6 +175,14 @@ class TestDefaults:
         assert cfg.constraints.p_max == 0.1
         assert cfg.constraints.l_max == 10
         assert cfg.ga.constraint_tolerance == 1e-30
+
+    def test_schema_defaults_equal_dataclass_defaults(self):
+        # each of these defaults is written twice: as a SCHEMA string and as
+        # a dataclass field default
+        cfg = load_config()
+        assert cfg.ga == GaSettings()
+        assert cfg.constraints == ConstraintSet()
+        assert cfg.geometry == RisGeometry(4, 4)
 
     def test_empty_file_equals_builtin_defaults(self, tmp_path):
         cfg_file = load_config(write(tmp_path, ""))
@@ -244,6 +284,16 @@ class TestErrors:
     def test_out_of_domain_value(self, tmp_path, section, setting, message):
         with pytest.raises(ConfigValueError, match=re.escape(message)):
             load_config(write(tmp_path, f"[{section}]\n{setting}\n"))
+
+    @pytest.mark.parametrize("section,setting,command,message", OVERFLOW_CASES,
+                             ids=[f"{s}.{v.split()[0]}" for s, v, _, _ in OVERFLOW_CASES])
+    def test_overflowing_value_exits_1(self, tmp_path, capsys, section, setting,
+                                       command, message):
+        path = write(tmp_path, f"[{section}]\n{setting}\n")
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_grid_point_cap(self, tmp_path, monkeypatch):
         def bounded_range(stop):

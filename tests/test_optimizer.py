@@ -275,6 +275,29 @@ class TestRunGa:
         assert 4 < result.generations_run < full.generations_run
         assert result.fitness_history == full.fitness_history[:result.generations_run]
 
+    @pytest.mark.parametrize("tolerance, stop", [(1e-9, 60), (1e-3, 45)])
+    def test_function_tolerance_is_relative(self, weak_link_model, tolerance, stop):
+        # 1/eta is about 3e-7 J/bit here, so an absolute tolerance of 1e-9
+        # would stall on every drop below 0.3%, and one of 1e-3 on every
+        # generation. The run turns feasible in generation 7, before 7 stalls
+        # can accumulate, so the stopping generation follows from the
+        # feasible part of the run without stall detection.
+        cons = ConstraintSet(p_min=1e-3, nb_min=60, nb_max=160)
+        settings = dict(rng_seed=3, population_size=120, max_generations=60,
+                        co_phasing_fraction=0.0)
+        full = run_ga(weak_link_model, cons, GaSettings(**settings)).fitness_history
+        stalls = 0
+        for generation, (previous, best) in enumerate(zip(full, full[1:]), start=2):
+            stalled = previous < INFEASIBLE_OBJECTIVE and previous - best < tolerance * previous
+            stalls = stalls + 1 if stalled else 0
+            if stalls == 7:
+                break
+        assert generation == stop
+        result = run_ga(weak_link_model, cons, GaSettings(
+            **settings, function_tolerance=tolerance, stall_generations=7))
+        assert result.generations_run == stop
+        assert result.fitness_history == full[:stop]
+
     def test_phase_alignment_emerges(self, weak_link_model):
         # reliability on this link is only attainable near coherence, with or
         # without co-phased seeding

@@ -337,6 +337,19 @@ class TestCli:
         assert proc.returncode == 0
         assert "rel_err" in proc.stdout
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_mdl_oracle_fails_on_a_nan_error(self, tmp_path, capsys):
+        # a 1e-300 Hz band makes the service time so long that the sample
+        # path's arrival times overflow and the simulated delay is NaN
+        ini = tmp_path / "slow.ini"
+        ini.write_text("[traffic]\nbandwidth_hz = 1e-300\n")
+        assert main(["mdl-oracle", "--rho", "0.8", "--config", str(ini),
+                     "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert "simulated=nan" in captured.out
+        assert "discrete-event check failed" in captured.err
+
     @pytest.mark.parametrize("flags, named", [
         (("--rho", "2"), "--rho"),
         (("--rho", "nan"), "--rho"),
