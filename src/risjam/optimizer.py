@@ -255,21 +255,28 @@ def _blocklength_caps(model: SystemModel, constraints: ConstraintSet) -> np.ndar
 
 
 def _repair(genomes: np.ndarray, n_users: int, n_elements: int,
-            constraints: ConstraintSet, caps: np.ndarray) -> None:
-    """Move a (B, dimension) block of genomes in place into the box and onto
-    the closed-form part of the feasible set.
+            constraints: ConstraintSet, caps: np.ndarray, moved: np.ndarray) -> None:
+    """Move a C-contiguous (B, dimension) block of genomes in place into the
+    box and onto the closed-form part of the feasible set.
 
-    Phase genes wrap and the others clip to [0, 1]; the power genes are
-    sorted so that p_1 <= ... <= p_K; the blocklength gene is clamped to the
-    largest admitted blocklength, cap(1), and then the replica gene to the
-    largest replica count admitted at the decoded blocklength. A clamped
+    Of the genes at the row-major flat indices ``moved``, phase genes wrap
+    into [0, 1) and the others clip to [0, 1]; every other gene must already
+    lie there, where both leave it unchanged. On every row the power genes
+    are sorted so that p_1 <= ... <= p_K, the blocklength gene is clamped to
+    the largest admitted blocklength, cap(1), and then the replica gene to
+    the largest replica count admitted at the decoded blocklength. A clamped
     gene sits at the centre of its cap's rounding interval, so it decodes to
     the cap exactly. Without an admitted pair nothing is clamped.
     """
     k, n, c = n_users, n_elements, constraints
-    np.mod(genomes[:, k:k + n], 1.0, out=genomes[:, k:k + n])
-    np.clip(genomes[:, :k], 0.0, 1.0, out=genomes[:, :k])
-    np.clip(genomes[:, k + n:], 0.0, 1.0, out=genomes[:, k + n:])
+    flat = genomes.reshape(-1, copy=False)
+    genes = flat[moved]
+    column = moved % genomes.shape[1]
+    # np.mod maps the negatives just below 0 to 1.0, which would wrap again
+    wrapped = np.mod(genes, 1.0)
+    wrapped[wrapped == 1.0] = 0.0
+    flat[moved] = np.where((column >= k) & (column < k + n), wrapped,
+                           np.clip(genes, 0.0, 1.0))
     genomes[:, :k].sort(axis=1)
     if not len(caps):
         return
@@ -403,9 +410,11 @@ def _evaluate_population(pop: np.ndarray, model: SystemModel,
 
 
 def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
-           settings: GaSettings, mutation_rate: float, sigma: float) -> np.ndarray:
+           settings: GaSettings, mutation_rate: float, sigma: float
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Next population: the elites, then one child per remaining slot, not
-    yet repaired.
+    yet repaired; and the row-major flat indices into the children of the
+    genes that mutated, the only ones that can have left their box.
 
     The random numbers come in whole arrays, in an order that does not
     depend on ``BLOCK_CELLS``: every tournament contestant, every crossover
@@ -440,13 +449,15 @@ def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
         mutating.append(start * dim + np.flatnonzero(uniforms[:, 1] < mutation_rate))
     mutating = np.concatenate(mutating)
     children.reshape(-1)[mutating] += rng.normal(0.0, sigma, len(mutating))
-    return new_pop
+    return new_pop, mutating
 
 
 def _initial_population(model: SystemModel, settings: GaSettings,
-                        rng: np.random.Generator) -> np.ndarray:
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random genomes, the first ``co_phasing_fraction`` of them
-    with seeded beams.
+    with seeded beams; and the row-major flat indices of the seed rows'
+    phase genes. Those lie in [0, 1] and may be 1.0; every other gene lies
+    in [0, 1) as drawn or in [0, 1] as seeded.
 
     With one user every seed slot co-phases that user. With K >= 2 the
     even slots co-phase the users in turn and the odd slots hold
@@ -471,7 +482,8 @@ def _initial_population(model: SystemModel, settings: GaSettings,
         pop[i, k:k + n] = np.mod(np.angle(weights) / TWO_PI, 1.0)
         squared = np.abs(weights) ** 2
         pop[i, k + n:k + 2 * n] = squared / np.max(squared)
-    return pop
+    rows = np.arange(n_seeded)[:, None]
+    return pop, (rows * pop.shape[1] + np.arange(k, k + n)).ravel()
 
 
 def run_ga(model: SystemModel, constraints: ConstraintSet,
@@ -480,12 +492,13 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
 
     Tournament selection of size 2 under the dominance rule, uniform
     crossover, Gaussian mutation with decaying spread. The initial
-    population and every bred one are repaired (``_repair``): phase genes
-    wrap, all others clip to their box, powers are ordered and the
-    blocklength and replica genes are clamped onto the pairs that meet the
-    delay and utilization constraints. The same seed reproduces the run
-    bit for bit; with at least one elite the recorded best value never
-    worsens.
+    population and every bred one are repaired (``_repair``): the seeded
+    phase genes and the mutated phase genes wrap, the other mutated genes
+    clip to their box, powers are ordered and the blocklength and replica
+    genes are clamped onto the pairs that meet the delay and utilization
+    constraints. No other gene can lie outside its box. The same seed reproduces
+    the run bit for bit; with at least one elite the recorded best value
+    never worsens.
     """
     k, n = model.n_users, model.n_elements
     dim = genome_dimension(k, n)
@@ -496,8 +509,8 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     stall_enabled = settings.function_tolerance >= eps
     caps = _blocklength_caps(model, constraints)
 
-    pop = _initial_population(model, settings, rng)
-    _repair(pop, k, n, constraints, caps)
+    pop, moved = _initial_population(model, settings, rng)
+    _repair(pop, k, n, constraints, caps, moved)
 
     best_standing = best_genome = None
     fitness_history: list[float] = []
@@ -509,8 +522,8 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     # generation 0 is the initial population: ranked and tracked, not recorded
     for generation in range(settings.max_generations + 1):
         if generation:
-            pop = _breed(pop, order, rng, settings, mutation_rate, sigma)
-            _repair(pop[settings.elite_count:], k, n, constraints, caps)
+            pop, moved = _breed(pop, order, rng, settings, mutation_rate, sigma)
+            _repair(pop[settings.elite_count:], k, n, constraints, caps, moved)
             sigma *= settings.mutation_decay
         objective, total = _evaluate_population(pop, model, constraints)
         order = rank(objective, total, tol)

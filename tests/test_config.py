@@ -30,10 +30,15 @@ def non_negative():
 
 
 PROBABILITY = st.floats(min_value=0.0, max_value=1.0)
-# positive values that keep the wavelength c / f, and with the default 30 dB
-# gain and exponent 2 the path gain 1000 / d**2, finite
+# positive values that keep the wavelength c / f finite
 CARRIER = st.floats(min_value=1e-299, allow_infinity=False)
-DISTANCE = st.floats(min_value=1e-152, allow_infinity=False)
+# with the defaults (30 dB gain, exponent 2, N = 16, beta_max = 100,
+# p_max_w = 0.1, jammer_power_w = 5e-3), distances that keep the largest
+# received and jamming powers and the propagation phase 2 pi d / lambda
+# finite; the bounds below have the same role
+DISTANCE = st.floats(min_value=1e-149, max_value=1e300)
+# element pitches that keep every array-response phase finite
+SPACING = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 # values that keep the default service time 10 * (header + 108 / bandwidth) finite
 HEADER_TIME = st.floats(min_value=0.0, max_value=1e307)
 BANDWIDTH = st.floats(min_value=1e-305, allow_infinity=False)
@@ -42,10 +47,10 @@ ANGLE = st.floats(allow_nan=False, allow_infinity=False)
 # Every float-valued key (lists and float grids given as one value) with the
 # finite values it accepts while all other keys keep their defaults.
 FLOAT_DOMAINS = {
-    ("geometry", "spacing_h"): positive(),
-    ("geometry", "spacing_v"): positive(),
+    ("geometry", "spacing_h"): SPACING,
+    ("geometry", "spacing_v"): SPACING,
     ("geometry", "carrier_freq_hz"): CARRIER,
-    ("scenario", "path_gain_db"): st.floats(min_value=-3000.0, max_value=3000.0),
+    ("scenario", "path_gain_db"): st.floats(min_value=-3000.0, max_value=1500.0),
     ("scenario", "path_loss_exp"): non_negative(),
     ("scenario", "dist_ris_bs_m"): DISTANCE,
     ("scenario", "dist_ris_ue_m"): DISTANCE,
@@ -57,7 +62,7 @@ FLOAT_DOMAINS = {
     ("scenario", "user_elevation_rad"): ANGLE,
     ("scenario", "jammer_azimuth_rad"): ANGLE,
     ("scenario", "jammer_elevation_rad"): ANGLE,
-    ("scenario", "jammer_power_w"): non_negative(),
+    ("scenario", "jammer_power_w"): st.floats(min_value=0.0, max_value=1e300),
     ("scenario", "ris_noise_dbm"): st.floats(max_value=3000.0, allow_infinity=False),
     ("scenario", "awgn_dbm"): st.floats(max_value=3000.0, allow_infinity=False),
     ("traffic", "arrival_rate_per_s"): positive(),
@@ -73,9 +78,9 @@ FLOAT_DOMAINS = {
     ("ga", "delay_thr_s"): positive(),
     ("ga", "rel_thr"): st.floats(min_value=0.0, max_value=1.0,
                                  exclude_min=True, exclude_max=True),
-    ("ga", "beta_max"): positive(),
-    ("ga", "p_max_w"): st.floats(min_value=1e-6, allow_infinity=False),  # >= p_min_w
-    ("ga", "p_min_w"): positive(max_value=0.1),                          # <= p_max_w
+    ("ga", "beta_max"): positive(max_value=1e300),
+    ("ga", "p_max_w"): st.floats(min_value=1e-6, max_value=1e300),  # >= p_min_w
+    ("ga", "p_min_w"): positive(max_value=0.1),                     # <= p_max_w
     ("sweep", "arrival_rate_grid"): positive(),
     ("sweep", "beta_grid"): non_negative(),
     ("sweep", "policy_power_w"): positive(),
@@ -100,6 +105,7 @@ OUT_OF_DOMAIN_CASES = [
     ("geometry", "carrier_freq_hz = -1", "invalid geometry: carrier frequency"),
     ("scenario", "path_gain_db = 4000", "[scenario] path_gain_db: too large"),
     ("scenario", "awgn_dbm = 4000", "[scenario] awgn_dbm: too large"),
+    ("scenario", "jammer_power_w = 1e305", "invalid scenario: the largest jamming power"),
     ("traffic", "header_time_s = -1e-6", "[traffic] header_time_s: must be >= 0"),
     ("traffic", "bandwidth_hz = 0", "[traffic] bandwidth_hz: must be > 0"),
     ("fbl", "blocklength = 0", "[fbl] blocklength: must be >= 1"),
@@ -142,6 +148,11 @@ OVERFLOW_CASES = [
     ("traffic", "header_time_s = 1e308", ["mdl-oracle"],
      "invalid traffic: the service time retransmissions * "
      "(header_time_s + blocklength / bandwidth_hz) is not finite"),
+    ("scenario", "path_gain_db = 3000", ["optimize"],
+     "invalid scenario: user 1's largest received power "
+     "p_max_w * (N * sqrt(beta_max) * |g_bs| * |g_k|)^2 is not finite"),
+    ("geometry", "spacing_h = 1e308", ["optimize"],
+     "invalid scenario: a synthesized channel entry is not finite"),
 ]
 
 

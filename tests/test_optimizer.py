@@ -381,7 +381,11 @@ class TestSeeding:
         k, n = n_users, model.n_elements
         settings = GaSettings(population_size=50, co_phasing_fraction=0.4)
         rng = np.random.default_rng(5)
-        pop = optimizer._initial_population(model, settings, rng)
+        pop, seeded = optimizer._initial_population(model, settings, rng)
+        # the repair sees the phase genes of the 20 seed rows
+        rows, columns = np.divmod(seeded, pop.shape[1])
+        assert np.array_equal(rows, np.repeat(np.arange(20), n))
+        assert np.array_equal(columns, np.tile(np.arange(k, k + n), 20))
 
         # the seeds draw no random numbers: past the 20 seed slots the
         # population is the plain draw, and the generator has moved by it
@@ -433,7 +437,7 @@ class TestRepair:
         before = genomes.copy()
 
         caps = optimizer._blocklength_caps(model, c)
-        optimizer._repair(genomes, k, n, c, caps)
+        optimizer._repair(genomes, k, n, c, caps, np.arange(genomes.size))
         x = decode_block(genomes, k, n, c)
         _, violations = score_block(x, model, c)
         assert np.all(np.diff(x.user_powers, axis=1) >= 0.0)
@@ -462,6 +466,69 @@ class TestRepair:
         admitted = np.sum(caps[None, :] >= x.blocklength[:, None], axis=1)
         assert np.all(x.retransmissions[capped] == admitted[capped])
         assert np.all(x.retransmissions <= admitted)
+
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
+           n_elements=st.integers(1, 40), nb_min=st.integers(1, 400),
+           nb_spread=st.one_of(st.integers(0, 3000), st.integers(0, 10 ** 9)),
+           l_max=st.integers(1, 30), delay_exponent=st.floats(-6.0, -1.0),
+           size=st.integers(2, 30), elite_fraction=st.floats(0.0, 1.0),
+           crossover_rate=st.floats(0.0, 1.0), mutation_rate=st.floats(0.0, 1.0),
+           sigma=st.floats(0.0, 2.0))
+    def test_repairing_the_moved_genes_equals_repairing_every_gene(
+            self, seed, n_users, n_elements, nb_min, nb_spread, l_max,
+            delay_exponent, size, elite_fraction, crossover_rate, mutation_rate,
+            sigma):
+        rng = np.random.default_rng(seed)
+        model = make_model(RisGeometry(1, n_elements), make_scenario(n_users=n_users),
+                           arrival_rates=tuple(rng.uniform(10.0, 3000.0, n_users)),
+                           header_time=float(rng.uniform(0.0, 1e-4)),
+                           bandwidth=float(rng.uniform(5e4, 1e6)))
+        c = ConstraintSet(delay_thr=10.0 ** delay_exponent, p_min=1e-4,
+                          nb_min=nb_min, nb_max=nb_min + nb_spread, l_max=l_max)
+        k, n = n_users, n_elements
+        caps = optimizer._blocklength_caps(model, c)
+        pop = rng.random((size, genome_dimension(k, n)))
+        edges = rng.random(pop.shape) < 0.2
+        pop[edges] = rng.integers(0, 2, pop.shape)[edges]
+        optimizer._repair(pop, k, n, c, caps, np.arange(pop.size))
+        settings = GaSettings(population_size=size,
+                              elite_count=int(elite_fraction * (size - 1)),
+                              crossover_rate=crossover_rate)
+
+        bred, moved = optimizer._breed(pop, rng.permutation(size).tolist(), rng,
+                                       settings, mutation_rate, sigma)
+        children = bred[settings.elite_count:]
+        indexed, full = children.copy(), children.copy()
+        optimizer._repair(indexed, k, n, c, caps, moved)
+        optimizer._repair(full, k, n, c, caps, np.arange(full.size))
+        # bit for bit: -0.0 and 0.0 differ
+        assert np.array_equal(indexed.view(np.uint64), full.view(np.uint64))
+        # the wrap and clip leave the unmoved phase and amplitude genes as
+        # they are; the sort and the clamps then act row by row
+        beam = np.zeros(children.shape, dtype=bool)
+        beam[:, k:k + 2 * n] = True
+        unmoved = np.ones(children.size, dtype=bool)
+        unmoved[moved] = False
+        untouched = unmoved.reshape(children.shape) & beam
+        assert np.array_equal(indexed[untouched].view(np.uint64),
+                              children[untouched].view(np.uint64))
+        # phase genes move by whole turns into [0, 1); amplitude genes clip
+        turns = indexed[:, k:k + n] - children[:, k:k + n]
+        np.testing.assert_allclose(turns, np.round(turns), rtol=0.0, atol=1e-12)
+        assert np.all((0.0 <= indexed[:, k:k + n]) & (indexed[:, k:k + n] < 1.0))
+        amplitudes = slice(k + n, k + 2 * n)
+        assert np.array_equal(indexed[:, amplitudes].view(np.uint64),
+                              np.clip(children[:, amplitudes], 0.0, 1.0).view(np.uint64))
+        assert np.all((0.0 <= indexed) & (indexed <= 1.0))
+
+    def test_wrapped_phase_genes_stay_below_1(self):
+        # np.mod(-2**-54, 1.0) is 1.0, which a second wrap would move to 0.0
+        genome = np.full((1, genome_dimension(1, 2)), 0.5)
+        genome[0, 1:3] = -(2.0 ** -54), 1.0
+        optimizer._repair(genome, 1, 2, ConstraintSet(), np.empty(0, dtype=np.int64),
+                          np.array([1, 2]))
+        assert genome[0, 1:3].tolist() == [0.0, 0.0]
 
     def test_caps_admit_the_utilization_boundary(self):
         # a utilization of exactly 1 - STRICT_MARGIN leaves score_block's

@@ -1,0 +1,43 @@
+"""
+``tools/artifact_digests.py`` builds its configs from the benchmark's
+workload module; a rename there must fail here, not only when the script is
+run to compare two commits.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from risjam.config import load_config
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+
+
+@pytest.fixture(scope="module")
+def digests():
+    spec = importlib.util.spec_from_file_location("artifact_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_run_config_loads(digests, tmp_path):
+    runs = digests.runs()
+    assert [name for name, _, _ in runs] == [
+        "ga-desk-seed1", "ga-desk-seed2", "ga-desk-seed3", "ga-paper-seed1",
+        "ga-paper-seed2", "one-user", "three-users", "sweep-delay-ee",
+        "sweep-rel-beta", "sweep-sjnr-n"]
+    users = {}
+    for name, _, text in runs:
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
+        users[name] = load_config(path).scenario.n_users
+    assert (users["one-user"], users["ga-desk-seed1"], users["three-users"]) == (1, 2, 3)
+
+
+def test_digest_ignores_only_the_timestamp(digests):
+    a = b"# kind=x\n# created_utc=2026-01-01\nrow\n"
+    b = b"# kind=x\n# created_utc=2027-12-31\nrow\n"
+    assert digests._digest(a) == digests._digest(b)
+    assert digests._digest(a) != digests._digest(a.replace(b"row", b"r0w"))

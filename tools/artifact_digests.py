@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Print one sha256 per artifact of a fixed set of risjam runs.
+
+    python3 tools/artifact_digests.py [--root CHECKOUT] [--work DIR]
+
+Runs the CLI of ``CHECKOUT/src`` (by default this checkout's), one fresh
+interpreter per command with BLAS/OpenMP threads pinned to 1:
+
+* ``optimize`` for ga-desk seeds 1-3, ga-paper seeds 1-2, and a one-user
+  and a three-user variant of ga-desk seed 1;
+* ``sweep delay-ee``, ``sweep rel-beta`` and ``sweep sjnr-n`` for
+  sweep-oracle seed 1.
+
+The configs come from this checkout's ``bench/workloads.config_text``, so two
+checkouts run the same configs. Every output file is hashed without its
+``created_utc`` lines; each command's exit code and standard output are
+hashed with the output directory replaced by ``<out>``. To check that a
+change keeps every artifact byte-identical, run the script once with
+``--root`` at a checkout of the parent commit and once at the change, and
+diff the two outputs.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import config_text, get_workload  # noqa: E402
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+CLI = "import sys; from risjam.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _desk_users(azimuths: str, distances: str) -> str:
+    """ga-desk seed 1 with the given users."""
+    desk = get_workload("ga-desk")
+    settings = {**desk.settings, "scenario": {"user_azimuth_rad": azimuths,
+                                              "dist_ris_ue_m": distances}}
+    return config_text(replace(desk, settings=settings), 1)
+
+
+def runs() -> list[tuple[str, list[str], str]]:
+    """(name, CLI arguments, config text) of every run."""
+    listed = [(f"ga-desk-seed{s}", ["optimize"], config_text(get_workload("ga-desk"), s))
+              for s in (1, 2, 3)]
+    listed += [(f"ga-paper-seed{s}", ["optimize"],
+                config_text(get_workload("ga-paper"), s)) for s in (1, 2)]
+    listed.append(("one-user", ["optimize"], _desk_users("1.0", "20")))
+    listed.append(("three-users", ["optimize"],
+                   _desk_users("1.0, 1.5707963267948966, 2.2", "20, 25, 30")))
+    oracle = config_text(get_workload("sweep-oracle"), 1)
+    listed += [(f"sweep-{kind}", ["sweep", kind], oracle)
+               for kind in ("delay-ee", "rel-beta", "sjnr-n")]
+    return listed
+
+
+def _digest(data: bytes) -> str:
+    lines = data.splitlines(keepends=True)
+    return hashlib.sha256(b"".join(line for line in lines
+                                   if b"created_utc" not in line)).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="checkout whose src/ is run (default: this one)")
+    parser.add_argument("--work", type=Path, default=None,
+                        help="directory for configs and outputs (default: a "
+                             "temporary one, removed afterwards)")
+    args = parser.parse_args()
+    env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"),
+               **{var: "1" for var in THREAD_VARS})
+    with tempfile.TemporaryDirectory() as scratch:
+        work = (args.work or Path(scratch)).resolve()
+        for name, command, text in runs():
+            config, out = work / f"{name}.ini", work / name
+            work.mkdir(parents=True, exist_ok=True)
+            config.write_text(text)
+            done = subprocess.run(
+                [sys.executable, "-c", CLI, *command, "--config", str(config),
+                 "--out", str(out)], env=env, capture_output=True, check=False)
+            stdout = done.stdout.replace(str(out).encode(), b"<out>")
+            exit_line = f"exit {done.returncode}\n".encode()
+            print(f"{_digest(exit_line + stdout)}  {name}/stdout")
+            for path in sorted(out.iterdir()) if out.exists() else ():
+                print(f"{_digest(path.read_bytes())}  {name}/{path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
