@@ -136,7 +136,8 @@ def main(argv=None) -> int:
         if args.command == "mdl-oracle":
             return _cmd_mdl_oracle(cfg, args.arrivals, args.rho)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
+    except (ConfigError, OverflowError) as exc:
+        # an OverflowError is a config whose channels or SJNR leave the float range
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

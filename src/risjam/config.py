@@ -18,10 +18,7 @@ from math import isqrt
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from .channel import (Direction, LinkScenario, RisGeometry, jammer_direct_channel,
-                      ris_bs_channel, ris_jammer_channel, ris_ue_channel)
+from .channel import Direction, LinkScenario, RisGeometry
 from .link import NoiseConfig
 from .optimizer import ConstraintSet, GaSettings
 from .traffic import FrameParams, TrafficParams
@@ -334,39 +331,6 @@ def _build(what: str, factory: Callable, *args, **kwargs):
         raise ConfigValueError(f"invalid {what}: {exc}") from exc
 
 
-def _check_power_bounds(geometry: RisGeometry, scenario: LinkScenario,
-                        constraints: ConstraintSet) -> None:
-    """Reject a layout whose channels, or whose largest received signal or
-    jamming power in the GA box, are not finite: the SJNR of some candidate
-    would not be finite either.
-
-    With |w_n| <= sqrt(beta_max), user k's received power is at most
-    p_max (N sqrt(beta_max) |g_bs| |g_k|)^2 and the jamming power at most
-    P_J (|h_d| + N sqrt(beta_max) |g_bs| |g_J|)^2.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        users = [ris_ue_channel(geometry, scenario, k)
-                 for k, _ in enumerate(scenario.dist_ris_ue, start=1)]
-        channels = [ris_bs_channel(geometry, scenario), ris_jammer_channel(geometry, scenario),
-                    np.array([jammer_direct_channel(geometry, scenario)]), *users]
-    if not all(np.all(np.isfinite(h)) for h in channels):
-        raise ConfigValueError("invalid scenario: a synthesized channel entry is not finite")
-    bs, jammer, direct = (float(np.max(np.abs(h))) for h in channels[:3])
-    # Python floats overflow to inf without a warning
-    reflection = geometry.n_elements * math.sqrt(constraints.beta_max) * bs
-    for k, user in enumerate(users, start=1):
-        amplitude = reflection * float(np.max(np.abs(user)))
-        if not math.isfinite(constraints.p_max * amplitude * amplitude):
-            raise ConfigValueError(
-                f"invalid scenario: user {k}'s largest received power "
-                "p_max_w * (N * sqrt(beta_max) * |g_bs| * |g_k|)^2 is not finite")
-    amplitude = direct + reflection * jammer
-    if not math.isfinite(scenario.jammer_power * amplitude * amplitude):
-        raise ConfigValueError(
-            "invalid scenario: the largest jamming power jammer_power_w * "
-            "(|h_d| + N * sqrt(beta_max) * |g_bs| * |g_J|)^2 is not finite")
-
-
 # ----------------------------------------------------------------------------
 #  Loading
 # ----------------------------------------------------------------------------
@@ -479,7 +443,6 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         nb_min=ga["nb_min"],
         nb_max=ga["nb_max"],
     )
-    _check_power_bounds(geometry, scenario, constraints)
 
     sweep = SweepSpec(**typed["sweep"])  # the [sweep] keys are the SweepSpec fields
     for n in sweep.n_elements_grid or ():

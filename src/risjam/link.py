@@ -139,6 +139,8 @@ def sic_balanced_weights(bs_channel: np.ndarray, ue_channels: np.ndarray,
     return np.linalg.lstsq(system, targets.astype(complex), rcond=None)[0]
 
 
+# _sic_sjnr checks the range of what may overflow here
+@np.errstate(over="ignore", invalid="ignore")
 def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex,
              jammer_channel: np.ndarray, beam: BeamformConfig, powers: PowerAllocation,
              jammer_power: float, noise: NoiseConfig) -> np.ndarray:
@@ -159,6 +161,9 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
     Returns:
         (K,) linear power ratios (non-negative), entry k-1 for user k; for B
         candidates (K, B), column b for candidate b.
+
+    Raises OverflowError if a user's interference-plus-noise power or SJNR
+    is not finite.
     """
     ue = np.atleast_2d(np.asarray(ue_channels))
     if powers.n_users != ue.shape[0]:
@@ -191,13 +196,19 @@ def _sic_sjnr(received, jammer_reflected, weight_norm_sq, jammer_direct: complex
     trailing axes (e.g. a grid of beams) broadcast against
     ``jammer_reflected`` (I^T Theta g_J) and ``weight_norm_sq``
     (||I^T Theta||^2, which scales the amplified RIS thermal noise).
+    Raises OverflowError if an interference-plus-noise power or an SJNR is
+    not finite; callers silence numpy's overflow warnings around it.
     """
     # residual SIC interference for user k is the tail sum over k+1..K
     tail = np.concatenate([np.cumsum(received[::-1], axis=0)[::-1][1:],
                            np.zeros_like(received[:1])])
     jamming = jammer_power * np.abs(jammer_direct + jammer_reflected) ** 2
     floor = jamming + weight_norm_sq * noise.ris_thermal_var + noise.awgn_var
-    return received / (tail + floor)
+    interference = tail + floor
+    gammas = received / interference
+    if not (np.isfinite(interference).all() and np.isfinite(gammas).all()):
+        raise OverflowError("a user's interference-plus-noise power or SJNR is not finite")
+    return gammas
 
 
 def q_function(x):
@@ -233,7 +244,8 @@ def bler(gamma, code: FblCode):
     if np.any(g < 0) or not np.all(np.isfinite(g)):
         raise ValueError("SJNR must be finite and non-negative")
     capacity = np.log2(1.0 + g)
-    dispersion = (1.0 - 1.0 / (1.0 + g) ** 2) * LOG2E ** 2
+    with np.errstate(over="ignore"):  # (1 + g)^2 = inf above ~1e154 gives 1/inf = 0, exact
+        dispersion = (1.0 - 1.0 / (1.0 + g) ** 2) * LOG2E ** 2
     safe_v = np.where(dispersion > 0, dispersion, 1.0)
     arg = np.sqrt(code.blocklength / safe_v) * (capacity - code.rate)
     eps = np.where(dispersion > 0, q_function(arg), 1.0)

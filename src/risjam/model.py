@@ -79,6 +79,10 @@ class SystemModel:
     The channels depend only on geometry and layout, so they are synthesized
     once; every candidate evaluation then costs a few vector operations.
     Evaluations are pure and safe to run concurrently.
+
+    Raises OverflowError if a synthesized channel entry is not finite, and
+    ``sjnr`` and the evaluations raise it if an SJNR is not finite
+    (``link.sjnr_all``).
     """
 
     def __init__(self, geometry: RisGeometry, scenario: LinkScenario,
@@ -94,13 +98,18 @@ class SystemModel:
         self.payload_bits = payload_bits
         self.arrival_rates = tuple(arrival_rates)
 
-        self.ue_channels = np.vstack([
-            ris_ue_channel(geometry, scenario, k)
-            for k in range(1, scenario.n_users + 1)
-        ])
-        self.bs_channel = ris_bs_channel(geometry, scenario)
-        self.jammer_direct = jammer_direct_channel(geometry, scenario)
-        self.jammer_channel = ris_jammer_channel(geometry, scenario)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.ue_channels = np.vstack([
+                ris_ue_channel(geometry, scenario, k)
+                for k in range(1, scenario.n_users + 1)
+            ])
+            self.bs_channel = ris_bs_channel(geometry, scenario)
+            self.jammer_direct = jammer_direct_channel(geometry, scenario)
+            self.jammer_channel = ris_jammer_channel(geometry, scenario)
+        channels = (self.ue_channels, self.bs_channel, self.jammer_direct,
+                    self.jammer_channel)
+        if not all(np.all(np.isfinite(h)) for h in channels):
+            raise OverflowError("invalid scenario: a synthesized channel entry is not finite")
 
     @property
     def n_users(self) -> int:

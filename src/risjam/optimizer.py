@@ -463,7 +463,8 @@ def _initial_population(model: SystemModel, settings: GaSettings,
     even slots co-phase the users in turn and the odd slots hold
     SIC-balanced beams (``link.sic_balanced_weights``), with consecutive
     users' gain ratio r log-spaced over [1, 10^3] across those slots; the
-    seeds draw no random numbers.
+    seeds draw no random numbers. A balanced seed whose squared weights
+    overflow or are all 0 keeps its drawn amplitude genes.
     """
     k, n = model.n_users, model.n_elements
     size = settings.population_size
@@ -480,8 +481,11 @@ def _initial_population(model: SystemModel, settings: GaSettings,
         weights = sic_balanced_weights(model.bs_channel, model.ue_channels,
                                        model.jammer_channel, ratio)
         pop[i, k:k + n] = np.mod(np.angle(weights) / TWO_PI, 1.0)
-        squared = np.abs(weights) ** 2
-        pop[i, k + n:k + 2 * n] = squared / np.max(squared)
+        with np.errstate(over="ignore"):
+            squared = np.abs(weights) ** 2
+        peak = np.max(squared)
+        if 0 < peak < np.inf:
+            pop[i, k + n:k + 2 * n] = squared / peak
     rows = np.arange(n_seeded)[:, None]
     return pop, (rows * pop.shape[1] + np.arange(k, k + n)).ravel()
 

@@ -87,12 +87,15 @@ def _metadata(cfg: ExperimentConfig, kind: str) -> dict[str, str]:
     }
 
 
+# _sic_sjnr checks the range of what may overflow here
+@np.errstate(over="ignore", invalid="ignore")
 def uniform_beta_sjnr(model: SystemModel, phases: np.ndarray, powers_w,
                       betas) -> np.ndarray:
     """Per-user SJNR for a grid of uniform per-element amplitudes.
 
     Equivalent to evaluating the SJNR one amplitude at a time but vectorized
-    over the amplitude axis; returns shape (K, len(betas)).
+    over the amplitude axis; returns shape (K, len(betas)). Raises
+    OverflowError as ``link.sjnr_all`` does.
     """
     betas = np.asarray(betas, dtype=float)
     # with uniform amplitude beta every weight is sqrt(beta) times the unit
@@ -192,7 +195,7 @@ def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
     The default policy co-phases to user 1 and spreads a constant total
     amplification uniformly over the elements; policy 'ga' runs the full
     optimizer per point instead. Consecutive growth ratios expose the
-    plateau.
+    plateau; a row after a zero SJNR has no ratio.
     """
     metadata = _metadata(cfg, "sjnr-n")
     metadata["reference_growth_percent"] = repr(REFERENCE_SJNR_GROWTH_PERCENT)
@@ -205,7 +208,8 @@ def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
             gamma_1 = result.best_report.sjnr[0]
         else:
             gamma_1 = float(model.sjnr(*_policy(cfg, model, 1))[0])
-        growth = None if previous is None else gamma_1 / previous
+        # no growth ratio after a zero SJNR, as none before the first row
+        growth = gamma_1 / previous if previous else None
         rows.append((n_elements, gamma_1, growth))
         previous = gamma_1
         reference = REFERENCE_SJNR.get(n_elements)

@@ -12,6 +12,7 @@ from risjam.config import (ConfigNotFoundError, ConfigSyntaxError,
                            ConfigValueError, NonSquareGeometryError,
                            UnknownKeyError, load_config, square_geometry)
 from risjam.optimizer import ConstraintSet, GaSettings
+from risjam.sweeps import read_solution_record, read_sweep_csv
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -32,13 +33,10 @@ def non_negative():
 PROBABILITY = st.floats(min_value=0.0, max_value=1.0)
 # positive values that keep the wavelength c / f finite
 CARRIER = st.floats(min_value=1e-299, allow_infinity=False)
-# with the defaults (30 dB gain, exponent 2, N = 16, beta_max = 100,
-# p_max_w = 0.1, jammer_power_w = 5e-3), distances that keep the largest
-# received and jamming powers and the propagation phase 2 pi d / lambda
-# finite; the bounds below have the same role
-DISTANCE = st.floats(min_value=1e-149, max_value=1e300)
-# element pitches that keep every array-response phase finite
-SPACING = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+# with the defaults (30 dB gain, exponent 2), distances that keep the path
+# gain 1000 / d**2 finite. The channels and the SJNR are only checked where a
+# command computes them, so a distance, pitch or power need not keep them finite.
+DISTANCE = st.floats(min_value=1e-149, allow_infinity=False)
 # values that keep the default service time 10 * (header + 108 / bandwidth) finite
 HEADER_TIME = st.floats(min_value=0.0, max_value=1e307)
 BANDWIDTH = st.floats(min_value=1e-305, allow_infinity=False)
@@ -47,10 +45,11 @@ ANGLE = st.floats(allow_nan=False, allow_infinity=False)
 # Every float-valued key (lists and float grids given as one value) with the
 # finite values it accepts while all other keys keep their defaults.
 FLOAT_DOMAINS = {
-    ("geometry", "spacing_h"): SPACING,
-    ("geometry", "spacing_v"): SPACING,
+    ("geometry", "spacing_h"): positive(),
+    ("geometry", "spacing_v"): positive(),
     ("geometry", "carrier_freq_hz"): CARRIER,
-    ("scenario", "path_gain_db"): st.floats(min_value=-3000.0, max_value=1500.0),
+    # 10**(x / 10) is positive and finite
+    ("scenario", "path_gain_db"): st.floats(min_value=-3200.0, max_value=3080.0),
     ("scenario", "path_loss_exp"): non_negative(),
     ("scenario", "dist_ris_bs_m"): DISTANCE,
     ("scenario", "dist_ris_ue_m"): DISTANCE,
@@ -62,7 +61,7 @@ FLOAT_DOMAINS = {
     ("scenario", "user_elevation_rad"): ANGLE,
     ("scenario", "jammer_azimuth_rad"): ANGLE,
     ("scenario", "jammer_elevation_rad"): ANGLE,
-    ("scenario", "jammer_power_w"): st.floats(min_value=0.0, max_value=1e300),
+    ("scenario", "jammer_power_w"): non_negative(),
     ("scenario", "ris_noise_dbm"): st.floats(max_value=3000.0, allow_infinity=False),
     ("scenario", "awgn_dbm"): st.floats(max_value=3000.0, allow_infinity=False),
     ("traffic", "arrival_rate_per_s"): positive(),
@@ -78,8 +77,8 @@ FLOAT_DOMAINS = {
     ("ga", "delay_thr_s"): positive(),
     ("ga", "rel_thr"): st.floats(min_value=0.0, max_value=1.0,
                                  exclude_min=True, exclude_max=True),
-    ("ga", "beta_max"): positive(max_value=1e300),
-    ("ga", "p_max_w"): st.floats(min_value=1e-6, max_value=1e300),  # >= p_min_w
+    ("ga", "beta_max"): positive(),
+    ("ga", "p_max_w"): st.floats(min_value=1e-6, allow_infinity=False),  # >= p_min_w
     ("ga", "p_min_w"): positive(max_value=0.1),                     # <= p_max_w
     ("sweep", "arrival_rate_grid"): positive(),
     ("sweep", "beta_grid"): non_negative(),
@@ -105,7 +104,6 @@ OUT_OF_DOMAIN_CASES = [
     ("geometry", "carrier_freq_hz = -1", "invalid geometry: carrier frequency"),
     ("scenario", "path_gain_db = 4000", "[scenario] path_gain_db: too large"),
     ("scenario", "awgn_dbm = 4000", "[scenario] awgn_dbm: too large"),
-    ("scenario", "jammer_power_w = 1e305", "invalid scenario: the largest jamming power"),
     ("traffic", "header_time_s = -1e-6", "[traffic] header_time_s: must be >= 0"),
     ("traffic", "bandwidth_hz = 0", "[traffic] bandwidth_hz: must be > 0"),
     ("fbl", "blocklength = 0", "[fbl] blocklength: must be >= 1"),
@@ -128,8 +126,12 @@ OUT_OF_DOMAIN_CASES = [
 ]
 
 
+CHANNEL_RANGE = "invalid scenario: a synthesized channel entry is not finite"
+SJNR_RANGE = "a user's interference-plus-noise power or SJNR is not finite"
+
 # (section, "key = value", command, message): values that used to load and
-# then end the command as an internal error (exit 3)
+# then end the command as an internal error (exit 3). The channels and the
+# SJNR are checked where a command computes them, so those cases load.
 OVERFLOW_CASES = [
     ("geometry", "carrier_freq_hz = 1e-300", ["optimize"],
      "invalid geometry: carrier frequency must be positive and finite, with a finite wavelength"),
@@ -148,11 +150,18 @@ OVERFLOW_CASES = [
     ("traffic", "header_time_s = 1e308", ["mdl-oracle"],
      "invalid traffic: the service time retransmissions * "
      "(header_time_s + blocklength / bandwidth_hz) is not finite"),
-    ("scenario", "path_gain_db = 3000", ["optimize"],
-     "invalid scenario: user 1's largest received power "
-     "p_max_w * (N * sqrt(beta_max) * |g_bs| * |g_k|)^2 is not finite"),
-    ("geometry", "spacing_h = 1e308", ["optimize"],
-     "invalid scenario: a synthesized channel entry is not finite"),
+    ("scenario", "path_gain_db = 3000", ["optimize"], SJNR_RANGE),
+    ("geometry", "spacing_h = 1e308", ["optimize"], CHANNEL_RANGE),
+    # the jamming floor overflows while the received powers stay finite
+    ("scenario", "jammer_power_w = 1e305", ["optimize"], SJNR_RANGE),
+]
+# The same for the sweeps, whose fixed policy and own element grids (up to
+# 900 elements) reach ranges the configured array does not; ids name the sweep.
+SWEEP_OVERFLOW_CASES = [
+    *(("sweep", "policy_power_w = 1e306", ["sweep", kind], SJNR_RANGE)
+      for kind in ("delay-ee", "rel-beta", "sjnr-n")),
+    *(("geometry", "spacing_h = 1.5e306", ["sweep", kind], CHANNEL_RANGE)
+      for kind in ("sjnr-n", "rel-beta")),
 ]
 
 
@@ -296,8 +305,10 @@ class TestErrors:
         with pytest.raises(ConfigValueError, match=re.escape(message)):
             load_config(write(tmp_path, f"[{section}]\n{setting}\n"))
 
-    @pytest.mark.parametrize("section,setting,command,message", OVERFLOW_CASES,
-                             ids=[f"{s}.{v.split()[0]}" for s, v, _, _ in OVERFLOW_CASES])
+    @pytest.mark.parametrize(
+        "section,setting,command,message", OVERFLOW_CASES + SWEEP_OVERFLOW_CASES,
+        ids=[f"{s}.{v.split()[0]}" for s, v, _, _ in OVERFLOW_CASES]
+        + [f"{s}.{v.split()[0]}-{c[-1]}" for s, v, c, _ in SWEEP_OVERFLOW_CASES])
     def test_overflowing_value_exits_1(self, tmp_path, capsys, section, setting,
                                        command, message):
         path = write(tmp_path, f"[{section}]\n{setting}\n")
@@ -324,6 +335,57 @@ class TestErrors:
         assert len(cfg.sweep.beta_grid) == len(cfg.sweep.blocklength_grid) == 21
         with pytest.raises(ConfigValueError, match="more than 21 points"):
             load_config(write(tmp_path, "[sweep]\nbeta_grid = 0:21:1\n"))
+
+
+SEPARATED_USERS = "user_azimuth_rad = 1.0, 1.5707963267948966"
+# a small GA whose seed slots are all taken, half of them SIC-balanced
+SMALL_GA = "[ga]\npopulation_size = 8\nmax_generations = 2\nco_phasing_fraction = 1\n"
+
+
+def numeric_cells(path):
+    """Every int and float value in a sweep CSV, convergence.csv or solution.txt."""
+    if path.suffix == ".csv":
+        cells = [cell for row in read_sweep_csv(path).rows for cell in row]
+    else:
+        record = read_solution_record(path)
+        cells = [item for value in record.values()
+                 for item in (value if isinstance(value, tuple) else (value,))]
+    return [c for c in cells if isinstance(c, (int, float)) and not isinstance(c, bool)]
+
+
+class TestComputedRange:
+    """The channels and the SJNR are checked where a command computes them."""
+
+    @pytest.mark.parametrize("setting", [
+        "path_gain_db = -3000",                      # the seed weights overflow when squared
+        f"dist_ris_bs_m = 1e300\n{SEPARATED_USERS}",  # they underflow to zero
+    ], ids=["path_gain_db", "dist_ris_bs_m"])
+    def test_unscalable_balanced_seed_ends_infeasible(self, tmp_path, setting):
+        path = write(tmp_path, f"[scenario]\n{setting}\n{SMALL_GA}")
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(path_gain_db=FLOAT_DOMAINS[("scenario", "path_gain_db")],
+           jammer_power_w=FLOAT_DOMAINS[("scenario", "jammer_power_w")],
+           policy_power_w=FLOAT_DOMAINS[("sweep", "policy_power_w")],
+           spacing_h=FLOAT_DOMAINS[("geometry", "spacing_h")])
+    def test_no_loadable_value_ends_as_internal_error(
+            self, tmp_path_factory, path_gain_db, jammer_power_w, policy_power_w, spacing_h):
+        work = tmp_path_factory.mktemp("range")
+        path = write(work, "\n".join([
+            "[geometry]", f"spacing_h = {spacing_h!r}",
+            "[scenario]", f"path_gain_db = {path_gain_db!r}",
+            f"jammer_power_w = {jammer_power_w!r}", SEPARATED_USERS, SMALL_GA,
+            "[sweep]", "n_elements_grid = 4, 900", "beta_grid = 0:50:25",
+            f"policy_power_w = {policy_power_w!r}", ""]))
+        for command in (["optimize"], ["sweep", "sjnr-n"], ["sweep", "rel-beta"]):
+            out = work / command[-1]
+            code = main([*command, "--config", str(path), "--out", str(out)])
+            assert code in (0, 1, 2), command
+            if code == 0:
+                for artifact in out.iterdir():
+                    if artifact.suffix in (".csv", ".txt") and artifact.name != "config_echo.txt":
+                        assert all(map(math.isfinite, numeric_cells(artifact))), artifact
 
 
 class TestConversionsAndOverrides:

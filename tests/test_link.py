@@ -132,6 +132,15 @@ class TestSjnr:
                          BeamformConfig(np.ones(n_beam), np.zeros(n_beam)),
                          PowerAllocation(powers), 0.0, NoiseConfig(0.0, 1.0))
 
+    def test_overflowing_jamming_floor_raises(self):
+        # the received powers stay finite while the jamming floor overflows,
+        # so every SJNR alone would read exactly 0
+        args = (np.ones((2, 4), complex), np.ones(4, complex), 100 + 0j, np.ones(4, complex),
+                BeamformConfig(np.ones(4), np.zeros(4)), PowerAllocation((1.0, 1.0)))
+        assert np.all(sjnr_all(*args, 1e300, NoiseConfig(0.0, 1.0)) > 0)
+        with pytest.raises(OverflowError, match="interference-plus-noise power or SJNR"):
+            sjnr_all(*args, 1e307, NoiseConfig(0.0, 1.0))
+
     def test_monotonicity_in_power_jammer_and_noise(self):
         rng = np.random.default_rng(8)
         for _ in range(20):

@@ -102,6 +102,14 @@ class TestSjnrSweep:
             assert row[2] == pytest.approx(row[1] / prev[1], rel=1e-12)
         assert "reference_sjnr_n4" in result.metadata
 
+    def test_zero_sjnr_leaves_the_next_growth_cell_empty(self, tmp_path):
+        # a zero total amplification switches the RIS off: every SJNR is 0
+        path = tmp_path / "off.ini"
+        path.write_text("[sweep]\npolicy_beta_total = 0\nn_elements_grid = 4, 16\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "sjnr-n", "--config", str(path), "--out", str(out)]) == 0
+        assert read_sweep_csv(out / "sjnr-n.csv").rows == [(4, 0.0, None), (16, 0.0, None)]
+
     def test_ga_policy_rows_come_from_run_ga(self, tmp_path):
         path = tmp_path / "ga.ini"
         path.write_text("[ga]\npopulation_size = 20\nmax_generations = 3\n"

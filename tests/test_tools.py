@@ -27,7 +27,7 @@ def test_every_run_config_loads(digests, tmp_path):
     assert [name for name, _, _ in runs] == [
         "ga-desk-seed1", "ga-desk-seed2", "ga-desk-seed3", "ga-paper-seed1",
         "ga-paper-seed2", "one-user", "three-users", "sweep-delay-ee",
-        "sweep-rel-beta", "sweep-sjnr-n"]
+        "sweep-rel-beta", "sweep-sjnr-n", "mdl-oracle"]
     users = {}
     for name, _, text in runs:
         path = tmp_path / f"{name}.ini"

@@ -8,8 +8,8 @@ interpreter per command with BLAS/OpenMP threads pinned to 1:
 
 * ``optimize`` for ga-desk seeds 1-3, ga-paper seeds 1-2, and a one-user
   and a three-user variant of ga-desk seed 1;
-* ``sweep delay-ee``, ``sweep rel-beta`` and ``sweep sjnr-n`` for
-  sweep-oracle seed 1.
+* ``sweep delay-ee``, ``sweep rel-beta``, ``sweep sjnr-n`` and
+  ``mdl-oracle`` (with the workload's arrival count) for sweep-oracle seed 1.
 
 The configs come from this checkout's ``bench/workloads.config_text``, so two
 checkouts run the same configs. Every output file is hashed without its
@@ -56,9 +56,12 @@ def runs() -> list[tuple[str, list[str], str]]:
     listed.append(("one-user", ["optimize"], _desk_users("1.0", "20")))
     listed.append(("three-users", ["optimize"],
                    _desk_users("1.0, 1.5707963267948966, 2.2", "20, 25, 30")))
-    oracle = config_text(get_workload("sweep-oracle"), 1)
-    listed += [(f"sweep-{kind}", ["sweep", kind], oracle)
+    oracle = get_workload("sweep-oracle")
+    oracle_text = config_text(oracle, 1)
+    listed += [(f"sweep-{kind}", ["sweep", kind], oracle_text)
                for kind in ("delay-ee", "rel-beta", "sjnr-n")]
+    listed.append(("mdl-oracle", ["mdl-oracle", "--arrivals", str(oracle.md1_arrivals)],
+                   oracle_text))
     return listed
 
 
