@@ -77,12 +77,6 @@ def _integer(text: str) -> int:
         raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _boolean(text: str) -> bool:
-    if text in ("true", "false"):
-        return text == "true"
-    raise ValueError(f"expected true or false, got {text!r}")
-
-
 def _numbers(text: str) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -160,9 +154,9 @@ def _linear(convert: Callable[[float], float]) -> Callable:
 
 SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
     "geometry": {
-        "n_elements": ("16", _at_least(1, _integer)),  # square array, rows = cols = sqrt(N)
-        "n_rows": ("", _unless("", _integer)),         # optional explicit rectangle
-        "n_cols": ("", _unless("", _integer)),
+        "n_elements": ("16", _at_least(1, _integer)),
+        # empty: a square array; else the rows of a rectangle of N / n_rows columns
+        "n_rows": ("", _unless("", _at_least(1, _integer))),
         "spacing_h": ("0.25", _number),
         "spacing_v": ("0.25", _number),
         "carrier_freq_hz": ("28e9", _number),
@@ -183,7 +177,6 @@ SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
         "jammer_power_w": ("5e-3", _number),
         "ris_noise_dbm": ("-100", _linear(dbm_to_watts)),
         "awgn_dbm": ("-100", _linear(dbm_to_watts)),
-        "report_ris_power": ("false", _boolean),
     },
     "traffic": {
         "arrival_rate_per_s": ("500", _numbers),
@@ -201,13 +194,13 @@ SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
         "crossover_rate": ("0.9", _number),
         "mutation_rate": ("auto", _unless("auto", _number)),  # auto: one expected mutation per genome
         "elite_count": ("2", _integer),
-        "rng_seed": ("12345", _at_least(0, _integer)),
+        "rng_seed": ("12345", _integer),
         "constraint_tolerance": ("1e-30", _number),
         "function_tolerance": ("1e-30", _number),
         "co_phasing_fraction": ("0.1", _number),
-        "mutation_sigma": ("0.1", _at_least(0)),
-        "mutation_decay": ("0.99", _at_least(0)),
-        "stall_generations": ("50", _at_least(1, _integer)),
+        "mutation_sigma": ("0.1", _number),
+        "mutation_decay": ("0.99", _number),
+        "stall_generations": ("50", _integer),
         "delay_thr_s": ("1e-3", _number),
         "rel_thr": ("0.99999", _number),
         "beta_max": ("100", _number),
@@ -274,7 +267,6 @@ class ExperimentConfig:
     ga: GaSettings
     constraints: ConstraintSet
     sweep: SweepSpec
-    report_ris_power: bool
     output_dir: Path
     seed: int
     raw: tuple[tuple[str, str, str], ...]  # (section, key, raw value), canonical order
@@ -312,7 +304,7 @@ def _square_side(n_elements: int) -> int:
     if side * side != n_elements:
         raise NonSquareGeometryError(
             f"element count {n_elements} is not a perfect square; "
-            "give n_rows and n_cols explicitly for a rectangular array")
+            "give n_rows for a rectangular array")
     return side
 
 
@@ -392,14 +384,14 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     typed = _parse_all(effective)
 
     geo = typed["geometry"]
-    if (geo["n_rows"] is None) != (geo["n_cols"] is None):
-        raise ConfigValueError("[geometry] n_rows and n_cols must be given together")
-    if geo["n_rows"] is None:
-        geometry = _build("geometry", square_geometry, geo["n_elements"],
-                          geo["spacing_h"], geo["spacing_v"], geo["carrier_freq_hz"])
-    else:
-        geometry = _build("geometry", RisGeometry, geo["n_rows"], geo["n_cols"],
-                          geo["spacing_h"], geo["spacing_v"], geo["carrier_freq_hz"])
+    n_elements, n_rows = geo["n_elements"], geo["n_rows"]
+    if n_rows is None:
+        n_rows = _square_side(n_elements)
+    elif n_elements % n_rows:
+        raise ConfigValueError(f"[geometry] n_rows = {n_rows} does not divide "
+                               f"n_elements = {n_elements}")
+    geometry = _build("geometry", RisGeometry, n_rows, n_elements // n_rows,
+                      geo["spacing_h"], geo["spacing_v"], geo["carrier_freq_hz"])
 
     scen = typed["scenario"]
     n_users = len(scen["dist_ris_ue_m"])
@@ -462,7 +454,6 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         ga=ga_settings,
         constraints=constraints,
         sweep=sweep,
-        report_ris_power=scen["report_ris_power"],
         output_dir=Path(output_dir),
         seed=ga_settings.rng_seed,
         raw=tuple((section, key, effective[(section, key)])

@@ -131,12 +131,14 @@ class SystemModel:
                         self.jammer_channel, beam, powers,
                         self.scenario.jammer_power, self.noise)
 
+    @np.errstate(over="ignore")
     def ris_output_power(self, beam: BeamformConfig, powers: PowerAllocation) -> float:
         """Reporting-only estimate of the power radiated by the active RIS.
 
         Per-element incident power (all users, the jammer, element thermal
         noise) scaled by that element's amplification. Never part of the
-        energy-efficiency denominator.
+        energy-efficiency denominator, so a sum beyond the float range reads
+        inf instead of ending the run.
         """
         incident = (np.asarray(powers.user_powers) @ np.abs(self.ue_channels) ** 2
                     + self.scenario.jammer_power * np.abs(self.jammer_channel) ** 2

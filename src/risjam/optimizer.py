@@ -42,10 +42,14 @@ TWO_PI = 2.0 * np.pi
 # RIS from growing with the population.
 BLOCK_CELLS = 1 << 16
 
-# Largest nb_max and l_max. ``_on_grid`` maps a gene in [0, 1] onto at most
-# this many integer steps, where adding 0.5 is still exact in float64, so a
-# decoded integer never leaves its box.
+# Largest nb_max. ``_on_grid`` maps a gene in [0, 1] onto at most this many
+# integer steps, where adding 0.5 is still exact in float64, so a decoded
+# integer never leaves its box.
 MAX_INTEGER_BOUND = 2 ** 52
+
+# Largest l_max. ``_blocklength_caps`` holds one entry per admitted replica
+# count, so this bounds its table.
+MAX_REPLICA_BOUND = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,8 @@ class ConstraintSet:
             raise ValueError("thresholds and bounds must be positive and finite")
         if not 0 < self.rel_thr < 1:
             raise ValueError("reliability threshold must lie in (0, 1)")
-        if not 1 <= self.l_max <= MAX_INTEGER_BOUND:
-            raise ValueError("maximum retransmission count must lie in 1..2**52")
+        if not 1 <= self.l_max <= MAX_REPLICA_BOUND:
+            raise ValueError("maximum retransmission count must lie in 1..2**16")
         if not 0 < self.p_min <= self.p_max:
             raise ValueError("need 0 < p_min <= p_max")
         if not 1 <= self.nb_min <= self.nb_max <= MAX_INTEGER_BOUND:
@@ -106,6 +110,10 @@ class GaSettings:
     def __post_init__(self):
         if self.population_size < 1:
             raise ValueError("population must not be empty")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
+        if self.stall_generations < 1:
+            raise ValueError("stall_generations must be at least 1")
         if not 0 <= self.elite_count < self.population_size:
             raise ValueError("elite count must be smaller than the population")
         if self.max_generations < 0:
@@ -235,7 +243,8 @@ def _blocklength_caps(model: SystemModel, constraints: ConstraintSet) -> np.ndar
 
     Empty when not even (nb_min, 1) qualifies. One bisection over L at
     n_b = nb_min, then one over n_b for every admitted L at once; no
-    (n_b x L) grid is built, so unbounded boxes cost a few dozen steps.
+    (n_b x L) grid is built, so each costs a few dozen steps, the second
+    over at most ``l_max`` (<= MAX_REPLICA_BOUND) entries.
     """
     c = constraints
 

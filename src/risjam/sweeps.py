@@ -315,16 +315,17 @@ def _decode_value(text: str):
 
 
 def solution_record(result: OptimizationResult, cfg: ExperimentConfig,
-                    timestamp: str | None = None) -> dict:
+                    model: SystemModel, timestamp: str | None = None) -> dict:
     """Flat key-value view of an optimization outcome (schema risjam-solution/1).
 
-    With [scenario] report_ris_power enabled the record carries a
-    reporting-only RIS output power estimate; it never enters the energy
-    efficiency itself.
+    ``model`` is the one the GA ran on. The record ends with its
+    reporting-only RIS output power estimate at the best point, which never
+    enters the energy efficiency itself.
     """
     report = result.best_report
     best = result.best_solution
-    record = {
+    beam = BeamformConfig(np.asarray(best.amplitudes), np.asarray(best.phases))
+    return {
         "format": "risjam-solution/1",
         "created_utc": timestamp or datetime.now(timezone.utc).isoformat(),
         "config_hash": cfg.config_hash,
@@ -349,13 +350,9 @@ def solution_record(result: OptimizationResult, cfg: ExperimentConfig,
         "violation_reliability": result.constraint_violations["reliability"],
         "violation_utilization": result.constraint_violations["utilization"],
         "violation_power_ordering": result.constraint_violations["power_ordering"],
+        "ris_power_estimate_w": model.ris_output_power(
+            beam, PowerAllocation(best.user_powers)),
     }
-    if cfg.report_ris_power:
-        model = build_model(cfg)
-        beam = BeamformConfig(np.asarray(best.amplitudes), np.asarray(best.phases))
-        record["ris_power_estimate_w"] = model.ris_output_power(
-            beam, PowerAllocation(best.user_powers))
-    return record
 
 
 def write_solution_record(record: dict, path: str | Path) -> Path:
@@ -383,6 +380,6 @@ def run_optimize(cfg: ExperimentConfig) -> OptimizationResult:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     write_convergence_csv(result, cfg, out / "convergence.csv")
-    write_solution_record(solution_record(result, cfg), out / "solution.txt")
+    write_solution_record(solution_record(result, cfg, model), out / "solution.txt")
     (out / "config_echo.txt").write_text(cfg.echo_text())
     return result

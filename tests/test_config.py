@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risjam import config
+from risjam import config, optimizer
 from risjam.channel import RisGeometry
 from risjam.cli import main
 from risjam.config import (ConfigNotFoundError, ConfigSyntaxError,
@@ -108,11 +108,11 @@ OUT_OF_DOMAIN_CASES = [
     ("traffic", "bandwidth_hz = 0", "[traffic] bandwidth_hz: must be > 0"),
     ("fbl", "blocklength = 0", "[fbl] blocklength: must be >= 1"),
     ("fbl", "payload_bytes = 0", "[fbl] payload_bytes: must be >= 1"),
-    ("ga", "rng_seed = -1", "[ga] rng_seed: must be >= 0"),
-    ("ga", "mutation_sigma = -0.1", "[ga] mutation_sigma: must be >= 0"),
-    ("ga", "mutation_decay = -1", "[ga] mutation_decay: must be >= 0"),
-    ("ga", "stall_generations = -5", "[ga] stall_generations: must be >= 1"),
-    ("ga", "stall_generations = 0", "[ga] stall_generations: must be >= 1"),
+    ("ga", "rng_seed = -1", "invalid ga settings: rng_seed must be non-negative"),
+    ("ga", "mutation_sigma = -0.1", "invalid ga settings: mutation spread and decay"),
+    ("ga", "mutation_decay = -1", "invalid ga settings: mutation spread and decay"),
+    ("ga", "stall_generations = -5", "invalid ga settings: stall_generations must be at least 1"),
+    ("ga", "stall_generations = 0", "invalid ga settings: stall_generations must be at least 1"),
     ("sweep", "blocklength = 0", "[sweep] blocklength: must be >= 1"),
     ("sweep", "retransmissions = 0", "[sweep] retransmissions: must be >= 1"),
     ("sweep", "policy_power_w = 0", "[sweep] policy_power_w: must be > 0"),
@@ -144,7 +144,7 @@ OVERFLOW_CASES = [
     ("ga", "nb_max = 100000000000000000000", ["optimize"],
      "invalid ga settings: need 1 <= nb_min <= nb_max <= 2**52"),
     ("ga", "l_max = 100000000000000000000", ["optimize"],
-     "invalid ga settings: maximum retransmission count must lie in 1..2**52"),
+     "invalid ga settings: maximum retransmission count must lie in 1..2**16"),
     ("sweep", "blocklength_grid = 100000000000000000000", ["sweep", "delay-ee"],
      "[sweep] blocklength_grid: expected integers up to 2**53, got 1e+20"),
     ("traffic", "header_time_s = 1e308", ["mdl-oracle"],
@@ -249,8 +249,31 @@ class TestErrors:
             load_config(write(tmp_path, "[scenario]\npath_gain_db = many\n"))
 
     def test_rows_without_cols(self, tmp_path):
-        with pytest.raises(ConfigValueError):
-            load_config(write(tmp_path, "[geometry]\nn_rows = 2\n"))
+        # n_rows alone gives the rectangle; it must divide n_elements (16)
+        with pytest.raises(ConfigValueError,
+                           match=r"^\[geometry\] n_rows = 3 does not divide n_elements = 16$"):
+            load_config(write(tmp_path, "[geometry]\nn_rows = 3\n"))
+        with pytest.raises(ConfigValueError, match=r"^\[geometry\] n_rows: must be >= 1"):
+            load_config(write(tmp_path, "[geometry]\nn_rows = 0\n"))
+        cfg = load_config(write(tmp_path, "[geometry]\nn_rows = 2\n"))
+        assert (cfg.geometry.n_rows, cfg.geometry.n_cols) == (2, 8)
+
+    @pytest.mark.parametrize("setting,message", [
+        ("[geometry]\nn_elements = 16\nn_rows = 2\nn_cols = 3",
+         "unknown key 'n_cols' in section [geometry]"),
+        ("[scenario]\nreport_ris_power = true",
+         "unknown key 'report_ris_power' in section [scenario]"),
+        ("[geometry]\nn_rows = 3",
+         "[geometry] n_rows = 3 does not divide n_elements = 16"),
+        ("[ga]\nl_max = 65537",
+         "invalid ga settings: maximum retransmission count must lie in 1..2**16"),
+    ], ids=["n_cols", "report_ris_power", "n_rows", "l_max"])
+    def test_removed_key_or_bound_exits_1(self, tmp_path, capsys, setting, message):
+        path = write(tmp_path, f"{setting}\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigValueError):
@@ -364,6 +387,16 @@ class TestComputedRange:
         path = write(tmp_path, f"[scenario]\n{setting}\n{SMALL_GA}")
         assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    def test_ris_power_estimate_beyond_float_range_reads_inf(self, tmp_path):
+        # the SJNR stays finite, but the jammer's incident power summed over
+        # the amplified elements does not
+        path = write(tmp_path, "\n".join([
+            "[scenario]", "path_gain_db = 5", "jammer_power_w = 1.7e308",
+            SEPARATED_USERS, SMALL_GA]))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 2
+        assert read_solution_record(out / "solution.txt")["ris_power_estimate_w"] == math.inf
+
     @settings(max_examples=150, deadline=None)
     @given(path_gain_db=FLOAT_DOMAINS[("scenario", "path_gain_db")],
            jammer_power_w=FLOAT_DOMAINS[("scenario", "jammer_power_w")],
@@ -398,8 +431,30 @@ class TestConversionsAndOverrides:
         assert cfg.payload_bits == 80
 
     def test_rectangle_geometry(self, tmp_path):
-        cfg = load_config(write(tmp_path, "[geometry]\nn_rows = 2\nn_cols = 3\n"))
+        cfg = load_config(write(tmp_path, "[geometry]\nn_elements = 6\nn_rows = 2\n"))
         assert (cfg.geometry.n_rows, cfg.geometry.n_cols) == (2, 3)
+        assert cfg.geometry.n_elements == 6
+
+    def test_rectangle_optimize_runs(self, tmp_path):
+        path = write(tmp_path, "\n".join([
+            "[geometry]", "n_elements = 24", "n_rows = 4",
+            "[scenario]", SEPARATED_USERS, SMALL_GA]))
+        assert load_config(path).geometry == RisGeometry(4, 6, 0.25, 0.25, 28e9)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) in (0, 2)
+        assert len(read_solution_record(out / "solution.txt")["amplitudes"]) == 24
+        assert "n_elements = 24\nn_rows = 4\n" in (out / "config_echo.txt").read_text()
+
+    def test_largest_replica_bound_runs(self, tmp_path):
+        # every pair is delay- and utilization-feasible, so the replica table
+        # of the repair holds l_max entries
+        path = write(tmp_path, "\n".join([
+            "[scenario]", SEPARATED_USERS,
+            "[traffic]", "arrival_rate_per_s = 1e-300",
+            "[ga]", "population_size = 4", "max_generations = 1",
+            "delay_thr_s = 1e300", f"nb_max = {2 ** 52}",
+            f"l_max = {optimizer.MAX_REPLICA_BOUND}", ""]))
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_per_user_lists(self, tmp_path):
         cfg = load_config(write(tmp_path, "\n".join([
@@ -458,13 +513,13 @@ class TestEchoAndHash:
         assert again.config_hash == cfg.config_hash
         assert again.traffic.arrival_rates == (321.0, 321.0)
 
-    # Broadcast list, start:stop:step and comma-list grids, 'auto', an empty
-    # optional key and a bool.
+    # Broadcast list, start:stop:step and comma-list grids, 'auto' and an
+    # empty optional key.
     EVERY_PARSER = "\n".join([
-        "[geometry]", "n_rows = 2", "n_cols = 3", "spacing_h = 0.5",
+        "[geometry]", "n_rows = 2", "spacing_h = 0.5",
         "[scenario]", "dist_ris_ue_m = 10, 20, 30", "user_azimuth_rad = 0.5",
         "user_elevation_rad = -0.25, 0, 0.25", "dist_ris_jammer_m =",
-        "path_gain_db = 20", "awgn_dbm = -90", "report_ris_power = true",
+        "path_gain_db = 20", "awgn_dbm = -90",
         "[traffic]", "arrival_rate_per_s = 100, 200, 300", "retransmissions = 3",
         "[fbl]", "payload_bytes = 16",
         "[ga]", "mutation_rate = auto", "delay_thr_s = 2e-3",
@@ -473,10 +528,10 @@ class TestEchoAndHash:
         "n_elements_grid = 4, 16, 36", "cophase_user = 2", ""])
 
     @pytest.mark.parametrize("preset,text,expected", [
-        (None, None, "sha256:7150563a3532d0db"),
-        ("paper", None, "sha256:afa95f6a0fe700d0"),
-        (None, EVERY_PARSER, "sha256:aa1b07e806f6f8b1"),
-    ])
+        (None, None, "sha256:a8d2422640f1464d"),
+        ("paper", None, "sha256:b7da17b2dce567f7"),
+        (None, EVERY_PARSER, "sha256:a79706676d5899b2"),
+    ], ids=["defaults", "paper", "every-parser"])
     def test_hash_is_pinned(self, tmp_path, preset, text, expected):
         path = None if text is None else write(tmp_path, text)
         assert load_config(path, preset=preset).config_hash == expected

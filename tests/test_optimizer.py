@@ -343,6 +343,22 @@ class TestRunGa:
         with pytest.raises(ValueError, match="non-negative"):
             GaSettings(**{field: -0.1})
 
+    # with stalling enabled, a stall count below 1 would stop the run after
+    # one generation, and numpy rejects a negative seed only when run_ga starts
+    @pytest.mark.parametrize("field,value,message", [
+        ("stall_generations", 0, "stall_generations must be at least 1"),
+        ("stall_generations", -5, "stall_generations must be at least 1"),
+        ("rng_seed", -1, "rng_seed must be non-negative"),
+    ], ids=["stall-0", "stall-minus-5", "seed-minus-1"])
+    def test_stall_count_and_seed_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            GaSettings(function_tolerance=1e-3, **{field: value})
+
+    def test_replica_bound(self):
+        assert ConstraintSet(l_max=optimizer.MAX_REPLICA_BOUND).l_max == 2 ** 16
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.2\*\*16"):
+            ConstraintSet(l_max=optimizer.MAX_REPLICA_BOUND + 1)
+
     def test_results_do_not_depend_on_block_cells(self, two_user_model,
                                                   monkeypatch):
         cons = ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)

@@ -233,7 +233,8 @@ class TestOptimizeDriver:
     def test_solution_record_round_trip(self, tmp_path):
         cfg = small_ga_config(tmp_path)
         result = run_optimize(cfg)
-        record = solution_record(result, cfg, timestamp="2026-01-01T00:00:00+00:00")
+        record = solution_record(result, cfg, build_model(cfg),
+                                 timestamp="2026-01-01T00:00:00+00:00")
         path = write_solution_record(record, tmp_path / "sol.txt")
         loaded = read_solution_record(path)
         assert loaded == record
@@ -242,18 +243,16 @@ class TestOptimizeDriver:
         assert again.read_bytes() == path.read_bytes()
 
     def test_ris_power_reporting_switch(self, tmp_path):
-        cfg_off = small_ga_config(tmp_path, out="off")
-        cfg_on = small_ga_config(tmp_path, extra="[scenario]\nreport_ris_power = true",
-                                 out="on")
-        result_off = run_optimize(cfg_off)
-        result_on = run_optimize(cfg_on)
-        # the estimate is reporting-only: the optimization itself is unchanged
-        assert result_on.best_eta == result_off.best_eta
-        assert result_on.best_solution == result_off.best_solution
-        rec_off = read_solution_record(cfg_off.output_dir / "solution.txt")
-        rec_on = read_solution_record(cfg_on.output_dir / "solution.txt")
-        assert "ris_power_estimate_w" not in rec_off
-        assert rec_on["ris_power_estimate_w"] > 0
+        # every record carries the reporting-only estimate at the best point
+        cfg = small_ga_config(tmp_path)
+        best = run_optimize(cfg).best_solution
+        record = read_solution_record(cfg.output_dir / "solution.txt")
+        expected = build_model(cfg).ris_output_power(
+            BeamformConfig(np.asarray(best.amplitudes), np.asarray(best.phases)),
+            PowerAllocation(best.user_powers))
+        assert expected > 0
+        assert record["ris_power_estimate_w"] == expected
+        assert list(record)[-1] == "ris_power_estimate_w"
 
     def test_persisted_record_matches_result(self, tmp_path):
         cfg = small_ga_config(tmp_path)

@@ -26,14 +26,19 @@ def test_every_run_config_loads(digests, tmp_path):
     runs = digests.runs()
     assert [name for name, _, _ in runs] == [
         "ga-desk-seed1", "ga-desk-seed2", "ga-desk-seed3", "ga-paper-seed1",
-        "ga-paper-seed2", "one-user", "three-users", "sweep-delay-ee",
-        "sweep-rel-beta", "sweep-sjnr-n", "mdl-oracle"]
-    users = {}
+        "ga-paper-seed2", "one-user", "three-users", "rectangle",
+        "sweep-delay-ee", "sweep-rel-beta", "sweep-sjnr-n", "mdl-oracle"]
+    configs = {}
     for name, _, text in runs:
         path = tmp_path / f"{name}.ini"
         path.write_text(text)
-        users[name] = load_config(path).scenario.n_users
-    assert (users["one-user"], users["ga-desk-seed1"], users["three-users"]) == (1, 2, 3)
+        configs[name] = load_config(path)
+    users = [configs[name].scenario.n_users
+             for name in ("one-user", "ga-desk-seed1", "three-users")]
+    assert users == [1, 2, 3]
+    shapes = [(configs[name].geometry.n_rows, configs[name].geometry.n_cols)
+              for name in ("ga-desk-seed1", "rectangle")]
+    assert shapes == [(4, 4), (4, 6)]
 
 
 def test_digest_ignores_only_the_timestamp(digests):
@@ -41,3 +46,11 @@ def test_digest_ignores_only_the_timestamp(digests):
     b = b"# kind=x\n# created_utc=2027-12-31\nrow\n"
     assert digests._digest(a) == digests._digest(b)
     assert digests._digest(a) != digests._digest(a.replace(b"row", b"r0w"))
+
+
+def test_digest_drops_the_config_hash_lines(digests):
+    csv = b"# kind=x\n# config_hash=sha256:0123\nrow\n"
+    record = b"seed = 1\nconfig_hash = sha256:0123\n"
+    assert digests._digest(csv) == digests._digest(csv.replace(b"0123", b"4567"))
+    assert digests._digest(record) == digests._digest(b"seed = 1\n")
+    assert digests.CONFIG_HASH.findall(csv + record) == [b"sha256:0123"] * 2

@@ -6,23 +6,26 @@
 Runs the CLI of ``CHECKOUT/src`` (by default this checkout's), one fresh
 interpreter per command with BLAS/OpenMP threads pinned to 1:
 
-* ``optimize`` for ga-desk seeds 1-3, ga-paper seeds 1-2, and a one-user
-  and a three-user variant of ga-desk seed 1;
+* ``optimize`` for ga-desk seeds 1-3, ga-paper seeds 1-2, and a one-user,
+  a three-user and a rectangular (4 x 6 elements) variant of ga-desk seed 1;
 * ``sweep delay-ee``, ``sweep rel-beta``, ``sweep sjnr-n`` and
   ``mdl-oracle`` (with the workload's arrival count) for sweep-oracle seed 1.
 
 The configs come from this checkout's ``bench/workloads.config_text``, so two
 checkouts run the same configs. Every output file is hashed without its
-``created_utc`` lines; each command's exit code and standard output are
-hashed with the output directory replaced by ``<out>``. To check that a
-change keeps every artifact byte-identical, run the script once with
-``--root`` at a checkout of the parent commit and once at the change, and
-diff the two outputs.
+``created_utc`` and ``config_hash`` lines; each command's exit code and
+standard output are hashed with the output directory replaced by ``<out>``.
+The config hash its files record is printed once per run, so a change of
+the config keys shows as one line per run, and ``config_echo.txt`` shows
+what changed. To check that a change keeps every artifact byte-identical,
+run the script once with ``--root`` at a checkout of the parent commit and
+once at the change, and diff the two outputs.
 """
 
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,11 +42,10 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 CLI = "import sys; from risjam.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _desk_users(azimuths: str, distances: str) -> str:
-    """ga-desk seed 1 with the given users."""
+def _desk_variant(section: str, **values: str) -> str:
+    """ga-desk seed 1 with ``values`` set in ``section``."""
     desk = get_workload("ga-desk")
-    settings = {**desk.settings, "scenario": {"user_azimuth_rad": azimuths,
-                                              "dist_ris_ue_m": distances}}
+    settings = {**desk.settings, section: {**desk.settings.get(section, {}), **values}}
     return config_text(replace(desk, settings=settings), 1)
 
 
@@ -53,9 +55,13 @@ def runs() -> list[tuple[str, list[str], str]]:
               for s in (1, 2, 3)]
     listed += [(f"ga-paper-seed{s}", ["optimize"],
                 config_text(get_workload("ga-paper"), s)) for s in (1, 2)]
-    listed.append(("one-user", ["optimize"], _desk_users("1.0", "20")))
-    listed.append(("three-users", ["optimize"],
-                   _desk_users("1.0, 1.5707963267948966, 2.2", "20, 25, 30")))
+    listed.append(("one-user", ["optimize"], _desk_variant(
+        "scenario", user_azimuth_rad="1.0", dist_ris_ue_m="20")))
+    listed.append(("three-users", ["optimize"], _desk_variant(
+        "scenario", user_azimuth_rad="1.0, 1.5707963267948966, 2.2",
+        dist_ris_ue_m="20, 25, 30")))
+    listed.append(("rectangle", ["optimize"], _desk_variant(
+        "geometry", n_elements="24", n_rows="4")))
     oracle = get_workload("sweep-oracle")
     oracle_text = config_text(oracle, 1)
     listed += [(f"sweep-{kind}", ["sweep", kind], oracle_text)
@@ -65,10 +71,15 @@ def runs() -> list[tuple[str, list[str], str]]:
     return listed
 
 
+# the lines that record a run's config hash, in a CSV or in solution.txt
+CONFIG_HASH = re.compile(rb"config_hash ?= ?(\S+)")
+
+
 def _digest(data: bytes) -> str:
     lines = data.splitlines(keepends=True)
-    return hashlib.sha256(b"".join(line for line in lines
-                                   if b"created_utc" not in line)).hexdigest()
+    return hashlib.sha256(b"".join(
+        line for line in lines
+        if b"created_utc" not in line and not CONFIG_HASH.search(line))).hexdigest()
 
 
 def main() -> int:
@@ -93,8 +104,13 @@ def main() -> int:
             stdout = done.stdout.replace(str(out).encode(), b"<out>")
             exit_line = f"exit {done.returncode}\n".encode()
             print(f"{_digest(exit_line + stdout)}  {name}/stdout")
+            hashes = set()
             for path in sorted(out.iterdir()) if out.exists() else ():
-                print(f"{_digest(path.read_bytes())}  {name}/{path.name}")
+                data = path.read_bytes()
+                hashes.update(CONFIG_HASH.findall(data))
+                print(f"{_digest(data)}  {name}/{path.name}")
+            for config_hash in sorted(hashes):
+                print(f"{config_hash.decode()}  {name}/config_hash")
     return 0
 
 
