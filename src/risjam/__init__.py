@@ -9,9 +9,8 @@ from ._version import __version__
 from .channel import (Direction, LinkScenario, RisGeometry, array_response,
                       element_positions, jammer_direct_channel, ris_bs_channel,
                       ris_jammer_channel, ris_ue_channel, wave_vector)
-from .config import (ConfigError, ConfigNotFoundError, ConfigSyntaxError,
-                     ConfigValueError, ExperimentConfig, NonSquareGeometryError,
-                     SweepSpec, UnknownKeyError, load_config, square_geometry)
+from .config import (ConfigError, ExperimentConfig, SweepSpec, load_config,
+                     square_geometry)
 from .link import (BeamformConfig, FblCode, NoiseConfig, PowerAllocation, bler,
                    co_phasing_phases, q_function, reliability, replica_success,
                    sjnr_all)

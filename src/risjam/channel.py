@@ -15,6 +15,10 @@ import numpy as np
 
 from .units import SPEED_OF_LIGHT
 
+# Largest element count of an array. The paper's largest has 900; at 2**20
+# the channels and element positions of a model take about 90 MiB.
+MAX_ELEMENTS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class RisGeometry:
@@ -33,6 +37,8 @@ class RisGeometry:
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError(f"element grid must be at least 1x1, got {self.n_rows}x{self.n_cols}")
+        if self.n_elements > MAX_ELEMENTS:
+            raise ValueError(f"element count {self.n_elements} is above 2**20")
         if self.spacing_h <= 0 or self.spacing_v <= 0:
             raise ValueError("element spacings must be positive")
         if not (self.carrier_freq > 0 and isfinite(self.carrier_freq)

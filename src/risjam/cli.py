@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .config import PRESETS, ConfigError, ConfigValueError, load_config
+from .config import PRESETS, ConfigError, load_config
 from .sweeps import (UNSTABLE_MARKER, run_optimize, sweep_delay_ee,
                      sweep_reliability_vs_beta, sweep_sjnr_vs_n,
                      write_sweep_csv)
@@ -94,9 +94,9 @@ def _rho_targets(rho_spec: str) -> list[float]:
         try:
             rho = float(part)
         except ValueError:
-            raise ConfigValueError(f"--rho: {part.strip()!r} is not a number") from None
+            raise ConfigError(f"--rho: {part.strip()!r} is not a number") from None
         if not 0 < rho < 1:  # also rejects nan
-            raise ConfigValueError(f"--rho: {rho!r} is outside (0, 1)")
+            raise ConfigError(f"--rho: {rho!r} is outside (0, 1)")
         targets.append(rho)
     return targets
 
@@ -104,7 +104,7 @@ def _rho_targets(rho_spec: str) -> list[float]:
 def _cmd_mdl_oracle(cfg, arrivals: int, rho_spec: str) -> int:
     targets = _rho_targets(rho_spec)
     if arrivals < 1:
-        raise ConfigValueError(f"--arrivals: {arrivals} is below 1")
+        raise ConfigError(f"--arrivals: {arrivals} is below 1")
     frame = FrameParams(cfg.header_time, cfg.bandwidth, cfg.blocklength)
     service = cfg.traffic.retransmissions * frame.duration
     passed = True
@@ -137,7 +137,8 @@ def main(argv=None) -> int:
             return _cmd_mdl_oracle(cfg, args.arrivals, args.rho)
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, OverflowError) as exc:
-        # an OverflowError is a config whose channels or SJNR leave the float range
+        # an OverflowError is a config whose channels or SJNR leave the float
+        # range, or whose GA population is too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -26,27 +26,7 @@ from .units import db_to_linear, dbm_to_watts
 
 
 class ConfigError(Exception):
-    """Base class for configuration problems (CLI exit code 1)."""
-
-
-class ConfigNotFoundError(ConfigError):
-    pass
-
-
-class ConfigSyntaxError(ConfigError):
-    pass
-
-
-class UnknownKeyError(ConfigError):
-    pass
-
-
-class ConfigValueError(ConfigError):
-    pass
-
-
-class NonSquareGeometryError(ConfigError):
-    """An element count that cannot form a square array where one is required."""
+    """A configuration problem (CLI exit code 1); the message names its cause."""
 
 
 # ----------------------------------------------------------------------------
@@ -226,11 +206,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
 }
 
 PRESETS: dict[str, dict[tuple[str, str], str]] = {
-    "desk": {
-        ("geometry", "n_elements"): "16",
-        ("ga", "population_size"): "200",
-        ("ga", "max_generations"): "100",
-    },
+    "desk": {},  # the defaults
     "paper": {
         ("geometry", "n_elements"): "400",
         ("ga", "population_size"): "2000",
@@ -268,8 +244,12 @@ class ExperimentConfig:
     constraints: ConstraintSet
     sweep: SweepSpec
     output_dir: Path
-    seed: int
     raw: tuple[tuple[str, str, str], ...]  # (section, key, raw value), canonical order
+
+    @property
+    def seed(self) -> int:
+        """The run's RNG seed, ``[ga] rng_seed``."""
+        return self.ga.rng_seed
 
     def echo_text(self) -> str:
         """Canonical key=value rendering of the effective configuration."""
@@ -295,23 +275,17 @@ def _broadcast(section: str, key: str, values: tuple, n_users: int) -> tuple:
         return values * n_users
     if len(values) == n_users:
         return values
-    raise ConfigValueError(
+    raise ConfigError(
         f"[{section}] {key}: expected 1 or {n_users} values, got {len(values)}")
-
-
-def _square_side(n_elements: int) -> int:
-    side = isqrt(n_elements)
-    if side * side != n_elements:
-        raise NonSquareGeometryError(
-            f"element count {n_elements} is not a perfect square; "
-            "give n_rows for a rectangular array")
-    return side
 
 
 def square_geometry(n_elements: int, spacing_h: float = 0.25,
                     spacing_v: float = 0.25, carrier_freq: float = 28e9) -> RisGeometry:
     """Square RIS with rows = cols = sqrt(n_elements)."""
-    side = _square_side(n_elements)
+    side = isqrt(n_elements)
+    if side * side != n_elements:
+        raise ConfigError(f"element count {n_elements} is not a perfect square; "
+                          "give n_rows for a rectangular array")
     return RisGeometry(side, side, spacing_h, spacing_v, carrier_freq)
 
 
@@ -320,7 +294,7 @@ def _build(what: str, factory: Callable, *args, **kwargs):
     try:
         return factory(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigValueError(f"invalid {what}: {exc}") from exc
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------------
@@ -333,16 +307,16 @@ def _read_file_items(path: Path) -> dict[tuple[str, str], str]:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
     except OSError as exc:
-        raise ConfigNotFoundError(f"cannot read config {path}: {exc.strerror}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except (ConfigParserError, UnicodeDecodeError) as exc:
-        raise ConfigSyntaxError(f"malformed config {path}: {exc}") from exc
+        raise ConfigError(f"malformed config {path}: {exc}") from exc
     items: dict[tuple[str, str], str] = {}
     for section in parser.sections():
         if section not in SCHEMA:
-            raise UnknownKeyError(f"unknown config section [{section}]")
+            raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
             if key not in SCHEMA[section]:
-                raise UnknownKeyError(f"unknown key '{key}' in section [{section}]")
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
             items[(section, key)] = value.strip()
     return items
 
@@ -356,7 +330,7 @@ def _parse_all(effective: dict[tuple[str, str], str]) -> dict[str, dict[str, Any
             try:
                 typed[section][key] = parse(effective[(section, key)])
             except ValueError as exc:
-                raise ConfigValueError(f"[{section}] {key}: {exc}") from exc
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
     return typed
 
 
@@ -375,7 +349,7 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     }
     if preset is not None:
         if preset not in PRESETS:
-            raise ConfigValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         effective.update(PRESETS[preset])
     if path is not None:
         effective.update(_read_file_items(Path(path)))
@@ -385,13 +359,14 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
 
     geo = typed["geometry"]
     n_elements, n_rows = geo["n_elements"], geo["n_rows"]
+    layout = geo["spacing_h"], geo["spacing_v"], geo["carrier_freq_hz"]
     if n_rows is None:
-        n_rows = _square_side(n_elements)
+        geometry = _build("geometry", square_geometry, n_elements, *layout)
     elif n_elements % n_rows:
-        raise ConfigValueError(f"[geometry] n_rows = {n_rows} does not divide "
-                               f"n_elements = {n_elements}")
-    geometry = _build("geometry", RisGeometry, n_rows, n_elements // n_rows,
-                      geo["spacing_h"], geo["spacing_v"], geo["carrier_freq_hz"])
+        raise ConfigError(f"[geometry] n_rows = {n_rows} does not divide "
+                          f"n_elements = {n_elements}")
+    else:
+        geometry = _build("geometry", RisGeometry, n_rows, n_elements // n_rows, *layout)
 
     scen = typed["scenario"]
     n_users = len(scen["dist_ris_ue_m"])
@@ -417,8 +392,8 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     frame = _build("traffic", FrameParams, typed["traffic"]["header_time_s"],
                    typed["traffic"]["bandwidth_hz"], typed["fbl"]["blocklength"])
     if not math.isfinite(traffic.retransmissions * frame.duration):
-        raise ConfigValueError("invalid traffic: the service time retransmissions * "
-                               "(header_time_s + blocklength / bandwidth_hz) is not finite")
+        raise ConfigError("invalid traffic: the service time retransmissions * "
+                          "(header_time_s + blocklength / bandwidth_hz) is not finite")
 
     ga = typed["ga"]
     # the [ga] keys include the GaSettings fields, spelled the same
@@ -438,9 +413,9 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
 
     sweep = SweepSpec(**typed["sweep"])  # the [sweep] keys are the SweepSpec fields
     for n in sweep.n_elements_grid or ():
-        _square_side(n)
+        _build("[sweep] n_elements_grid entry", square_geometry, n, *layout)
     if sweep.cophase_user is not None and not 1 <= sweep.cophase_user <= n_users:
-        raise ConfigValueError(f"[sweep] cophase_user out of range 1..{n_users}")
+        raise ConfigError(f"[sweep] cophase_user out of range 1..{n_users}")
 
     return ExperimentConfig(
         geometry=geometry,
@@ -455,7 +430,6 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         constraints=constraints,
         sweep=sweep,
         output_dir=Path(output_dir),
-        seed=ga_settings.rng_seed,
         raw=tuple((section, key, effective[(section, key)])
                   for section, keys in SCHEMA.items() for key in keys),
     )

@@ -42,6 +42,11 @@ TWO_PI = 2.0 * np.pi
 # RIS from growing with the population.
 BLOCK_CELLS = 1 << 16
 
+# Largest population x genome dimension of a GA run, whose population array
+# (512 MiB at this bound) is allocated whole. The paper scale, 2000 x 804,
+# holds about 1.6 Mi genes.
+MAX_GENOME_CELLS = 2 ** 26
+
 # Largest nb_max. ``_on_grid`` maps a gene in [0, 1] onto at most this many
 # integer steps, where adding 0.5 is still exact in float64, so a decoded
 # integer never leaves its box.
@@ -511,10 +516,14 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     genes are clamped onto the pairs that meet the delay and utilization
     constraints. No other gene can lie outside its box. The same seed reproduces
     the run bit for bit; with at least one elite the recorded best value
-    never worsens.
+    never worsens. Raises OverflowError when the population holds more than
+    ``MAX_GENOME_CELLS`` genes.
     """
     k, n = model.n_users, model.n_elements
     dim = genome_dimension(k, n)
+    if settings.population_size * dim > MAX_GENOME_CELLS:
+        raise OverflowError(f"population_size {settings.population_size} x genome "
+                            f"dimension {dim} is above 2**26 genes")
     rng = np.random.default_rng(settings.rng_seed)
     mutation_rate = settings.mutation_rate if settings.mutation_rate is not None else 1.0 / dim
     tol = settings.constraint_tolerance

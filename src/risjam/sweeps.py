@@ -22,7 +22,7 @@ from .config import ExperimentConfig, square_geometry
 from .link import (BeamformConfig, FblCode, PowerAllocation, _sic_sjnr, bler,
                    reliability, replica_success)
 from .model import SystemModel
-from .optimizer import OptimizationResult, run_ga
+from .optimizer import BLOCK_CELLS, OptimizationResult, run_ga
 
 DELAY_EE_COLUMNS = ("arrival_rate_per_s", "blocklength", "utilization",
                     "mean_delay_s", "energy_efficiency_bits_per_j")
@@ -123,29 +123,33 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     All users share the swept arrival rate. The replica count comes from
     [sweep] retransmissions (default 1, the value consistent with the
     reference delay numbers). Unstable points carry a marker instead of a
-    delay. Each arrival rate is one metric-chain call over the whole
-    blocklength grid.
+    delay. Each arrival rate's blocklength grid is evaluated in metric-chain
+    calls of at most ``optimizer.BLOCK_CELLS`` beam cells.
     """
     model = build_model(cfg)
     n_users = model.n_users
     beam, allocation = _policy(cfg, model, n_users)
     lengths = np.array(sorted(cfg.sweep.blocklength_grid))
+    block = min(lengths.size, max(1, BLOCK_CELLS // model.n_elements))
     amplitudes, phases, powers = (
-        np.tile(row, (lengths.size, 1))
+        np.tile(row, (block, 1))
         for row in (beam.amplitudes, beam.phases, allocation.user_powers))
-    replicas = np.full(lengths.size, cfg.sweep.retransmissions)
+    replicas = np.full(block, cfg.sweep.retransmissions)
 
     rows: list[tuple] = []
     for rate in sorted(cfg.sweep.arrival_rate_grid):
-        chain = model.evaluate_block(amplitudes, phases, powers, lengths, replicas,
-                                     arrival_rates=(rate,) * n_users)
-        # object arrays hold Python floats, and the marker where unstable
-        delay = chain.mean_delay[0].astype(object)
-        delay[~chain.stable] = UNSTABLE_MARKER
-        eta = chain.energy_efficiency.astype(object)
-        eta[~chain.stable] = None
-        rows.extend(zip(itertools.repeat(float(rate)), lengths.tolist(),
-                        chain.utilization[0].tolist(), delay.tolist(), eta.tolist()))
+        for start in range(0, lengths.size, block):
+            part = lengths[start:start + block]
+            b = part.size
+            chain = model.evaluate_block(amplitudes[:b], phases[:b], powers[:b], part,
+                                         replicas[:b], arrival_rates=(rate,) * n_users)
+            # object arrays hold Python floats, and the marker where unstable
+            delay = chain.mean_delay[0].astype(object)
+            delay[~chain.stable] = UNSTABLE_MARKER
+            eta = chain.energy_efficiency.astype(object)
+            eta[~chain.stable] = None
+            rows.extend(zip(itertools.repeat(float(rate)), part.tolist(),
+                            chain.utilization[0].tolist(), delay.tolist(), eta.tolist()))
 
     metadata = _metadata(cfg, "delay-ee")
     delays = {(row[0], row[1]): row[3] for row in rows}
@@ -223,8 +227,13 @@ def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
 # ----------------------------------------------------------------------------
 
 def _decode_cell(text: str):
-    if text == "":
+    """A CSV cell or a solution-record value: '' and 'none' read as None,
+    'true' and 'false' as booleans, anything else as an int, a float or the
+    text itself."""
+    if text in ("", "none"):
         return None
+    if text in ("true", "false"):
+        return text == "true"
     if re.fullmatch(r"-?\d+", text):
         return int(text)
     try:
@@ -298,20 +307,10 @@ def _encode_value(value) -> str:
     return str(value)  # str of a float or float64 is its shortest repr
 
 
-def _decode_scalar(text: str):
-    if text == "none":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    return _decode_cell(text)
-
-
 def _decode_value(text: str):
     if "," in text:
-        return tuple(_decode_scalar(part) for part in text.split(",") if part != "")
-    return _decode_scalar(text)
+        return tuple(_decode_cell(part) for part in text.split(",") if part != "")
+    return _decode_cell(text)
 
 
 def solution_record(result: OptimizationResult, cfg: ExperimentConfig,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from risjam.channel import (Direction, RisGeometry, array_response,
+from risjam.channel import (MAX_ELEMENTS, Direction, RisGeometry, array_response,
                             element_positions, jammer_direct_channel,
                             ris_bs_channel, ris_jammer_channel, ris_ue_channel,
                             wave_vector)
@@ -176,6 +176,10 @@ class TestValidation:
             RisGeometry(2, 2, spacing_h=0.0)
         with pytest.raises(ValueError):
             RisGeometry(2, 2, carrier_freq=-1.0)
+        assert RisGeometry(1, MAX_ELEMENTS).n_elements == 2 ** 20
+        for rows, cols in [(1, MAX_ELEMENTS + 1), (10 ** 6, 10 ** 6)]:
+            with pytest.raises(ValueError, match="is above 2\\*\\*20"):
+                RisGeometry(rows, cols)
 
     def test_scenario_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -186,3 +190,5 @@ class TestValidation:
             make_scenario(dist_ris_ue=(20.0,))  # two dirs, one distance
         with pytest.raises(ValueError):
             make_scenario(jammer_power=-1e-3)
+        with pytest.raises(ValueError, match="at least one user required"):
+            make_scenario(n_users=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 from risjam import config, optimizer
 from risjam.channel import RisGeometry
 from risjam.cli import main
-from risjam.config import (ConfigNotFoundError, ConfigSyntaxError,
-                           ConfigValueError, NonSquareGeometryError,
-                           UnknownKeyError, load_config, square_geometry)
+from risjam.config import ConfigError, load_config, square_geometry
 from risjam.optimizer import ConstraintSet, GaSettings
 from risjam.sweeps import read_solution_record, read_sweep_csv
 
@@ -102,6 +101,13 @@ OUT_OF_DOMAIN_CASES = [
     ("geometry", "n_elements = -4", "[geometry] n_elements: must be >= 1"),
     ("geometry", "spacing_h = -0.25", "invalid geometry: element spacings"),
     ("geometry", "carrier_freq_hz = -1", "invalid geometry: carrier frequency"),
+    ("scenario", "path_loss_exp = -1", "invalid scenario: path loss exponent must be non-negative"),
+    ("scenario", "dist_ris_ue_m = 0", "invalid scenario: user distances must be positive"),
+    ("scenario", "dist_ris_jammer_m = 0", "invalid scenario: RIS-jammer distance must be positive"),
+    ("scenario", "user_azimuth_rad = 1, 2, 3",
+     "[scenario] user_azimuth_rad: expected 1 or 2 values, got 3"),
+    ("traffic", "arrival_rate_per_s = 1, 2, 3",
+     "[traffic] arrival_rate_per_s: expected 1 or 2 values, got 3"),
     ("scenario", "path_gain_db = 4000", "[scenario] path_gain_db: too large"),
     ("scenario", "awgn_dbm = 4000", "[scenario] awgn_dbm: too large"),
     ("traffic", "header_time_s = -1e-6", "[traffic] header_time_s: must be >= 0"),
@@ -109,6 +115,12 @@ OUT_OF_DOMAIN_CASES = [
     ("fbl", "blocklength = 0", "[fbl] blocklength: must be >= 1"),
     ("fbl", "payload_bytes = 0", "[fbl] payload_bytes: must be >= 1"),
     ("ga", "rng_seed = -1", "invalid ga settings: rng_seed must be non-negative"),
+    ("ga", "max_generations = -1", "invalid ga settings: generation count must be non-negative"),
+    ("ga", "mutation_rate = 1.5", "invalid ga settings: mutation rate must be a probability"),
+    ("ga", "co_phasing_fraction = 2",
+     "invalid ga settings: co-phasing seed fraction must be a probability"),
+    ("ga", "rel_thr = 1", "invalid ga settings: reliability threshold must lie in (0, 1)"),
+    ("ga", "p_min_w = 0.2", "invalid ga settings: need 0 < p_min <= p_max"),
     ("ga", "mutation_sigma = -0.1", "invalid ga settings: mutation spread and decay"),
     ("ga", "mutation_decay = -1", "invalid ga settings: mutation spread and decay"),
     ("ga", "stall_generations = -5", "invalid ga settings: stall_generations must be at least 1"),
@@ -123,6 +135,7 @@ OUT_OF_DOMAIN_CASES = [
     ("sweep", "beta_grid = -1:1:1", "[sweep] beta_grid: must be >= 0"),
     ("sweep", "n_elements_grid = 0, 4", "[sweep] n_elements_grid: must be >= 1"),
     ("sweep", "n_elements_grid = -4", "[sweep] n_elements_grid: must be >= 1"),
+    ("sweep", "cophase_user = 3", "[sweep] cophase_user out of range 1..2"),
 ]
 
 
@@ -154,6 +167,11 @@ OVERFLOW_CASES = [
     ("geometry", "spacing_h = 1e308", ["optimize"], CHANNEL_RANGE),
     # the jamming floor overflows while the received powers stay finite
     ("scenario", "jammer_power_w = 1e305", ["optimize"], SJNR_RANGE),
+    # run_ga bounds the population array before allocating it
+    ("ga", "population_size = 1000000000000", ["optimize"],
+     "population_size 1000000000000 x genome dimension 36 is above 2**26 genes"),
+    ("geometry", "n_elements = 1000000000000", ["optimize"],
+     "invalid geometry: element count 1000000000000 is above 2**20"),
 ]
 # The same for the sweeps, whose fixed policy and own element grids (up to
 # 900 elements) reach ranges the configured array does not; ids name the sweep.
@@ -162,6 +180,8 @@ SWEEP_OVERFLOW_CASES = [
       for kind in ("delay-ee", "rel-beta", "sjnr-n")),
     *(("geometry", "spacing_h = 1.5e306", ["sweep", kind], CHANNEL_RANGE)
       for kind in ("sjnr-n", "rel-beta")),
+    ("sweep", "n_elements_grid = 4, 1000000000000", ["sweep", "sjnr-n"],
+     "invalid [sweep] n_elements_grid entry: element count 1000000000000 is above 2**20"),
 ]
 
 
@@ -221,39 +241,39 @@ class TestDefaults:
 
 class TestErrors:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigNotFoundError):
+        with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
 
     def test_malformed_syntax(self, tmp_path):
-        with pytest.raises(ConfigSyntaxError):
+        with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[geometry\nn_elements = 4\n"))
 
     def test_unknown_key(self, tmp_path):
-        with pytest.raises(UnknownKeyError):
+        with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[geometry]\nbogus = 1\n"))
 
     def test_unknown_section(self, tmp_path):
-        with pytest.raises(UnknownKeyError):
+        with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[wormholes]\nmass = 1\n"))
 
     def test_non_square_element_count(self, tmp_path):
-        with pytest.raises(NonSquareGeometryError):
+        with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[geometry]\nn_elements = 5\n"))
 
     def test_non_square_sweep_grid(self, tmp_path):
-        with pytest.raises(NonSquareGeometryError):
+        with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[sweep]\nn_elements_grid = 4,12\n"))
 
     def test_bad_number(self, tmp_path):
-        with pytest.raises(ConfigValueError):
+        with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[scenario]\npath_gain_db = many\n"))
 
     def test_rows_without_cols(self, tmp_path):
         # n_rows alone gives the rectangle; it must divide n_elements (16)
-        with pytest.raises(ConfigValueError,
+        with pytest.raises(ConfigError,
                            match=r"^\[geometry\] n_rows = 3 does not divide n_elements = 16$"):
             load_config(write(tmp_path, "[geometry]\nn_rows = 3\n"))
-        with pytest.raises(ConfigValueError, match=r"^\[geometry\] n_rows: must be >= 1"):
+        with pytest.raises(ConfigError, match=r"^\[geometry\] n_rows: must be >= 1"):
             load_config(write(tmp_path, "[geometry]\nn_rows = 0\n"))
         cfg = load_config(write(tmp_path, "[geometry]\nn_rows = 2\n"))
         assert (cfg.geometry.n_rows, cfg.geometry.n_cols) == (2, 8)
@@ -276,13 +296,13 @@ class TestErrors:
         assert not out.exists()
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigValueError):
+        with pytest.raises(ConfigError):
             load_config(preset="galactic")
 
     def test_bad_sweep_kind(self, tmp_path, capsys):
         # the CLI's positional argument is the only sweep selector
         path = write(tmp_path, "[sweep]\nkind = delay-ee\n")
-        with pytest.raises(UnknownKeyError):
+        with pytest.raises(ConfigError):
             load_config(path)
         assert main(["sweep", "delay-ee", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 1
@@ -291,7 +311,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("section,key,value", NON_FINITE_CASES)
     def test_non_finite_value_names_key(self, tmp_path, section, key, value):
-        with pytest.raises(ConfigValueError, match=rf"^\[{section}\] {key}: not a finite"):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: not a finite"):
             load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
 
     def test_non_finite_delay_threshold_exits_1(self, tmp_path, capsys):
@@ -305,17 +325,17 @@ class TestErrors:
         assert "config error: [ga] delay_thr_s: not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("content,error,message", [
-        (None, ConfigNotFoundError, "cannot read config"),  # a directory
-        (b"[geometry]\n# caf\xe9\n", ConfigSyntaxError, "malformed config"),  # Latin-1
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read config"),  # a directory
+        (b"[geometry]\n# caf\xe9\n", "malformed config"),  # Latin-1
     ], ids=["directory", "not-utf8"])
-    def test_unreadable_file_exits_1(self, tmp_path, capsys, content, error, message):
+    def test_unreadable_file_exits_1(self, tmp_path, capsys, content, message):
         path = tmp_path / "exp.ini"
         if content is None:
             path.mkdir()
         else:
             path.write_bytes(content)
-        with pytest.raises(error):
+        with pytest.raises(ConfigError):
             load_config(path)
         out = tmp_path / "out"
         assert main(["optimize", "--config", str(path), "--out", str(out)]) == 1
@@ -325,7 +345,7 @@ class TestErrors:
     @pytest.mark.parametrize("section,setting,message", OUT_OF_DOMAIN_CASES,
                              ids=[f"{s}.{v}" for s, v, _ in OUT_OF_DOMAIN_CASES])
     def test_out_of_domain_value(self, tmp_path, section, setting, message):
-        with pytest.raises(ConfigValueError, match=re.escape(message)):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write(tmp_path, f"[{section}]\n{setting}\n"))
 
     @pytest.mark.parametrize(
@@ -347,7 +367,7 @@ class TestErrors:
             return range(stop)
         monkeypatch.setattr(config, "range", bounded_range, raising=False)
         for grid in ("1:1e12:1", "0:1e308:1e-308", "-1e308:1e308:1", "0:1000000:1"):
-            with pytest.raises(ConfigValueError, match=r"\[sweep\] beta_grid: grid has more"):
+            with pytest.raises(ConfigError, match=r"\[sweep\] beta_grid: grid has more"):
                 load_config(write(tmp_path, f"[sweep]\nbeta_grid = {grid}\n"))
         # the largest grid the benchmark uses
         cfg = load_config(write(tmp_path, "[sweep]\nbeta_grid = 0:50:0.001\n"))
@@ -356,7 +376,7 @@ class TestErrors:
         monkeypatch.setattr(config, "MAX_GRID_POINTS", 21)
         cfg = load_config(write(tmp_path, "[sweep]\nbeta_grid = 0:20:1\n"))
         assert len(cfg.sweep.beta_grid) == len(cfg.sweep.blocklength_grid) == 21
-        with pytest.raises(ConfigValueError, match="more than 21 points"):
+        with pytest.raises(ConfigError, match="more than 21 points"):
             load_config(write(tmp_path, "[sweep]\nbeta_grid = 0:21:1\n"))
 
 
@@ -477,6 +497,9 @@ class TestConversionsAndOverrides:
         desk = load_config(preset="desk")
         assert desk.ga.population_size == 200
         assert desk.geometry.n_elements == 16
+        # desk is the defaults
+        assert desk.echo_text() == load_config().echo_text()
+        assert config.PRESETS["desk"] == {}
 
     def test_file_overrides_preset_and_seed_wins(self, tmp_path):
         path = write(tmp_path, "[ga]\npopulation_size = 77\nrng_seed = 5\n")
@@ -485,13 +508,18 @@ class TestConversionsAndOverrides:
         assert cfg.seed == 99
         assert cfg.ga.rng_seed == 99
 
+    def test_seed_reads_the_ga_seed(self):
+        cfg = load_config()
+        reseeded = dataclasses.replace(cfg, ga=dataclasses.replace(cfg.ga, rng_seed=7))
+        assert (cfg.seed, reseeded.seed) == (12345, 7)
+
     def test_grid_syntaxes(self, tmp_path):
         cfg = load_config(write(tmp_path, "\n".join([
             "[sweep]", "blocklength_grid = 1:5:2",
             "arrival_rate_grid = 10, 30", ""])))
         assert cfg.sweep.blocklength_grid == (1, 3, 5)
         assert cfg.sweep.arrival_rate_grid == (10.0, 30.0)
-        with pytest.raises(ConfigValueError):
+        with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[sweep]\nbeta_grid = 5:1:1\n", "bad.ini"))
 
     def test_ris_jammer_distance_override(self, tmp_path):
@@ -552,5 +580,5 @@ class TestSquareGeometry:
     def test_square_side(self):
         geom = square_geometry(400)
         assert (geom.n_rows, geom.n_cols) == (20, 20)
-        with pytest.raises(NonSquareGeometryError):
+        with pytest.raises(ConfigError):
             square_geometry(12)

@@ -9,11 +9,14 @@ case.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from risjam import sweeps
 from risjam.channel import RisGeometry
 from risjam.config import load_config
 from risjam.link import BeamformConfig, PowerAllocation
+from risjam.model import SystemModel
 from risjam.optimizer import (ConstraintSet, GaSettings, decode, decode_block,
                               evaluate_fitness, genome_dimension, run_ga,
                               score_block)
@@ -137,6 +140,38 @@ def test_delay_ee_rows_equal_per_point_evaluations():
             assert (delay, eta) == (UNSTABLE_MARKER, None)
             markers += 1
     assert 0 < markers < len(result.rows)
+
+
+@pytest.mark.parametrize("cells", [16, 80])
+def test_delay_ee_row_blocks_do_not_change_bits(monkeypatch, cells):
+    # the default grid holds 21 blocklengths on 16 elements: one block by
+    # default, and 21 or 5 blocks per arrival rate at these sizes
+    cfg = load_config()
+    whole = sweep_delay_ee(cfg)
+    sizes = []
+    evaluate_block = SystemModel.evaluate_block
+
+    def recorded(model, amplitudes, *args, **kwargs):
+        sizes.append(amplitudes.size)
+        return evaluate_block(model, amplitudes, *args, **kwargs)
+
+    monkeypatch.setattr(SystemModel, "evaluate_block", recorded)
+    monkeypatch.setattr(sweeps, "BLOCK_CELLS", cells)
+    blocked = sweep_delay_ee(cfg)
+    assert repr(blocked.rows) == repr(whole.rows)
+    rows_per_block = cells // cfg.geometry.n_elements
+    n_rates = len(cfg.sweep.arrival_rate_grid)
+    assert len(sizes) == n_rates * -(-len(cfg.sweep.blocklength_grid) // rows_per_block)
+    assert max(sizes) == cells
+
+
+def test_one_arrival_rate_per_user_required():
+    scenario = make_scenario()
+    with pytest.raises(ValueError, match="one arrival rate per user required"):
+        make_model(RisGeometry(2, 2), scenario, arrival_rates=(500.0,))
+    model = make_model(RisGeometry(2, 2), scenario)
+    with pytest.raises(ValueError, match="one arrival rate per user required"):
+        model.queue_block([108], [1], arrival_rates=(1.0, 2.0, 3.0))
 
 
 def test_small_run_is_pinned():

@@ -355,6 +355,27 @@ class TestReliability:
             replica_success([0.2, 1.3])
 
 
+class TestContainers:
+    @pytest.mark.parametrize("build,message", [
+        (lambda: BeamformConfig(np.ones(3), np.zeros(2)), "equal shape"),
+        (lambda: BeamformConfig(np.ones((2, 2, 2)), np.zeros((2, 2, 2))), "equal shape"),
+        (lambda: BeamformConfig(np.array([1.0, np.nan]), np.zeros(2)), "finite"),
+        (lambda: BeamformConfig(np.ones(2), np.array([0.0, np.inf])), "finite"),
+        (lambda: BeamformConfig(np.array([1.0, -1e-3]), np.zeros(2)), "non-negative"),
+        (lambda: PowerAllocation(()), "at least one user power"),
+        (lambda: PowerAllocation((1e-3, 0.0)), "positive and finite"),
+        (lambda: PowerAllocation((-1e-3,)), "positive and finite"),
+        (lambda: FblCode(0, 256), "blocklength must be a positive integer"),
+        (lambda: FblCode(np.array([108, 0]), 256), "blocklength must be a positive integer"),
+        (lambda: FblCode(108, 0), "payload must be a positive number of bits"),
+    ], ids=["beam-shapes", "beam-3d", "beam-nan-amplitude", "beam-inf-phase",
+            "beam-negative-amplitude", "no-powers", "zero-power", "negative-power",
+            "blocklength-0", "blocklength-array-0", "payload-0"])
+    def test_rejects_bad_values(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 class TestNoiseConfig:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-12])
     def test_rejects_bad_variances(self, bad):

@@ -359,6 +359,18 @@ class TestRunGa:
         with pytest.raises(ValueError, match=r"must lie in 1\.\.2\*\*16"):
             ConstraintSet(l_max=optimizer.MAX_REPLICA_BOUND + 1)
 
+    def test_population_above_the_genome_bound_is_rejected(self, two_user_model,
+                                                           monkeypatch):
+        # only the rejecting side: a population at the bound allocates 512 MiB
+        def no_population(*args):
+            raise AssertionError("the population was allocated")
+        monkeypatch.setattr(optimizer, "_initial_population", no_population)
+        dim = genome_dimension(2, 16)
+        settings = GaSettings(population_size=optimizer.MAX_GENOME_CELLS // dim + 1)
+        with pytest.raises(OverflowError, match=r"^population_size \d+ x genome "
+                                                r"dimension 36 is above 2\*\*26 genes$"):
+            run_ga(two_user_model, ConstraintSet(), settings)
+
     def test_results_do_not_depend_on_block_cells(self, two_user_model,
                                                   monkeypatch):
         cons = ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)

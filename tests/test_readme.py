@@ -1,5 +1,7 @@
-"""The README's *Library use* example runs as printed."""
+"""The README's *Library use* example runs as printed, and its
+*Configuration* block lists every config key with its default."""
 
+import configparser
 import os
 import re
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import risjam
+from risjam import config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +25,13 @@ def test_library_use_example_runs(tmp_path):
                           text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "True"
+
+
+def test_configuration_block_lists_the_schema():
+    section = README.read_text().split("## Configuration", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(block)
+    listed = [(s, k, v) for s in parser.sections() for k, v in parser.items(s)]
+    assert listed == [(s, k, default) for s, keys in config.SCHEMA.items()
+                      for k, (default, _) in keys.items()]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import risjam
+from risjam import sweeps
 from risjam.config import PRESETS, load_config
 from risjam.cli import _build_parser, main
 from risjam.link import BeamformConfig, NoiseConfig, PowerAllocation, sjnr_all
@@ -121,6 +122,17 @@ class TestSjnrSweep:
         assert result.rows == [(4, expected[0], None),
                                (16, expected[1], expected[1] / expected[0])]
 
+    def test_ga_policy_population_bound_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "ga.ini"
+        path.write_text("[ga]\npopulation_size = 1000000000000\n"
+                        "[sweep]\npolicy = ga\nn_elements_grid = 4\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "sjnr-n", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: population_size 1000000000000 x genome dimension 12 "
+            "is above 2**26 genes\n")
+        assert not out.exists()
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
            n=st.integers(1, 16),
@@ -191,6 +203,14 @@ class TestCsvRoundTrip:
         assert repr(again.rows) == repr(
             [(7, -3, 0.1, 0.1), (2 ** 40, 1e-05, 1e-05, 1e+16),
              (0, 5e-324, -0.0, nan), (1, inf, None, "unstable")])
+
+    @pytest.mark.parametrize("text,value", [
+        ("", None), ("none", None), ("true", True), ("false", False),
+        ("-3", -3), ("1e-05", 1e-05), ("inf", float("inf")), ("unstable", "unstable"),
+    ])
+    def test_one_decoder_reads_cells_and_record_values(self, text, value):
+        decoded = sweeps._decode_cell(text)
+        assert (type(decoded), decoded) == (type(value), value)
 
     def test_metadata_written_and_restored(self, tmp_path):
         result = sweep_sjnr_vs_n(load_config())

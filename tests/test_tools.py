@@ -27,7 +27,8 @@ def test_every_run_config_loads(digests, tmp_path):
     assert [name for name, _, _ in runs] == [
         "ga-desk-seed1", "ga-desk-seed2", "ga-desk-seed3", "ga-paper-seed1",
         "ga-paper-seed2", "one-user", "three-users", "rectangle",
-        "sweep-delay-ee", "sweep-rel-beta", "sweep-sjnr-n", "mdl-oracle"]
+        "sweep-delay-ee", "sweep-rel-beta", "sweep-sjnr-n", "sweep-delay-ee-n900",
+        "mdl-oracle"]
     configs = {}
     for name, _, text in runs:
         path = tmp_path / f"{name}.ini"
@@ -39,6 +40,7 @@ def test_every_run_config_loads(digests, tmp_path):
     shapes = [(configs[name].geometry.n_rows, configs[name].geometry.n_cols)
               for name in ("ga-desk-seed1", "rectangle")]
     assert shapes == [(4, 4), (4, 6)]
+    assert configs["sweep-delay-ee-n900"].geometry.n_elements == 900
 
 
 def test_digest_ignores_only_the_timestamp(digests):

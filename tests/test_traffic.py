@@ -37,6 +37,11 @@ class TestUtilization:
         rho = utilization(FRAME_108, TrafficParams((2000.0,), 1), 1)
         assert rho > 1.0
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_rejects_user_index_out_of_range(self, k):
+        with pytest.raises(ValueError, match="out of range 1..1"):
+            utilization(FRAME_108, TrafficParams((100.0,), 1), k)
+
 
 class TestMeanDelay:
     def test_reference_delays(self):

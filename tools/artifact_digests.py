@@ -9,7 +9,9 @@ interpreter per command with BLAS/OpenMP threads pinned to 1:
 * ``optimize`` for ga-desk seeds 1-3, ga-paper seeds 1-2, and a one-user,
   a three-user and a rectangular (4 x 6 elements) variant of ga-desk seed 1;
 * ``sweep delay-ee``, ``sweep rel-beta``, ``sweep sjnr-n`` and
-  ``mdl-oracle`` (with the workload's arrival count) for sweep-oracle seed 1.
+  ``mdl-oracle`` (with the workload's arrival count) for sweep-oracle seed 1,
+  and ``sweep delay-ee`` for its 900-element variant, whose blocklength grid
+  spans two of the metric chain's row blocks.
 
 The configs come from this checkout's ``bench/workloads.config_text``, so two
 checkouts run the same configs. Every output file is hashed without its
@@ -42,11 +44,12 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 CLI = "import sys; from risjam.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _desk_variant(section: str, **values: str) -> str:
-    """ga-desk seed 1 with ``values`` set in ``section``."""
-    desk = get_workload("ga-desk")
-    settings = {**desk.settings, section: {**desk.settings.get(section, {}), **values}}
-    return config_text(replace(desk, settings=settings), 1)
+def _variant(name: str, section: str, **values: str) -> str:
+    """Seed 1 of workload ``name`` with ``values`` set in ``section``."""
+    workload = get_workload(name)
+    settings = {**workload.settings,
+                section: {**workload.settings.get(section, {}), **values}}
+    return config_text(replace(workload, settings=settings), 1)
 
 
 def runs() -> list[tuple[str, list[str], str]]:
@@ -55,17 +58,19 @@ def runs() -> list[tuple[str, list[str], str]]:
               for s in (1, 2, 3)]
     listed += [(f"ga-paper-seed{s}", ["optimize"],
                 config_text(get_workload("ga-paper"), s)) for s in (1, 2)]
-    listed.append(("one-user", ["optimize"], _desk_variant(
-        "scenario", user_azimuth_rad="1.0", dist_ris_ue_m="20")))
-    listed.append(("three-users", ["optimize"], _desk_variant(
-        "scenario", user_azimuth_rad="1.0, 1.5707963267948966, 2.2",
+    listed.append(("one-user", ["optimize"], _variant(
+        "ga-desk", "scenario", user_azimuth_rad="1.0", dist_ris_ue_m="20")))
+    listed.append(("three-users", ["optimize"], _variant(
+        "ga-desk", "scenario", user_azimuth_rad="1.0, 1.5707963267948966, 2.2",
         dist_ris_ue_m="20, 25, 30")))
-    listed.append(("rectangle", ["optimize"], _desk_variant(
-        "geometry", n_elements="24", n_rows="4")))
+    listed.append(("rectangle", ["optimize"], _variant(
+        "ga-desk", "geometry", n_elements="24", n_rows="4")))
     oracle = get_workload("sweep-oracle")
     oracle_text = config_text(oracle, 1)
     listed += [(f"sweep-{kind}", ["sweep", kind], oracle_text)
                for kind in ("delay-ee", "rel-beta", "sjnr-n")]
+    listed.append(("sweep-delay-ee-n900", ["sweep", "delay-ee"],
+                   _variant("sweep-oracle", "geometry", n_elements="900")))
     listed.append(("mdl-oracle", ["mdl-oracle", "--arrivals", str(oracle.md1_arrivals)],
                    oracle_text))
     return listed
