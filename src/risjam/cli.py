@@ -138,7 +138,7 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, OverflowError) as exc:
         # an OverflowError is a config whose channels or SJNR leave the float
-        # range, or whose GA population is too large to allocate
+        # range, or whose GA population or --arrivals is too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

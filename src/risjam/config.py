@@ -284,8 +284,7 @@ def square_geometry(n_elements: int, spacing_h: float = 0.25,
     """Square RIS with rows = cols = sqrt(n_elements)."""
     side = isqrt(n_elements)
     if side * side != n_elements:
-        raise ConfigError(f"element count {n_elements} is not a perfect square; "
-                          "give n_rows for a rectangular array")
+        raise ValueError(f"element count {n_elements} is not a perfect square")
     return RisGeometry(side, side, spacing_h, spacing_v, carrier_freq)
 
 
@@ -360,13 +359,15 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     geo = typed["geometry"]
     n_elements, n_rows = geo["n_elements"], geo["n_rows"]
     layout = geo["spacing_h"], geo["spacing_v"], geo["carrier_freq_hz"]
-    if n_rows is None:
-        geometry = _build("geometry", square_geometry, n_elements, *layout)
-    elif n_elements % n_rows:
+    side = isqrt(n_elements)
+    if n_rows is None and side * side != n_elements:
+        raise ConfigError(f"invalid geometry: element count {n_elements} is not a "
+                          "perfect square; give n_rows for a rectangular array")
+    n_rows = n_rows or side
+    if n_elements % n_rows:
         raise ConfigError(f"[geometry] n_rows = {n_rows} does not divide "
                           f"n_elements = {n_elements}")
-    else:
-        geometry = _build("geometry", RisGeometry, n_rows, n_elements // n_rows, *layout)
+    geometry = _build("geometry", RisGeometry, n_rows, n_elements // n_rows, *layout)
 
     scen = typed["scenario"]
     n_users = len(scen["dist_ris_ue_m"])

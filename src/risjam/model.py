@@ -196,7 +196,8 @@ class SystemModel:
             arrival_rates: K rates overriding the scenario's for every
                 candidate of this call.
 
-        Each candidate gets the bits it gets when evaluated alone.
+        Each candidate gets the bits it gets when evaluated alone. A (1, N)
+        beam and (1, K) power row serve all B candidates; their SJNR is computed once.
         """
         blocklengths = np.asarray(blocklengths)
         replicas = np.asarray(retransmissions)
@@ -211,10 +212,11 @@ class SystemModel:
         rhos, stable, delays = self.queue_block(blocklengths, replicas, arrival_rates)
         eta = np.full(stable.shape, np.nan)
         if np.any(stable):
+            user_powers = np.broadcast_to(allocation.user_powers, (stable.size, self.n_users))
             eta[stable] = energy_efficiency(
                 self.payload_bits, np.broadcast_to(rel[stable], delays[:, stable].shape),
-                allocation.user_powers[stable].T, delays[:, stable])
+                user_powers[stable].T, delays[:, stable])
 
-        return MetricsBlock(sjnr=gammas, bler=blers, replica_success=omega,
-                            reliability=rel, utilization=rhos, mean_delay=delays,
-                            energy_efficiency=eta, stable=stable)
+        return MetricsBlock(sjnr=np.broadcast_to(gammas, blers.shape), bler=blers,
+                            replica_success=omega, reliability=rel, utilization=rhos,
+                            mean_delay=delays, energy_efficiency=eta, stable=stable)

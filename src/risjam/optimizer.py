@@ -21,9 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .link import BeamformConfig, PowerAllocation, co_phasing_phases, \
-    sic_balanced_weights
-from .model import SystemModel, MetricsReport
+from .link import co_phasing_phases, sic_balanced_weights
+from .model import MetricsBlock, MetricsReport, SystemModel
 
 # Stand-in objective when the metric chain yields no usable efficiency
 # (unstable queue or zero reliability). Large but finite so ranking
@@ -210,14 +209,15 @@ def _on_grid(genes: np.ndarray, low: int, high: int) -> np.ndarray:
 def decode(genome: np.ndarray, n_users: int, n_elements: int,
            constraints: ConstraintSet) -> DecisionVector:
     """Map a normalized genome to a decision vector inside all box bounds."""
-    x = decode_block(np.asarray(genome)[None], n_users, n_elements, constraints)
-    return DecisionVector(
-        user_powers=tuple(x.user_powers[0].tolist()),
-        phases=tuple(x.phases[0].tolist()),
-        amplitudes=tuple(x.amplitudes[0].tolist()),
-        blocklength=int(x.blocklength[0]),
-        retransmissions=int(x.retransmissions[0]),
-    )
+    return _first(decode_block(np.asarray(genome)[None], n_users, n_elements,
+                               constraints))
+
+
+def _first(x: DecisionBlock) -> DecisionVector:
+    """The decision vector in row 0 of a decoded block."""
+    powers, phases, amplitudes, blocklength, replicas = (v[0].tolist() for v in x)
+    return DecisionVector(tuple(powers), tuple(phases), tuple(amplitudes),
+                          blocklength, replicas)
 
 
 # ----------------------------------------------------------------------------
@@ -322,9 +322,9 @@ def _queue_residuals(rhos, stable, delays, constraints: ConstraintSet
 
 
 def score_block(x: DecisionBlock, model: SystemModel, constraints: ConstraintSet
-                ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+                ) -> tuple[np.ndarray, dict[str, np.ndarray], MetricsBlock]:
     """Objective 1/eta and non-negative residuals of the coupled constraints
-    for each candidate of a decoded block, through one metric-chain call.
+    for each candidate of a decoded block, and the metric-chain block they come from.
 
     An unstable queue is not an error here: it yields the large finite
     stand-in objective plus a positive utilization residual, so the search
@@ -351,7 +351,7 @@ def score_block(x: DecisionBlock, model: SystemModel, constraints: ConstraintSet
     objective = np.where(
         usable, np.minimum(1.0 / np.where(usable, eta, 1.0), INFEASIBLE_OBJECTIVE),
         INFEASIBLE_OBJECTIVE)
-    return objective, violations
+    return objective, violations, chain
 
 
 def evaluate_fitness(x: DecisionVector, model: SystemModel,
@@ -362,7 +362,7 @@ def evaluate_fitness(x: DecisionVector, model: SystemModel,
                           np.array([x.phases], dtype=float),
                           np.array([x.amplitudes], dtype=float),
                           np.array([x.blocklength]), np.array([x.retransmissions]))
-    objective, violations = score_block(block, model, constraints)
+    objective, violations, _ = score_block(block, model, constraints)
     return float(objective[0]), {name: float(v[0]) for name, v in violations.items()}
 
 
@@ -417,7 +417,7 @@ def _evaluate_population(pop: np.ndarray, model: SystemModel,
     for start in range(0, len(pop), rows):
         x = decode_block(pop[start:start + rows], model.n_users,
                          model.n_elements, constraints)
-        block_objective, violations = score_block(x, model, constraints)
+        block_objective, violations, _ = score_block(x, model, constraints)
         objective[start:start + rows] = block_objective
         total[start:start + rows] = sum(violations.values())
     return objective, total
@@ -572,21 +572,19 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
             if stall_count >= settings.stall_generations:
                 break
 
-    best = decode(best_genome, k, n, constraints)
-    objective, violations = evaluate_fitness(best, model, constraints)
-    beam = BeamformConfig(np.asarray(best.amplitudes), np.asarray(best.phases))
-    report = model.evaluate(beam, PowerAllocation(best.user_powers),
-                            best.blocklength, best.retransmissions)
-    feasible = sum(violations.values()) <= tol
+    best = decode_block(best_genome[None], k, n, constraints)
+    objective, violations, chain = score_block(best, model, constraints)
+    violations = {name: float(v[0]) for name, v in violations.items()}
+    report = chain.report(0)
 
     return OptimizationResult(
-        best_solution=best,
+        best_solution=_first(best),
         best_eta=report.energy_efficiency,
-        best_objective=objective,
+        best_objective=float(objective[0]),
         fitness_history=fitness_history,
         mean_history=mean_history,
         feasible_fraction_history=feasible_fraction_history,
-        feasible=feasible,
+        feasible=sum(violations.values()) <= tol,
         constraint_violations=violations,
         best_report=report,
         generations_run=len(fitness_history),

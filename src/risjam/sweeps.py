@@ -22,7 +22,7 @@ from .config import ExperimentConfig, square_geometry
 from .link import (BeamformConfig, FblCode, PowerAllocation, _sic_sjnr, bler,
                    reliability, replica_success)
 from .model import SystemModel
-from .optimizer import BLOCK_CELLS, OptimizationResult, run_ga
+from .optimizer import OptimizationResult, run_ga
 
 DELAY_EE_COLUMNS = ("arrival_rate_per_s", "blocklength", "utilization",
                     "mean_delay_s", "energy_efficiency_bits_per_j")
@@ -123,33 +123,26 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     All users share the swept arrival rate. The replica count comes from
     [sweep] retransmissions (default 1, the value consistent with the
     reference delay numbers). Unstable points carry a marker instead of a
-    delay. Each arrival rate's blocklength grid is evaluated in metric-chain
-    calls of at most ``optimizer.BLOCK_CELLS`` beam cells.
+    delay. Each arrival rate is one metric-chain call, which computes the
+    policy beam's SJNR once for the whole blocklength grid.
     """
     model = build_model(cfg)
-    n_users = model.n_users
-    beam, allocation = _policy(cfg, model, n_users)
+    beam, allocation = _policy(cfg, model, model.n_users)
     lengths = np.array(sorted(cfg.sweep.blocklength_grid))
-    block = min(lengths.size, max(1, BLOCK_CELLS // model.n_elements))
-    amplitudes, phases, powers = (
-        np.tile(row, (block, 1))
-        for row in (beam.amplitudes, beam.phases, allocation.user_powers))
-    replicas = np.full(block, cfg.sweep.retransmissions)
+    replicas = np.full(lengths.size, cfg.sweep.retransmissions)
 
     rows: list[tuple] = []
     for rate in sorted(cfg.sweep.arrival_rate_grid):
-        for start in range(0, lengths.size, block):
-            part = lengths[start:start + block]
-            b = part.size
-            chain = model.evaluate_block(amplitudes[:b], phases[:b], powers[:b], part,
-                                         replicas[:b], arrival_rates=(rate,) * n_users)
-            # object arrays hold Python floats, and the marker where unstable
-            delay = chain.mean_delay[0].astype(object)
-            delay[~chain.stable] = UNSTABLE_MARKER
-            eta = chain.energy_efficiency.astype(object)
-            eta[~chain.stable] = None
-            rows.extend(zip(itertools.repeat(float(rate)), part.tolist(),
-                            chain.utilization[0].tolist(), delay.tolist(), eta.tolist()))
+        chain = model.evaluate_block(beam.amplitudes[None], beam.phases[None],
+                                     [allocation.user_powers], lengths, replicas,
+                                     arrival_rates=(rate,) * model.n_users)
+        # object arrays hold Python floats, and the marker where unstable
+        delay = chain.mean_delay[0].astype(object)
+        delay[~chain.stable] = UNSTABLE_MARKER
+        eta = chain.energy_efficiency.astype(object)
+        eta[~chain.stable] = None
+        rows.extend(zip(itertools.repeat(float(rate)), lengths.tolist(),
+                        chain.utilization[0].tolist(), delay.tolist(), eta.tolist()))
 
     metadata = _metadata(cfg, "delay-ee")
     delays = {(row[0], row[1]): row[3] for row in rows}

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest n_arrivals of ``simulate_md1``: its three float64 paths then take 1.5 GiB
+MAX_ARRIVALS = 2 ** 26
+
 
 class UnstableQueueError(ValueError):
     """Raised when offered load reaches the service capacity (rho >= 1)."""
@@ -135,12 +138,15 @@ def simulate_md1(arrival_rate: float, service_time: float, n_arrivals: int,
     server starting empty. Serves as an independent cross-check of the
     closed-form mean delay: it follows one sample path of the queue through
     Lindley's recursion d_i = max(a_i, d_{i-1}) + S, in its closed form
-    d_i = (i + 1) S + max_{j <= i} (a_j - j S).
+    d_i = (i + 1) S + max_{j <= i} (a_j - j S). Raises OverflowError above
+    ``MAX_ARRIVALS`` arrivals.
     """
     if not (0 < arrival_rate < np.inf and 0 < service_time < np.inf):
         raise ValueError("arrival rate and service time must be positive and finite")
     if n_arrivals < 1:
         raise ValueError("need at least one arrival")
+    if n_arrivals > MAX_ARRIVALS:
+        raise OverflowError(f"{n_arrivals} arrivals is above 2**26")
     rng = np.random.default_rng(seed)
     arrivals = rng.exponential(1.0 / arrival_rate, size=n_arrivals)
     # in place, so that a 10^6-packet path holds three arrays and no temporaries

@@ -257,11 +257,16 @@ class TestErrors:
             load_config(write(tmp_path, "[wormholes]\nmass = 1\n"))
 
     def test_non_square_element_count(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=(
+                r"^invalid geometry: element count 5 is not a perfect square; "
+                r"give n_rows for a rectangular array$")):
             load_config(write(tmp_path, "[geometry]\nn_elements = 5\n"))
 
     def test_non_square_sweep_grid(self, tmp_path):
-        with pytest.raises(ConfigError):
+        # no sweep reads n_rows, so the message does not offer it
+        with pytest.raises(ConfigError, match=(
+                r"^invalid \[sweep\] n_elements_grid entry: element count 12 "
+                r"is not a perfect square$")):
             load_config(write(tmp_path, "[sweep]\nn_elements_grid = 4,12\n"))
 
     def test_bad_number(self, tmp_path):
@@ -580,5 +585,5 @@ class TestSquareGeometry:
     def test_square_side(self):
         geom = square_geometry(400)
         assert (geom.n_rows, geom.n_cols) == (20, 20)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             square_geometry(12)

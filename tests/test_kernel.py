@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risjam import sweeps
 from risjam.channel import RisGeometry
 from risjam.config import load_config
 from risjam.link import BeamformConfig, PowerAllocation
@@ -57,10 +56,7 @@ def test_block_boundaries_do_not_change_bits(seed, n_users, n_elements,
                                              n_candidates):
     model, genomes, rng = random_case(seed, n_users, n_elements, n_candidates)
     whole = decode_block(genomes, n_users, n_elements, WIDE_BOX)
-    objective, violations = score_block(whole, model, WIDE_BOX)
-    chain = model.evaluate_block(whole.amplitudes, whole.phases,
-                                 whole.user_powers, whole.blocklength,
-                                 whole.retransmissions)
+    objective, violations, chain = score_block(whole, model, WIDE_BOX)
 
     cuts = np.sort(rng.choice(np.arange(1, n_candidates),
                               size=int(rng.integers(0, n_candidates)),
@@ -103,6 +99,16 @@ def test_many_users_keep_their_bits():
                                      x.retransmissions[b:b + 1])
         assert repr(alone.report(0)) == repr(chain.report(b))
 
+    # one beam and power row given once for every code of the block, as
+    # sweep_delay_ee passes them, against the same row tiled over the block
+    first = (x.amplitudes[:1], x.phases[:1], x.user_powers[:1])
+    shared = model.evaluate_block(*first, x.blocklength, x.retransmissions)
+    tiled = model.evaluate_block(*(np.tile(row, (len(genomes), 1)) for row in first),
+                                 x.blocklength, x.retransmissions)
+    assert 0 < np.mean(shared.stable) < 1
+    for b in range(len(genomes)):
+        assert repr(shared.report(b)) == repr(tiled.report(b))
+
 
 def test_random_blocks_cover_unstable_and_infeasible_points():
     # the property above is only meaningful if its inputs reach every branch
@@ -111,9 +117,7 @@ def test_random_blocks_cover_unstable_and_infeasible_points():
     for seed in range(20):
         model, genomes, _ = random_case(seed, 1, 9, 30)
         x = decode_block(genomes, 1, 9, WIDE_BOX)
-        chain = model.evaluate_block(x.amplitudes, x.phases, x.user_powers,
-                                     x.blocklength, x.retransmissions)
-        objective, violations = score_block(x, model, WIDE_BOX)
+        _, violations, chain = score_block(x, model, WIDE_BOX)
         stable.update(chain.stable.tolist())
         feasible.update((sum(violations.values()) == 0.0).tolist())
         reliable.update((chain.reliability >= WIDE_BOX.rel_thr).tolist())
@@ -142,27 +146,47 @@ def test_delay_ee_rows_equal_per_point_evaluations():
     assert 0 < markers < len(result.rows)
 
 
-@pytest.mark.parametrize("cells", [16, 80])
-def test_delay_ee_row_blocks_do_not_change_bits(monkeypatch, cells):
-    # the default grid holds 21 blocklengths on 16 elements: one block by
-    # default, and 21 or 5 blocks per arrival rate at these sizes
-    cfg = load_config()
-    whole = sweep_delay_ee(cfg)
-    sizes = []
+def recorded_blocks(monkeypatch) -> list[tuple]:
+    """The (beam, power) shapes of every ``SystemModel.evaluate_block`` call
+    made from now on."""
+    shapes = []
     evaluate_block = SystemModel.evaluate_block
 
-    def recorded(model, amplitudes, *args, **kwargs):
-        sizes.append(amplitudes.size)
-        return evaluate_block(model, amplitudes, *args, **kwargs)
+    def recorded(model, amplitudes, phases, powers, *args, **kwargs):
+        shapes.append((np.shape(amplitudes), np.shape(powers)))
+        return evaluate_block(model, amplitudes, phases, powers, *args, **kwargs)
 
     monkeypatch.setattr(SystemModel, "evaluate_block", recorded)
-    monkeypatch.setattr(sweeps, "BLOCK_CELLS", cells)
-    blocked = sweep_delay_ee(cfg)
-    assert repr(blocked.rows) == repr(whole.rows)
-    rows_per_block = cells // cfg.geometry.n_elements
-    n_rates = len(cfg.sweep.arrival_rate_grid)
-    assert len(sizes) == n_rates * -(-len(cfg.sweep.blocklength_grid) // rows_per_block)
-    assert max(sizes) == cells
+    return shapes
+
+
+def test_delay_ee_passes_its_beam_once_per_arrival_rate(monkeypatch):
+    cfg = load_config()
+    calls = recorded_blocks(monkeypatch)
+    sweep_delay_ee(cfg)
+    one_row = ((1, cfg.geometry.n_elements), (1, cfg.scenario.n_users))
+    assert calls == [one_row] * len(cfg.sweep.arrival_rate_grid)
+
+
+def test_ga_scores_its_best_genome_once(monkeypatch):
+    # one call for the initial population, one for the record of its best
+    model = make_model(RisGeometry(2, 2), make_scenario(
+        jammer_power=5e-4, user_dirs=[(1.0, -0.3), (np.pi / 2, -0.1)]))
+    constraints = ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)
+    calls = recorded_blocks(monkeypatch)
+    result = run_ga(model, constraints,
+                    GaSettings(rng_seed=7, population_size=40, max_generations=0))
+    assert len(calls) == 2
+
+    best = result.best_solution
+    objective, violations = evaluate_fitness(best, model, constraints)
+    assert (objective, violations) == (result.best_objective,
+                                       result.constraint_violations)
+    report = model.evaluate(BeamformConfig(np.array(best.amplitudes),
+                                           np.array(best.phases)),
+                            PowerAllocation(best.user_powers),
+                            best.blocklength, best.retransmissions)
+    assert repr(report) == repr(result.best_report)
 
 
 def test_one_arrival_rate_per_user_required():

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from risjam.config import load_config
 from risjam.link import (ERFC_TWO_UPTO, ERFC_ZERO_FROM, BeamformConfig, FblCode,
                          NoiseConfig, PowerAllocation, bler, co_phasing_phases,
-                         q_function, reliability, replica_success, sjnr_all)
+                         q_function, reliability, replica_success,
+                         sic_balanced_weights, sjnr_all)
+from risjam.sweeps import build_model
 
 
 def sjnr_scalar_oracle(ue, bs, h_direct, g_jam, amps, phases, powers,
@@ -177,6 +180,32 @@ class TestSjnr:
             phases = rng.uniform(0, 2 * np.pi, n)
             value = np.abs(np.sum(bs * np.sqrt(amps) * np.exp(1j * phases) * ue)) ** 2
             assert value <= best * (1 + 1e-12)
+
+
+class TestSicBalancedWeights:
+    @staticmethod
+    def cascade_gains(model, ratio):
+        """|(I o G_1)^T w|, |(I o G_2)^T w| and |(I o g_J)^T w| of the
+        balanced weights w."""
+        weights = sic_balanced_weights(model.bs_channel, model.ue_channels,
+                                       model.jammer_channel, ratio)
+        channels = np.vstack([model.ue_channels, model.jammer_channel])
+        return np.abs((channels * model.bs_channel) @ weights)
+
+    @pytest.mark.parametrize("ratio", [1.0, 10.0, 1000.0])
+    def test_separated_users_get_the_ratio_and_the_jammer_a_null(self, tmp_path, ratio):
+        path = tmp_path / "separated.ini"
+        path.write_text("[scenario]\nuser_azimuth_rad = 1.0, 1.5707963267948966\n")
+        user1, user2, jammer = self.cascade_gains(build_model(load_config(path)), ratio)
+        assert user1 ** 2 / user2 ** 2 == pytest.approx(ratio, rel=1e-12)
+        assert jammer <= 1e-12 * user1
+
+    @pytest.mark.parametrize("ratio", [1.0, 10.0, 1000.0])
+    def test_shared_direction_keeps_the_distance_ratio(self, ratio):
+        # the as-printed users share one direction, so the array cannot
+        # grade them: the gain ratio stays (d2 / d1)^2 = 1.5625, the SIC cap
+        user1, user2, _ = self.cascade_gains(build_model(load_config()), ratio)
+        assert user1 ** 2 / user2 ** 2 == pytest.approx(1.5625, rel=1e-12)
 
 
 class TestQFunction:

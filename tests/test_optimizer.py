@@ -467,7 +467,7 @@ class TestRepair:
         caps = optimizer._blocklength_caps(model, c)
         optimizer._repair(genomes, k, n, c, caps, np.arange(genomes.size))
         x = decode_block(genomes, k, n, c)
-        _, violations = score_block(x, model, c)
+        _, violations, _ = score_block(x, model, c)
         assert np.all(np.diff(x.user_powers, axis=1) >= 0.0)
         assert np.all(violations["power_ordering"] == 0.0)
         integer_genes = slice(k + 2 * n, None)

@@ -377,6 +377,12 @@ class TestCli:
         assert "simulated=nan" in captured.out
         assert "discrete-event check failed" in captured.err
 
+    def test_mdl_oracle_bounds_the_arrival_count(self, tmp_path, capsys):
+        assert main(["mdl-oracle", "--arrivals", str(2 ** 26 + 1),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: 67108865 arrivals is above 2**26\n")
+
     @pytest.mark.parametrize("flags, named", [
         (("--rho", "2"), "--rho"),
         (("--rho", "nan"), "--rho"),

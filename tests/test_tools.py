@@ -28,15 +28,15 @@ def test_every_run_config_loads(digests, tmp_path):
         "ga-desk-seed1", "ga-desk-seed2", "ga-desk-seed3", "ga-paper-seed1",
         "ga-paper-seed2", "one-user", "three-users", "rectangle",
         "sweep-delay-ee", "sweep-rel-beta", "sweep-sjnr-n", "sweep-delay-ee-n900",
-        "mdl-oracle"]
+        "sweep-delay-ee-three-users", "mdl-oracle"]
     configs = {}
     for name, _, text in runs:
         path = tmp_path / f"{name}.ini"
         path.write_text(text)
         configs[name] = load_config(path)
-    users = [configs[name].scenario.n_users
-             for name in ("one-user", "ga-desk-seed1", "three-users")]
-    assert users == [1, 2, 3]
+    users = [configs[name].scenario.n_users for name in (
+        "one-user", "ga-desk-seed1", "three-users", "sweep-delay-ee-three-users")]
+    assert users == [1, 2, 3, 3]
     shapes = [(configs[name].geometry.n_rows, configs[name].geometry.n_cols)
               for name in ("ga-desk-seed1", "rectangle")]
     assert shapes == [(4, 4), (4, 6)]

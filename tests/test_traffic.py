@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risjam.traffic import (FrameParams, TrafficParams, UnstableQueueError,
-                            energy_efficiency, mean_delay, simulate_md1,
-                            utilization)
+from risjam.traffic import (MAX_ARRIVALS, FrameParams, TrafficParams,
+                            UnstableQueueError, energy_efficiency, mean_delay,
+                            simulate_md1, utilization)
 
 FRAME_108 = FrameParams(header_time=30e-6, bandwidth=180e3, blocklength=108)
 
@@ -130,6 +130,10 @@ class TestDiscreteEventQueue:
                 simulate_md1(bad, 1e-3, 100, seed=1)
             with pytest.raises(ValueError):
                 simulate_md1(100.0, bad, 100, seed=1)
+
+    def test_rejects_more_arrivals_than_it_can_hold(self):
+        with pytest.raises(OverflowError, match=r"^67108865 arrivals is above 2\*\*26$"):
+            simulate_md1(100.0, 1e-3, MAX_ARRIVALS + 1, seed=1)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 2000), rho=st.floats(1e-3, 2.0),

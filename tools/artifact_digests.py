@@ -10,8 +10,8 @@ interpreter per command with BLAS/OpenMP threads pinned to 1:
   a three-user and a rectangular (4 x 6 elements) variant of ga-desk seed 1;
 * ``sweep delay-ee``, ``sweep rel-beta``, ``sweep sjnr-n`` and
   ``mdl-oracle`` (with the workload's arrival count) for sweep-oracle seed 1,
-  and ``sweep delay-ee`` for its 900-element variant, whose blocklength grid
-  spans two of the metric chain's row blocks.
+  and ``sweep delay-ee`` for its 900-element variant and for a three-user
+  variant with unstable rows.
 
 The configs come from this checkout's ``bench/workloads.config_text``, so two
 checkouts run the same configs. Every output file is hashed without its
@@ -71,6 +71,9 @@ def runs() -> list[tuple[str, list[str], str]]:
                for kind in ("delay-ee", "rel-beta", "sjnr-n")]
     listed.append(("sweep-delay-ee-n900", ["sweep", "delay-ee"],
                    _variant("sweep-oracle", "geometry", n_elements="900")))
+    listed.append(("sweep-delay-ee-three-users", ["sweep", "delay-ee"], _variant(
+        "sweep-oracle", "scenario", user_azimuth_rad="1.0, 1.5707963267948966, 2.2",
+        dist_ris_ue_m="20, 25, 30")))
     listed.append(("mdl-oracle", ["mdl-oracle", "--arrivals", str(oracle.md1_arrivals)],
                    oracle_text))
     return listed
