@@ -11,9 +11,8 @@ from .channel import (Direction, LinkScenario, RisGeometry, array_response,
                       ris_jammer_channel, ris_ue_channel, wave_vector)
 from .config import (ConfigError, ExperimentConfig, SweepSpec, load_config,
                      square_geometry)
-from .link import (BeamformConfig, FblCode, NoiseConfig, PowerAllocation, bler,
-                   co_phasing_phases, q_function, reliability, replica_success,
-                   sjnr_all)
+from .link import (BeamformConfig, NoiseConfig, bler, co_phasing_phases,
+                   q_function, reliability, replica_success, sjnr_all)
 from .model import MetricsBlock, MetricsReport, SystemModel
 from .optimizer import (ConstraintSet, DecisionBlock, DecisionVector,
                         GaSettings, OptimizationResult, decode, decode_block,

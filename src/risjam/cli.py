@@ -15,7 +15,7 @@ from .config import PRESETS, ConfigError, load_config
 from .sweeps import (UNSTABLE_MARKER, run_optimize, sweep_delay_ee,
                      sweep_reliability_vs_beta, sweep_sjnr_vs_n,
                      write_sweep_csv)
-from .traffic import FrameParams, mean_delay, simulate_md1, TrafficParams
+from .traffic import MAX_ARRIVALS, FrameParams, mean_delay, simulate_md1, TrafficParams
 
 # sweep kind -> runner; the CLI's choices and its dispatch
 _SWEEPS = {
@@ -103,8 +103,8 @@ def _rho_targets(rho_spec: str) -> list[float]:
 
 def _cmd_mdl_oracle(cfg, arrivals: int, rho_spec: str) -> int:
     targets = _rho_targets(rho_spec)
-    if arrivals < 1:
-        raise ConfigError(f"--arrivals: {arrivals} is below 1")
+    if not 1 <= arrivals <= MAX_ARRIVALS:
+        raise ConfigError(f"--arrivals: {arrivals} is outside 1..2**26")
     frame = FrameParams(cfg.header_time, cfg.bandwidth, cfg.blocklength)
     service = cfg.traffic.retransmissions * frame.duration
     passed = True
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, OverflowError) as exc:
         # an OverflowError is a config whose channels or SJNR leave the float
-        # range, or whose GA population or --arrivals is too large to allocate
+        # range, or whose GA population is too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -58,27 +58,6 @@ class BeamformConfig:
 
 
 @dataclass(frozen=True)
-class PowerAllocation:
-    """Transmit powers of the K users in watts.
-
-    A (B, K) array holds one allocation per row, for B candidates at once.
-    """
-
-    user_powers: tuple[float, ...]
-
-    def __post_init__(self):
-        p = np.asarray(self.user_powers, dtype=float)
-        if p.ndim not in (1, 2) or p.shape[-1] < 1:
-            raise ValueError("at least one user power required")
-        if not np.all((p > 0) & np.isfinite(p)):
-            raise ValueError("user powers must be positive and finite")
-
-    @property
-    def n_users(self) -> int:
-        return np.shape(self.user_powers)[-1]
-
-
-@dataclass(frozen=True)
 class NoiseConfig:
     """Noise variances in watts: RIS element thermal noise and BS AWGN."""
 
@@ -88,28 +67,6 @@ class NoiseConfig:
     def __post_init__(self):
         if not (0 <= self.ris_thermal_var < np.inf and 0 <= self.awgn_var < np.inf):
             raise ValueError("noise variances must be non-negative and finite")
-
-
-@dataclass(frozen=True)
-class FblCode:
-    """Short-packet code: channel uses per block and payload size in bits.
-
-    ``blocklength`` may be an integer array, one code per candidate.
-    """
-
-    blocklength: int
-    payload_bits: int
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.blocklength) < 1):
-            raise ValueError("blocklength must be a positive integer")
-        if self.payload_bits < 1:
-            raise ValueError("payload must be a positive number of bits")
-
-    @property
-    def rate(self) -> float:
-        """Coding rate in bits per channel use."""
-        return self.payload_bits / self.blocklength
 
 
 def co_phasing_phases(bs_channel: np.ndarray, ue_channel: np.ndarray) -> np.ndarray:
@@ -142,7 +99,7 @@ def sic_balanced_weights(bs_channel: np.ndarray, ue_channels: np.ndarray,
 # _sic_sjnr checks the range of what may overflow here
 @np.errstate(over="ignore", invalid="ignore")
 def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex,
-             jammer_channel: np.ndarray, beam: BeamformConfig, powers: PowerAllocation,
+             jammer_channel: np.ndarray, beam: BeamformConfig, powers,
              jammer_power: float, noise: NoiseConfig) -> np.ndarray:
     """Received SJNR of every user at the BS under SIC decoding.
 
@@ -155,8 +112,8 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
         bs_channel: (N,) RIS-to-BS channel.
         jammer_direct: scalar jammer-to-BS channel.
         jammer_channel: (N,) jammer-to-RIS channel.
-        beam, powers: one candidate, or B candidates as (B, N) beams and
-            (B, K) powers.
+        beam, powers: one candidate (K user powers in watts), or B
+            candidates as (B, N) beams and (B, K) powers.
 
     Returns:
         (K,) linear power ratios (non-negative), entry k-1 for user k; for B
@@ -166,8 +123,7 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
     is not finite.
     """
     ue = np.atleast_2d(np.asarray(ue_channels))
-    if powers.n_users != ue.shape[0]:
-        raise ValueError("one transmit power per user required")
+    p = _check_powers(powers, ue.shape[0])
     n = bs_channel.shape[0]
     if ue.shape[1] != n or jammer_channel.shape[0] != n or beam.n_elements != n:
         raise ValueError("channel vectors and beamforming must share one element count")
@@ -180,12 +136,22 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
     rows = np.tile(bs_channel, (weights.shape[0], 1)) * weights
     stacked = rows[:, None, :]
     cascade_gains = np.abs((stacked @ ue.T)[:, 0, :]).T ** 2  # |I^T Theta G_k|^2
-    received = np.atleast_2d(np.asarray(powers.user_powers, dtype=float)).T * cascade_gains
+    received = np.atleast_2d(p).T * cascade_gains
     gammas = _sic_sjnr(received, (stacked @ jammer_channel[:, None])[:, 0, 0],
                        np.sum(np.abs(rows) ** 2, axis=-1), jammer_direct,
                        jammer_power, noise)
-    single = beam.amplitudes.ndim == 1 and np.ndim(powers.user_powers) == 1
+    single = beam.amplitudes.ndim == 1 and p.ndim == 1
     return gammas[:, 0] if single else gammas
+
+
+def _check_powers(powers, n_users: int) -> np.ndarray:
+    """K positive, finite powers in watts, or a (B, K) array of them."""
+    p = np.asarray(powers, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != n_users:
+        raise ValueError("one transmit power per user required")
+    if not np.all((p > 0) & np.isfinite(p)):
+        raise ValueError("user powers must be positive and finite")
+    return p
 
 
 def _sic_sjnr(received, jammer_reflected, weight_norm_sq, jammer_direct: complex,
@@ -231,15 +197,20 @@ def q_function(x):
     return 0.5 * out
 
 
-def bler(gamma, code: FblCode):
+def bler(gamma, blocklength, payload_bits):
     """Normal-approximation block error rate at SJNR ``gamma``.
 
-    Q( sqrt(n_b / v(gamma)) * (C(gamma) - n_d/n_b) ) with capacity
-    C = log2(1+gamma) and dispersion v = (1 - 1/(1+gamma)^2)*(log2 e)^2.
-    The dispersion is 0 only where 1 + gamma rounds to 1 (gamma = 0 among
-    them); there the capacity is 0, below every positive rate, and the BLER
-    is 1. Accepts scalars or arrays.
+    Q( sqrt(n_b / v(gamma)) * (C(gamma) - n_d/n_b) ) for n_d payload bits in
+    n_b channel uses, with capacity C = log2(1+gamma) and dispersion
+    v = (1 - 1/(1+gamma)^2)*(log2 e)^2. The dispersion is 0 only where
+    1 + gamma rounds to 1 (gamma = 0 among them); there the capacity is 0,
+    below every positive rate, and the BLER is 1. Accepts scalars or
+    arrays, ``blocklength`` an integer array too.
     """
+    if not np.all(np.asarray(blocklength) >= 1):
+        raise ValueError("blocklength must be a positive integer")
+    if not payload_bits >= 1:
+        raise ValueError("payload must be a positive number of bits")
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0) or not np.all(np.isfinite(g)):
         raise ValueError("SJNR must be finite and non-negative")
@@ -247,7 +218,7 @@ def bler(gamma, code: FblCode):
     with np.errstate(over="ignore"):  # (1 + g)^2 = inf above ~1e154 gives 1/inf = 0, exact
         dispersion = (1.0 - 1.0 / (1.0 + g) ** 2) * LOG2E ** 2
     safe_v = np.where(dispersion > 0, dispersion, 1.0)
-    arg = np.sqrt(code.blocklength / safe_v) * (capacity - code.rate)
+    arg = np.sqrt(blocklength / safe_v) * (capacity - payload_bits / blocklength)
     eps = np.where(dispersion > 0, q_function(arg), 1.0)
     return float(eps) if np.ndim(gamma) == 0 else eps
 

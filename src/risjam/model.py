@@ -15,8 +15,8 @@ import numpy as np
 
 from .channel import RisGeometry, LinkScenario, ris_ue_channel, ris_bs_channel, \
     jammer_direct_channel, ris_jammer_channel
-from .link import BeamformConfig, PowerAllocation, NoiseConfig, FblCode, \
-    sjnr_all, bler, replica_success, reliability, co_phasing_phases
+from .link import BeamformConfig, NoiseConfig, sjnr_all, bler, replica_success, \
+    reliability, co_phasing_phases, _check_powers
 from .traffic import FrameParams, TrafficParams, utilization, mean_delay, \
     energy_efficiency
 
@@ -121,18 +121,20 @@ class SystemModel:
 
     def co_phased_beam(self, user: int, amplitudes) -> BeamformConfig:
         """Uniform or per-element amplitudes with phases aligned to one user."""
+        if not 1 <= user <= self.n_users:
+            raise ValueError(f"user index {user} out of range 1..{self.n_users}")
         phases = co_phasing_phases(self.bs_channel, self.ue_channels[user - 1])
         amps = np.broadcast_to(np.asarray(amplitudes, dtype=float),
                                (self.n_elements,)).copy()
         return BeamformConfig(amps, phases)
 
-    def sjnr(self, beam: BeamformConfig, powers: PowerAllocation) -> np.ndarray:
+    def sjnr(self, beam: BeamformConfig, powers) -> np.ndarray:
         return sjnr_all(self.ue_channels, self.bs_channel, self.jammer_direct,
                         self.jammer_channel, beam, powers,
                         self.scenario.jammer_power, self.noise)
 
     @np.errstate(over="ignore")
-    def ris_output_power(self, beam: BeamformConfig, powers: PowerAllocation) -> float:
+    def ris_output_power(self, beam: BeamformConfig, powers) -> float:
         """Reporting-only estimate of the power radiated by the active RIS.
 
         Per-element incident power (all users, the jammer, element thermal
@@ -140,12 +142,13 @@ class SystemModel:
         energy-efficiency denominator, so a sum beyond the float range reads
         inf instead of ending the run.
         """
-        incident = (np.asarray(powers.user_powers) @ np.abs(self.ue_channels) ** 2
+        p = _check_powers([powers], self.n_users)[0]  # one point: a (B, K) block fails
+        incident = (p @ np.abs(self.ue_channels) ** 2
                     + self.scenario.jammer_power * np.abs(self.jammer_channel) ** 2
                     + self.noise.ris_thermal_var)
         return float(np.sum(beam.amplitudes * incident))
 
-    def evaluate(self, beam: BeamformConfig, powers: PowerAllocation,
+    def evaluate(self, beam: BeamformConfig, powers,
                  blocklength: int, retransmissions: int,
                  arrival_rates: tuple[float, ...] | None = None) -> MetricsReport:
         """Run the full metric chain for one operating point.
@@ -155,7 +158,7 @@ class SystemModel:
         traffic sweeps; channels are unaffected).
         """
         block = self.evaluate_block(beam.amplitudes[None], beam.phases[None],
-                                    [powers.user_powers], [blocklength],
+                                    [powers], [blocklength],
                                     [retransmissions], arrival_rates)
         return block.report(0)
 
@@ -199,20 +202,19 @@ class SystemModel:
         Each candidate gets the bits it gets when evaluated alone. A (1, N)
         beam and (1, K) power row serve all B candidates; their SJNR is computed once.
         """
+        powers = np.asarray(powers, dtype=float)
         blocklengths = np.asarray(blocklengths)
         replicas = np.asarray(retransmissions)
-        allocation = PowerAllocation(np.asarray(powers, dtype=float))
-        code = FblCode(blocklengths, self.payload_bits)
 
-        gammas = self.sjnr(BeamformConfig(amplitudes, phases), allocation)
-        blers = bler(gammas, code)
+        gammas = self.sjnr(BeamformConfig(amplitudes, phases), powers)
+        blers = bler(gammas, blocklengths, self.payload_bits)
         omega = replica_success(blers)
         rel = reliability(omega, replicas)
 
         rhos, stable, delays = self.queue_block(blocklengths, replicas, arrival_rates)
         eta = np.full(stable.shape, np.nan)
         if np.any(stable):
-            user_powers = np.broadcast_to(allocation.user_powers, (stable.size, self.n_users))
+            user_powers = np.broadcast_to(powers, (stable.size, self.n_users))
             eta[stable] = energy_efficiency(
                 self.payload_bits, np.broadcast_to(rel[stable], delays[:, stable].shape),
                 user_powers[stable].T, delays[:, stable])

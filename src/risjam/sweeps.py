@@ -19,8 +19,8 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig, square_geometry
-from .link import (BeamformConfig, FblCode, PowerAllocation, _sic_sjnr, bler,
-                   reliability, replica_success)
+from .link import (BeamformConfig, _check_powers, _sic_sjnr, bler, reliability,
+                   replica_success)
 from .model import SystemModel
 from .optimizer import OptimizationResult, run_ga
 
@@ -68,13 +68,13 @@ def build_model(cfg: ExperimentConfig, n_elements: int | None = None) -> SystemM
 
 
 def _policy(cfg: ExperimentConfig, model: SystemModel,
-            plotted_user: int) -> tuple[BeamformConfig, PowerAllocation]:
+            plotted_user: int) -> tuple[BeamformConfig, tuple[float, ...]]:
     """The fixed policy: phases co-phased to ``cophase_user`` (by default the
     sweep's ``plotted_user``), amplitude ``policy_beta_total / N`` on every
     element and power ``policy_power_w`` for every user."""
     user = cfg.sweep.cophase_user if cfg.sweep.cophase_user is not None else plotted_user
     beam = model.co_phased_beam(user, cfg.sweep.policy_beta_total / model.n_elements)
-    return beam, PowerAllocation((cfg.sweep.policy_power_w,) * model.n_users)
+    return beam, (cfg.sweep.policy_power_w,) * model.n_users
 
 
 def _metadata(cfg: ExperimentConfig, kind: str) -> dict[str, str]:
@@ -95,7 +95,7 @@ def uniform_beta_sjnr(model: SystemModel, phases: np.ndarray, powers_w,
 
     Equivalent to evaluating the SJNR one amplitude at a time but vectorized
     over the amplitude axis; returns shape (K, len(betas)). Raises
-    OverflowError as ``link.sjnr_all`` does.
+    ValueError and OverflowError as ``link.sjnr_all`` does.
     """
     betas = np.asarray(betas, dtype=float)
     # with uniform amplitude beta every weight is sqrt(beta) times the unit
@@ -106,7 +106,7 @@ def uniform_beta_sjnr(model: SystemModel, phases: np.ndarray, powers_w,
     s_jam = row_unit @ model.jammer_channel
     unit_norm_sq = float(np.sum(np.abs(row_unit) ** 2))
 
-    p = np.asarray(powers_w, dtype=float)[:, None]
+    p = _check_powers([powers_w], len(model.ue_channels))[0][:, None]
     received = p * (np.abs(s_users) ** 2)[:, None] * betas[None, :]
     return _sic_sjnr(received, np.sqrt(betas) * s_jam, betas * unit_norm_sq,
                      model.jammer_direct, model.scenario.jammer_power,
@@ -127,14 +127,14 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     policy beam's SJNR once for the whole blocklength grid.
     """
     model = build_model(cfg)
-    beam, allocation = _policy(cfg, model, model.n_users)
+    beam, powers = _policy(cfg, model, model.n_users)
     lengths = np.array(sorted(cfg.sweep.blocklength_grid))
     replicas = np.full(lengths.size, cfg.sweep.retransmissions)
 
     rows: list[tuple] = []
     for rate in sorted(cfg.sweep.arrival_rate_grid):
         chain = model.evaluate_block(beam.amplitudes[None], beam.phases[None],
-                                     [allocation.user_powers], lengths, replicas,
+                                     [powers], lengths, replicas,
                                      arrival_rates=(rate,) * model.n_users)
         # object arrays hold Python floats, and the marker where unstable
         delay = chain.mean_delay[0].astype(object)
@@ -163,16 +163,15 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
     count in the metadata, next to the reference readings.
     """
     betas = np.asarray(sorted(cfg.sweep.beta_grid), dtype=float)
-    code = FblCode(cfg.sweep.blocklength, cfg.payload_bits)
-    replicas = cfg.traffic.retransmissions
     metadata = _metadata(cfg, "rel-beta")
 
     rows: list[tuple] = []
     for n_elements in cfg.sweep.n_elements_grid or (4, 100, 400, 900):
         model = build_model(cfg, n_elements)
-        beam, allocation = _policy(cfg, model, model.n_users)
-        gammas = uniform_beta_sjnr(model, beam.phases, allocation.user_powers, betas)
-        rel = reliability(replica_success(bler(gammas, code)), replicas)
+        beam, powers = _policy(cfg, model, model.n_users)
+        gammas = uniform_beta_sjnr(model, beam.phases, powers, betas)
+        blers = bler(gammas, cfg.sweep.blocklength, cfg.payload_bits)
+        rel = reliability(replica_success(blers), cfg.traffic.retransmissions)
 
         reached = np.nonzero(rel >= cfg.constraints.rel_thr)[0]
         threshold = float(betas[reached[0]]) if reached.size else None
@@ -342,8 +341,7 @@ def solution_record(result: OptimizationResult, cfg: ExperimentConfig,
         "violation_reliability": result.constraint_violations["reliability"],
         "violation_utilization": result.constraint_violations["utilization"],
         "violation_power_ordering": result.constraint_violations["power_ordering"],
-        "ris_power_estimate_w": model.ris_output_power(
-            beam, PowerAllocation(best.user_powers)),
+        "ris_power_estimate_w": model.ris_output_power(beam, best.user_powers),
     }
 
 

@@ -8,8 +8,7 @@ import pytest
 
 from risjam.channel import RisGeometry
 from risjam.config import load_config
-from risjam.link import (BeamformConfig, FblCode, PowerAllocation, bler,
-                         q_function)
+from risjam.link import BeamformConfig, bler, q_function
 from risjam.optimizer import (ConstraintSet, GaSettings, decode,
                               evaluate_fitness, genome_dimension, run_ga)
 from risjam.sweeps import (sweep_reliability_vs_beta, sweep_sjnr_vs_n,
@@ -61,11 +60,11 @@ def test_criterion_04_bler_numerics():
     argument = mp.sqrt(100 / dispersion) * (capacity - mp.mpf(50) / 100)
     expected = float(0.5 * mp.erfc(argument / mp.sqrt(2)))
 
-    value = bler(1.0, FblCode(100, 50))
+    value = bler(1.0, 100, 50)
     assert value == pytest.approx(expected, rel=1e-10)
     assert q_function(0.0) == 0.5
-    assert bler(1.0, FblCode(100, 100)) == 0.5   # C(1) == rate exactly
-    assert bler(3.0, FblCode(50, 100)) == 0.5    # C(3) == rate exactly
+    assert bler(1.0, 100, 100) == 0.5   # C(1) == rate exactly
+    assert bler(3.0, 50, 100) == 0.5    # C(3) == rate exactly
     print(f"PASS criterion 4: bler(1,100,50) = {value:.12e} "
           f"(oracle {expected:.12e}, argument {float(argument):.6f})")
 
@@ -161,7 +160,7 @@ def _grid_oracle_eta(model, cons):
     eps = np.empty(shape)
     for i, nb in enumerate(blocklengths.ravel()):
         eps[:, :, i, :] = np.broadcast_to(
-            bler(gamma[:, :, 0, :], FblCode(int(nb), model.payload_bits)),
+            bler(gamma[:, :, 0, :], int(nb), model.payload_bits),
             eps[:, :, i, :].shape)
     rel = 1.0 - eps ** replicas
 
@@ -242,7 +241,7 @@ def _assert_solution_is_feasible_as_coded(solution, model, cons):
     assert 1 <= solution.retransmissions <= cons.l_max
 
     beam = BeamformConfig(np.asarray(solution.amplitudes), np.asarray(solution.phases))
-    report = model.evaluate(beam, PowerAllocation(solution.user_powers),
+    report = model.evaluate(beam, solution.user_powers,
                             solution.blocklength, solution.retransmissions)
     assert report.stable
     for tau in report.mean_delay:

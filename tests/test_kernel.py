@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from risjam.channel import RisGeometry
 from risjam.config import load_config
-from risjam.link import BeamformConfig, PowerAllocation
+from risjam.link import BeamformConfig
 from risjam.model import SystemModel
 from risjam.optimizer import (ConstraintSet, GaSettings, decode, decode_block,
                               evaluate_fitness, genome_dimension, run_ga,
@@ -77,7 +77,7 @@ def test_block_boundaries_do_not_change_bits(seed, n_users, n_elements,
 
         report = model.evaluate(BeamformConfig(np.array(x.amplitudes),
                                                np.array(x.phases)),
-                                PowerAllocation(x.user_powers),
+                                x.user_powers,
                                 x.blocklength, x.retransmissions)
         assert repr(report) == repr(chain.report(b))
 
@@ -130,7 +130,7 @@ def test_delay_ee_rows_equal_per_point_evaluations():
     model = build_model(cfg)
     beam = model.co_phased_beam(model.n_users,
                                 cfg.sweep.policy_beta_total / model.n_elements)
-    powers = PowerAllocation((cfg.sweep.policy_power_w,) * model.n_users)
+    powers = (cfg.sweep.policy_power_w,) * model.n_users
     markers = 0
     for rate, blocklength, rho, delay, eta in result.rows:
         report = model.evaluate(beam, powers, blocklength,
@@ -184,7 +184,7 @@ def test_ga_scores_its_best_genome_once(monkeypatch):
                                        result.constraint_violations)
     report = model.evaluate(BeamformConfig(np.array(best.amplitudes),
                                            np.array(best.phases)),
-                            PowerAllocation(best.user_powers),
+                            best.user_powers,
                             best.blocklength, best.retransmissions)
     assert repr(report) == repr(result.best_report)
 
@@ -196,6 +196,24 @@ def test_one_arrival_rate_per_user_required():
     model = make_model(RisGeometry(2, 2), scenario)
     with pytest.raises(ValueError, match="one arrival rate per user required"):
         model.queue_block([108], [1], arrival_rates=(1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda model: model.co_phased_beam(0, 1.0), r"^user index 0 out of range 1\.\.2$"),
+    (lambda model: model.co_phased_beam(-1, 1.0), r"^user index -1 out of range 1\.\.2$"),
+    (lambda model: model.co_phased_beam(3, 1.0), r"^user index 3 out of range 1\.\.2$"),
+    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0), (1e-3,)),
+     "one transmit power per user required"),
+    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0), [[1e-3, 2e-3]]),
+     "one transmit power per user required"),
+    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0), (1e-3, 0.0)),
+     "user powers must be positive and finite"),
+], ids=["user-0", "user-minus-1", "user-K+1", "one-power-for-two-users",
+        "block-of-powers", "zero-power"])
+def test_model_rejects_unknown_users_and_bad_powers(call, message):
+    model = make_model(RisGeometry(2, 2), make_scenario())
+    with pytest.raises(ValueError, match=message):
+        call(model)
 
 
 def test_small_run_is_pinned():

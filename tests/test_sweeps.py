@@ -12,7 +12,7 @@ import risjam
 from risjam import sweeps
 from risjam.config import PRESETS, load_config
 from risjam.cli import _build_parser, main
-from risjam.link import BeamformConfig, NoiseConfig, PowerAllocation, sjnr_all
+from risjam.link import BeamformConfig, NoiseConfig, sjnr_all
 from risjam.optimizer import run_ga
 from risjam.sweeps import (CONVERGENCE_COLUMNS, DELAY_EE_COLUMNS,
                            REL_BETA_COLUMNS, SJNR_N_COLUMNS, SweepResult,
@@ -158,8 +158,8 @@ class TestSjnrSweep:
             beam = BeamformConfig(np.full(n, beta), phases)
             reference = sjnr_all(model.ue_channels, model.bs_channel,
                                  model.jammer_direct, model.jammer_channel,
-                                 beam, PowerAllocation(powers),
-                                 model.scenario.jammer_power, model.noise)
+                                 beam, powers, model.scenario.jammer_power,
+                                 model.noise)
             assert fast[:, j] == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
@@ -269,7 +269,7 @@ class TestOptimizeDriver:
         record = read_solution_record(cfg.output_dir / "solution.txt")
         expected = build_model(cfg).ris_output_power(
             BeamformConfig(np.asarray(best.amplitudes), np.asarray(best.phases)),
-            PowerAllocation(best.user_powers))
+            best.user_powers)
         assert expected > 0
         assert record["ris_power_estimate_w"] == expected
         assert list(record)[-1] == "ris_power_estimate_w"
@@ -380,8 +380,8 @@ class TestCli:
     def test_mdl_oracle_bounds_the_arrival_count(self, tmp_path, capsys):
         assert main(["mdl-oracle", "--arrivals", str(2 ** 26 + 1),
                      "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == (
-            "config error: 67108865 arrivals is above 2**26\n")
+        assert capsys.readouterr() == (
+            "", "config error: --arrivals: 67108865 is outside 1..2**26\n")
 
     @pytest.mark.parametrize("flags, named", [
         (("--rho", "2"), "--rho"),
@@ -392,6 +392,7 @@ class TestCli:
         (("--rho", "0.5,"), "--rho"),
         (("--arrivals", "0"), "--arrivals"),
         (("--arrivals", "-5"), "--arrivals"),
+        (("--arrivals", str(2 ** 26 + 1)), "--arrivals"),
     ])
     def test_mdl_oracle_rejects_bad_flags(self, tmp_path, capsys, flags, named):
         assert main(["mdl-oracle", *flags, "--out", str(tmp_path / "o")]) == 1

@@ -28,7 +28,7 @@ def test_every_run_config_loads(digests, tmp_path):
         "ga-desk-seed1", "ga-desk-seed2", "ga-desk-seed3", "ga-paper-seed1",
         "ga-paper-seed2", "one-user", "three-users", "rectangle",
         "sweep-delay-ee", "sweep-rel-beta", "sweep-sjnr-n", "sweep-delay-ee-n900",
-        "sweep-delay-ee-three-users", "mdl-oracle"]
+        "sweep-delay-ee-three-users", "sweep-sjnr-n-ga", "mdl-oracle"]
     configs = {}
     for name, _, text in runs:
         path = tmp_path / f"{name}.ini"
@@ -41,6 +41,10 @@ def test_every_run_config_loads(digests, tmp_path):
               for name in ("ga-desk-seed1", "rectangle")]
     assert shapes == [(4, 4), (4, 6)]
     assert configs["sweep-delay-ee-n900"].geometry.n_elements == 900
+    ga_sweep = configs["sweep-sjnr-n-ga"]
+    assert (ga_sweep.sweep.policy, ga_sweep.sweep.n_elements_grid) == ("ga", (4, 16, 36))
+    assert (ga_sweep.ga.population_size, ga_sweep.ga.max_generations) == (40, 20)
+    assert ga_sweep.sweep.arrival_rate_grid == configs["sweep-delay-ee"].sweep.arrival_rate_grid
 
 
 def test_digest_ignores_only_the_timestamp(digests):
