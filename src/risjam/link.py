@@ -22,42 +22,6 @@ ERFC_ZERO_FROM = 27.226364135742188
 
 
 @dataclass(frozen=True)
-class BeamformConfig:
-    """Per-element amplification factors and phase shifts of the RIS.
-
-    Element n applies the complex weight sqrt(amplitude_n)*exp(j*phase_n).
-    Amplitudes above 1 amplify, below 1 attenuate; the upper bound is a
-    constraint of the optimizer, not of this container. (B, N) amplitudes
-    and phases hold one beam per row, for B candidates at once.
-    """
-
-    amplitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=float)
-        phs = np.asarray(self.phases, dtype=float)
-        if amps.shape != phs.shape or amps.ndim not in (1, 2):
-            raise ValueError("amplitudes and phases must be 1-D or 2-D arrays "
-                             "of equal shape")
-        if not np.all(np.isfinite(amps)) or not np.all(np.isfinite(phs)):
-            raise ValueError("beamforming parameters must be finite")
-        if np.any(amps < 0):
-            raise ValueError("amplification factors must be non-negative")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "phases", phs)
-
-    @property
-    def n_elements(self) -> int:
-        return self.amplitudes.shape[-1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Diagonal entries sqrt(beta_n)*exp(j*theta_n)."""
-        return np.sqrt(self.amplitudes) * np.exp(1j * self.phases)
-
-
-@dataclass(frozen=True)
 class NoiseConfig:
     """Noise variances in watts: RIS element thermal noise and BS AWGN."""
 
@@ -99,7 +63,7 @@ def sic_balanced_weights(bs_channel: np.ndarray, ue_channels: np.ndarray,
 # _sic_sjnr checks the range of what may overflow here
 @np.errstate(over="ignore", invalid="ignore")
 def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex,
-             jammer_channel: np.ndarray, beam: BeamformConfig, powers,
+             jammer_channel: np.ndarray, amplitudes, phases, powers,
              jammer_power: float, noise: NoiseConfig) -> np.ndarray:
     """Received SJNR of every user at the BS under SIC decoding.
 
@@ -112,8 +76,9 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
         bs_channel: (N,) RIS-to-BS channel.
         jammer_direct: scalar jammer-to-BS channel.
         jammer_channel: (N,) jammer-to-RIS channel.
-        beam, powers: one candidate (K user powers in watts), or B
-            candidates as (B, N) beams and (B, K) powers.
+        amplitudes, phases, powers: one candidate ((N,) beam whose element n
+            applies sqrt(amplitude_n)*exp(j*phase_n), K user powers in watts),
+            or B candidates as (B, N) beams and (B, K) powers.
 
     Returns:
         (K,) linear power ratios (non-negative), entry k-1 for user k; for B
@@ -123,16 +88,17 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
     is not finite.
     """
     ue = np.atleast_2d(np.asarray(ue_channels))
+    amps, phs = _check_beam(amplitudes, phases)
     p = _check_powers(powers, ue.shape[0])
     n = bs_channel.shape[0]
-    if ue.shape[1] != n or jammer_channel.shape[0] != n or beam.n_elements != n:
+    if ue.shape[1] != n or jammer_channel.shape[0] != n or amps.shape[-1] != n:
         raise ValueError("channel vectors and beamforming must share one element count")
 
     # I^T Theta, one row per candidate. Every operand spans the whole block
     # and each product is a stack of (1, N) rows, so a candidate gets the
     # bits it gets alone: a broadcast operand or a plain matrix product can
     # switch numpy to kernels that round differently.
-    weights = np.atleast_2d(beam.weights)
+    weights = np.atleast_2d(np.sqrt(amps) * np.exp(1j * phs))
     rows = np.tile(bs_channel, (weights.shape[0], 1)) * weights
     stacked = rows[:, None, :]
     cascade_gains = np.abs((stacked @ ue.T)[:, 0, :]).T ** 2  # |I^T Theta G_k|^2
@@ -140,8 +106,23 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
     gammas = _sic_sjnr(received, (stacked @ jammer_channel[:, None])[:, 0, 0],
                        np.sum(np.abs(rows) ** 2, axis=-1), jammer_direct,
                        jammer_power, noise)
-    single = beam.amplitudes.ndim == 1 and p.ndim == 1
+    single = amps.ndim == 1 and p.ndim == 1
     return gammas[:, 0] if single else gammas
+
+
+def _check_beam(amplitudes, phases) -> tuple[np.ndarray, np.ndarray]:
+    """One (N,) beam, or a (B, N) block of beams, as float arrays; the
+    amplitudes' upper bound is a constraint of the optimizer, not checked here."""
+    amps = np.asarray(amplitudes, dtype=float)
+    phs = np.asarray(phases, dtype=float)
+    if amps.shape != phs.shape or amps.ndim not in (1, 2):
+        raise ValueError("amplitudes and phases must be 1-D or 2-D arrays "
+                         "of equal shape")
+    if not np.all(np.isfinite(amps)) or not np.all(np.isfinite(phs)):
+        raise ValueError("beamforming parameters must be finite")
+    if np.any(amps < 0):
+        raise ValueError("amplification factors must be non-negative")
+    return amps, phs
 
 
 def _check_powers(powers, n_users: int) -> np.ndarray:
@@ -207,7 +188,8 @@ def bler(gamma, blocklength, payload_bits):
     below every positive rate, and the BLER is 1. Accepts scalars or
     arrays, ``blocklength`` an integer array too.
     """
-    if not np.all(np.asarray(blocklength) >= 1):
+    n_b = np.asarray(blocklength)  # checked only: integer arrays keep their dtype
+    if not np.all((n_b >= 1) & (n_b < np.inf) & (n_b == np.floor(n_b))):
         raise ValueError("blocklength must be a positive integer")
     if not payload_bits >= 1:
         raise ValueError("payload must be a positive number of bits")

@@ -15,8 +15,8 @@ import numpy as np
 
 from .channel import RisGeometry, LinkScenario, ris_ue_channel, ris_bs_channel, \
     jammer_direct_channel, ris_jammer_channel
-from .link import BeamformConfig, NoiseConfig, sjnr_all, bler, replica_success, \
-    reliability, co_phasing_phases, _check_powers
+from .link import NoiseConfig, sjnr_all, bler, replica_success, reliability, \
+    co_phasing_phases, _check_beam, _check_powers
 from .traffic import FrameParams, TrafficParams, utilization, mean_delay, \
     energy_efficiency
 
@@ -119,22 +119,23 @@ class SystemModel:
     def n_elements(self) -> int:
         return self.geometry.n_elements
 
-    def co_phased_beam(self, user: int, amplitudes) -> BeamformConfig:
-        """Uniform or per-element amplitudes with phases aligned to one user."""
+    def co_phased_beam(self, user: int, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform or per-element amplitudes with phases aligned to one user,
+        as (N,) ``(amplitudes, phases)``."""
         if not 1 <= user <= self.n_users:
             raise ValueError(f"user index {user} out of range 1..{self.n_users}")
         phases = co_phasing_phases(self.bs_channel, self.ue_channels[user - 1])
         amps = np.broadcast_to(np.asarray(amplitudes, dtype=float),
                                (self.n_elements,)).copy()
-        return BeamformConfig(amps, phases)
+        return amps, phases
 
-    def sjnr(self, beam: BeamformConfig, powers) -> np.ndarray:
+    def sjnr(self, amplitudes, phases, powers) -> np.ndarray:
         return sjnr_all(self.ue_channels, self.bs_channel, self.jammer_direct,
-                        self.jammer_channel, beam, powers,
+                        self.jammer_channel, amplitudes, phases, powers,
                         self.scenario.jammer_power, self.noise)
 
     @np.errstate(over="ignore")
-    def ris_output_power(self, beam: BeamformConfig, powers) -> float:
+    def ris_output_power(self, amplitudes, powers) -> float:
         """Reporting-only estimate of the power radiated by the active RIS.
 
         Per-element incident power (all users, the jammer, element thermal
@@ -142,13 +143,15 @@ class SystemModel:
         energy-efficiency denominator, so a sum beyond the float range reads
         inf instead of ending the run.
         """
-        p = _check_powers([powers], self.n_users)[0]  # one point: a (B, K) block fails
+        # one point: a beam that is not (N,), or a (B, K) block of powers, fails
+        amps = _check_beam(amplitudes, np.zeros(self.n_elements))[0]
+        p = _check_powers([powers], self.n_users)[0]
         incident = (p @ np.abs(self.ue_channels) ** 2
                     + self.scenario.jammer_power * np.abs(self.jammer_channel) ** 2
                     + self.noise.ris_thermal_var)
-        return float(np.sum(beam.amplitudes * incident))
+        return float(np.sum(amps * incident))
 
-    def evaluate(self, beam: BeamformConfig, powers,
+    def evaluate(self, amplitudes, phases, powers,
                  blocklength: int, retransmissions: int,
                  arrival_rates: tuple[float, ...] | None = None) -> MetricsReport:
         """Run the full metric chain for one operating point.
@@ -157,7 +160,7 @@ class SystemModel:
         overrides the scenario rates for this evaluation only (used by
         traffic sweeps; channels are unaffected).
         """
-        block = self.evaluate_block(beam.amplitudes[None], beam.phases[None],
+        block = self.evaluate_block([amplitudes], [phases],
                                     [powers], [blocklength],
                                     [retransmissions], arrival_rates)
         return block.report(0)
@@ -201,12 +204,18 @@ class SystemModel:
 
         Each candidate gets the bits it gets when evaluated alone. A (1, N)
         beam and (1, K) power row serve all B candidates; their SJNR is computed once.
+        Any other row count raises ValueError.
         """
         powers = np.asarray(powers, dtype=float)
         blocklengths = np.asarray(blocklengths)
         replicas = np.asarray(retransmissions)
+        if replicas.shape != blocklengths.shape:
+            raise ValueError("retransmissions must have one entry per blocklength")
+        for name, rows in (("amplitudes", amplitudes), ("powers", powers)):
+            if len(np.atleast_2d(rows)) not in (1, blocklengths.size):
+                raise ValueError(f"{name} must have one row, or one per blocklength")
 
-        gammas = self.sjnr(BeamformConfig(amplitudes, phases), powers)
+        gammas = self.sjnr(amplitudes, phases, powers)
         blers = bler(gammas, blocklengths, self.payload_bits)
         omega = replica_success(blers)
         rel = reliability(omega, replicas)

@@ -19,8 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig, square_geometry
-from .link import (BeamformConfig, _check_powers, _sic_sjnr, bler, reliability,
-                   replica_success)
+from .link import _check_powers, _sic_sjnr, bler, reliability, replica_success
 from .model import SystemModel
 from .optimizer import OptimizationResult, run_ga
 
@@ -68,13 +67,15 @@ def build_model(cfg: ExperimentConfig, n_elements: int | None = None) -> SystemM
 
 
 def _policy(cfg: ExperimentConfig, model: SystemModel,
-            plotted_user: int) -> tuple[BeamformConfig, tuple[float, ...]]:
-    """The fixed policy: phases co-phased to ``cophase_user`` (by default the
-    sweep's ``plotted_user``), amplitude ``policy_beta_total / N`` on every
-    element and power ``policy_power_w`` for every user."""
+            plotted_user: int) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """The fixed policy ``(amplitudes, phases, powers)``: phases co-phased
+    to ``cophase_user`` (by default the sweep's ``plotted_user``), amplitude
+    ``policy_beta_total / N`` on every element and power ``policy_power_w``
+    for every user."""
     user = cfg.sweep.cophase_user if cfg.sweep.cophase_user is not None else plotted_user
-    beam = model.co_phased_beam(user, cfg.sweep.policy_beta_total / model.n_elements)
-    return beam, (cfg.sweep.policy_power_w,) * model.n_users
+    amplitudes, phases = model.co_phased_beam(
+        user, cfg.sweep.policy_beta_total / model.n_elements)
+    return amplitudes, phases, (cfg.sweep.policy_power_w,) * model.n_users
 
 
 def _metadata(cfg: ExperimentConfig, kind: str) -> dict[str, str]:
@@ -127,13 +128,13 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     policy beam's SJNR once for the whole blocklength grid.
     """
     model = build_model(cfg)
-    beam, powers = _policy(cfg, model, model.n_users)
+    amplitudes, phases, powers = _policy(cfg, model, model.n_users)
     lengths = np.array(sorted(cfg.sweep.blocklength_grid))
     replicas = np.full(lengths.size, cfg.sweep.retransmissions)
 
     rows: list[tuple] = []
     for rate in sorted(cfg.sweep.arrival_rate_grid):
-        chain = model.evaluate_block(beam.amplitudes[None], beam.phases[None],
+        chain = model.evaluate_block(amplitudes[None], phases[None],
                                      [powers], lengths, replicas,
                                      arrival_rates=(rate,) * model.n_users)
         # object arrays hold Python floats, and the marker where unstable
@@ -168,8 +169,8 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
     rows: list[tuple] = []
     for n_elements in cfg.sweep.n_elements_grid or (4, 100, 400, 900):
         model = build_model(cfg, n_elements)
-        beam, powers = _policy(cfg, model, model.n_users)
-        gammas = uniform_beta_sjnr(model, beam.phases, powers, betas)
+        _, phases, powers = _policy(cfg, model, model.n_users)
+        gammas = uniform_beta_sjnr(model, phases, powers, betas)
         blers = bler(gammas, cfg.sweep.blocklength, cfg.payload_bits)
         rel = reliability(replica_success(blers), cfg.traffic.retransmissions)
 
@@ -315,7 +316,6 @@ def solution_record(result: OptimizationResult, cfg: ExperimentConfig,
     """
     report = result.best_report
     best = result.best_solution
-    beam = BeamformConfig(np.asarray(best.amplitudes), np.asarray(best.phases))
     return {
         "format": "risjam-solution/1",
         "created_utc": timestamp or datetime.now(timezone.utc).isoformat(),
@@ -341,7 +341,7 @@ def solution_record(result: OptimizationResult, cfg: ExperimentConfig,
         "violation_reliability": result.constraint_violations["reliability"],
         "violation_utilization": result.constraint_violations["utilization"],
         "violation_power_ordering": result.constraint_violations["power_ordering"],
-        "ris_power_estimate_w": model.ris_output_power(beam, best.user_powers),
+        "ris_power_estimate_w": model.ris_output_power(best.amplitudes, best.user_powers),
     }
 
 

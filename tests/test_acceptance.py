@@ -8,7 +8,7 @@ import pytest
 
 from risjam.channel import RisGeometry
 from risjam.config import load_config
-from risjam.link import BeamformConfig, bler, q_function
+from risjam.link import bler, q_function
 from risjam.optimizer import (ConstraintSet, GaSettings, decode,
                               evaluate_fitness, genome_dimension, run_ga)
 from risjam.sweeps import (sweep_reliability_vs_beta, sweep_sjnr_vs_n,
@@ -240,8 +240,7 @@ def _assert_solution_is_feasible_as_coded(solution, model, cons):
     assert cons.nb_min <= solution.blocklength <= cons.nb_max
     assert 1 <= solution.retransmissions <= cons.l_max
 
-    beam = BeamformConfig(np.asarray(solution.amplitudes), np.asarray(solution.phases))
-    report = model.evaluate(beam, solution.user_powers,
+    report = model.evaluate(solution.amplitudes, solution.phases, solution.user_powers,
                             solution.blocklength, solution.retransmissions)
     assert report.stable
     for tau in report.mean_delay:

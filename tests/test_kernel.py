@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from risjam.channel import RisGeometry
 from risjam.config import load_config
-from risjam.link import BeamformConfig
 from risjam.model import SystemModel
 from risjam.optimizer import (ConstraintSet, GaSettings, decode, decode_block,
                               evaluate_fitness, genome_dimension, run_ga,
@@ -75,9 +74,7 @@ def test_block_boundaries_do_not_change_bits(seed, n_users, n_elements,
         for name, value in single_violations.items():
             assert same_bits(value, violations[name][b])
 
-        report = model.evaluate(BeamformConfig(np.array(x.amplitudes),
-                                               np.array(x.phases)),
-                                x.user_powers,
+        report = model.evaluate(x.amplitudes, x.phases, x.user_powers,
                                 x.blocklength, x.retransmissions)
         assert repr(report) == repr(chain.report(b))
 
@@ -133,7 +130,7 @@ def test_delay_ee_rows_equal_per_point_evaluations():
     powers = (cfg.sweep.policy_power_w,) * model.n_users
     markers = 0
     for rate, blocklength, rho, delay, eta in result.rows:
-        report = model.evaluate(beam, powers, blocklength,
+        report = model.evaluate(*beam, powers, blocklength,
                                 cfg.sweep.retransmissions,
                                 arrival_rates=(rate,) * model.n_users)
         assert same_bits(rho, report.utilization[0])
@@ -182,9 +179,7 @@ def test_ga_scores_its_best_genome_once(monkeypatch):
     objective, violations = evaluate_fitness(best, model, constraints)
     assert (objective, violations) == (result.best_objective,
                                        result.constraint_violations)
-    report = model.evaluate(BeamformConfig(np.array(best.amplitudes),
-                                           np.array(best.phases)),
-                            best.user_powers,
+    report = model.evaluate(best.amplitudes, best.phases, best.user_powers,
                             best.blocklength, best.retransmissions)
     assert repr(report) == repr(result.best_report)
 
@@ -202,18 +197,40 @@ def test_one_arrival_rate_per_user_required():
     (lambda model: model.co_phased_beam(0, 1.0), r"^user index 0 out of range 1\.\.2$"),
     (lambda model: model.co_phased_beam(-1, 1.0), r"^user index -1 out of range 1\.\.2$"),
     (lambda model: model.co_phased_beam(3, 1.0), r"^user index 3 out of range 1\.\.2$"),
-    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0), (1e-3,)),
+    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0)[0], (1e-3,)),
      "one transmit power per user required"),
-    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0), [[1e-3, 2e-3]]),
+    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0)[0],
+                                          [[1e-3, 2e-3]]),
      "one transmit power per user required"),
-    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0), (1e-3, 0.0)),
+    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0)[0], (1e-3, 0.0)),
      "user powers must be positive and finite"),
+    (lambda model: model.ris_output_power(np.ones((2, 4)), (1e-3, 2e-3)),
+     "1-D or 2-D arrays of equal shape"),
+    (lambda model: model.ris_output_power(np.ones(1), (1e-3, 2e-3)),
+     "1-D or 2-D arrays of equal shape"),
 ], ids=["user-0", "user-minus-1", "user-K+1", "one-power-for-two-users",
-        "block-of-powers", "zero-power"])
+        "block-of-powers", "zero-power", "block-of-beams", "one-amplitude-for-four-elements"])
 def test_model_rejects_unknown_users_and_bad_powers(call, message):
     model = make_model(RisGeometry(2, 2), make_scenario())
     with pytest.raises(ValueError, match=message):
         call(model)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"retransmissions": [1, 1]}, "^retransmissions must have one entry per blocklength$"),
+    ({"amplitudes": np.ones((2, 4))}, "^amplitudes must have one row, or one per blocklength$"),
+    ({"phases": np.zeros((2, 4))}, "^amplitudes and phases must be 1-D or 2-D arrays "),
+    ({"powers": np.full((2, 2), 1e-3)}, "^powers must have one row, or one per blocklength$"),
+], ids=["retransmissions", "amplitudes", "phases", "powers"])
+def test_evaluate_block_names_a_bad_row_count(bad, message):
+    # B = 3 blocklengths; beam and power rows must number 1 or B
+    model = make_model(RisGeometry(2, 2), make_scenario())
+    block = dict(amplitudes=np.ones((3, 4)), phases=np.zeros((3, 4)),
+                 powers=np.full((1, 2), 1e-3), blocklengths=[108, 120, 132],
+                 retransmissions=[1, 1, 2])
+    assert model.evaluate_block(**block).stable.shape == (3,)
+    with pytest.raises(ValueError, match=message):
+        model.evaluate_block(**dict(block, **bad))
 
 
 def test_small_run_is_pinned():

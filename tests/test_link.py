@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from risjam.config import load_config
-from risjam.link import (ERFC_TWO_UPTO, ERFC_ZERO_FROM, BeamformConfig,
-                         NoiseConfig, bler, co_phasing_phases, q_function,
-                         reliability, replica_success, sic_balanced_weights,
-                         sjnr_all)
+from risjam.link import (ERFC_TWO_UPTO, ERFC_ZERO_FROM, NoiseConfig, bler,
+                         co_phasing_phases, q_function, reliability,
+                         replica_success, sic_balanced_weights, sjnr_all)
 from risjam.sweeps import build_model
 
 
@@ -58,16 +57,14 @@ def random_instance(rng, n_max=8, k_max=3):
 
 def vectorized(inst, k):
     return sjnr_all(inst["ue"], inst["bs"], inst["h_direct"], inst["g_jam"],
-                    BeamformConfig(inst["amps"], inst["phases"]),
-                    inst["powers"], inst["jam_power"],
+                    inst["amps"], inst["phases"], inst["powers"], inst["jam_power"],
                     NoiseConfig(inst["ris_var"], inst["awgn_var"]))[k - 1]
 
 
 class TestSjnr:
     def test_hand_case_single_element(self):
         value = sjnr_all(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), 0j,
-                         np.array([0j]), BeamformConfig(np.array([4.0]), np.array([0.0])),
-                         (1.0,), 0.0, NoiseConfig(0.0, 1.0))
+                         np.array([0j]), np.array([4.0]), np.array([0.0]), (1.0,), 0.0, NoiseConfig(0.0, 1.0))
         assert value.shape == (1,)
         assert value[0] == pytest.approx(4.0, rel=1e-12)
 
@@ -132,14 +129,13 @@ class TestSjnr:
             with pytest.raises(ValueError):
                 sjnr_all(np.ones((1, n_ue), complex), np.ones(2, complex), 0j,
                          np.ones(n_jam, complex),
-                         BeamformConfig(np.ones(n_beam), np.zeros(n_beam)),
-                         powers, 0.0, NoiseConfig(0.0, 1.0))
+                         np.ones(n_beam), np.zeros(n_beam), powers, 0.0, NoiseConfig(0.0, 1.0))
 
     def test_overflowing_jamming_floor_raises(self):
         # the received powers stay finite while the jamming floor overflows,
         # so every SJNR alone would read exactly 0
         args = (np.ones((2, 4), complex), np.ones(4, complex), 100 + 0j, np.ones(4, complex),
-                BeamformConfig(np.ones(4), np.zeros(4)), (1.0, 1.0))
+                np.ones(4), np.zeros(4), (1.0, 1.0))
         assert np.all(sjnr_all(*args, 1e300, NoiseConfig(0.0, 1.0)) > 0)
         with pytest.raises(OverflowError, match="interference-plus-noise power or SJNR"):
             sjnr_all(*args, 1e307, NoiseConfig(0.0, 1.0))
@@ -383,36 +379,38 @@ class TestReliability:
             replica_success([0.2, 1.3])
 
 
-def sjnr_with_powers(powers):
+def sjnr_with(powers=(1.0,), beam=(np.ones(4), np.zeros(4))):
     """``sjnr_all`` on four elements for one user per power (at least one)."""
     n_users = max(len(powers), 1)
     return sjnr_all(np.ones((n_users, 4), complex), np.ones(4, complex), 0j,
-                    np.ones(4, complex), BeamformConfig(np.ones(4), np.zeros(4)),
-                    powers, 0.0, NoiseConfig(0.0, 1.0))
+                    np.ones(4, complex), *beam, powers, 0.0, NoiseConfig(0.0, 1.0))
 
 
 class TestContainers:
-    """The beam container and the arguments ``sjnr_all`` and ``bler`` check."""
+    """The arguments ``sjnr_all`` and ``bler`` check."""
 
     @pytest.mark.parametrize("build,message", [
-        (lambda: BeamformConfig(np.ones(3), np.zeros(2)), "equal shape"),
-        (lambda: BeamformConfig(np.ones((2, 2, 2)), np.zeros((2, 2, 2))), "equal shape"),
-        (lambda: BeamformConfig(np.array([1.0, np.nan]), np.zeros(2)), "finite"),
-        (lambda: BeamformConfig(np.ones(2), np.array([0.0, np.inf])), "finite"),
-        (lambda: BeamformConfig(np.array([1.0, -1e-3]), np.zeros(2)), "non-negative"),
-        (lambda: sjnr_with_powers(()), "one transmit power per user"),
-        (lambda: sjnr_with_powers((1e-3, 0.0)), "positive and finite"),
-        (lambda: sjnr_with_powers((-1e-3,)), "positive and finite"),
+        (lambda: sjnr_with(beam=(np.ones(3), np.zeros(2))), "equal shape"),
+        (lambda: sjnr_with(beam=(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))),
+         "equal shape"),
+        (lambda: sjnr_with(beam=(np.array([1.0, np.nan]), np.zeros(2))), "finite"),
+        (lambda: sjnr_with(beam=(np.ones(2), np.array([0.0, np.inf]))), "finite"),
+        (lambda: sjnr_with(beam=(np.array([1.0, -1e-3]), np.zeros(2))), "non-negative"),
+        (lambda: sjnr_with(()), "one transmit power per user"),
+        (lambda: sjnr_with((1e-3, 0.0)), "positive and finite"),
+        (lambda: sjnr_with((-1e-3,)), "positive and finite"),
         (lambda: bler(1.0, 0, 256), "blocklength must be a positive integer"),
         (lambda: bler(1.0, np.array([108, 0]), 256),
          "blocklength must be a positive integer"),
         (lambda: bler(1.0, 108, 0), "payload must be a positive number of bits"),
         (lambda: bler(1.0, np.nan, 256), "blocklength must be a positive integer"),
         (lambda: bler(1.0, 108, np.nan), "payload must be a positive number of bits"),
+        (lambda: bler(5.0, 100.5, 256), "blocklength must be a positive integer"),
+        (lambda: bler(1.0, np.inf, 256), "blocklength must be a positive integer"),
     ], ids=["beam-shapes", "beam-3d", "beam-nan-amplitude", "beam-inf-phase",
             "beam-negative-amplitude", "no-powers", "zero-power", "negative-power",
             "blocklength-0", "blocklength-array-0", "payload-0", "blocklength-nan",
-            "payload-nan"])
+            "payload-nan", "blocklength-fractional", "blocklength-inf"])
     def test_rejects_bad_values(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()

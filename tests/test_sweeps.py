@@ -12,7 +12,7 @@ import risjam
 from risjam import sweeps
 from risjam.config import PRESETS, load_config
 from risjam.cli import _build_parser, main
-from risjam.link import BeamformConfig, NoiseConfig, sjnr_all
+from risjam.link import NoiseConfig, sjnr_all
 from risjam.optimizer import run_ga
 from risjam.sweeps import (CONVERGENCE_COLUMNS, DELAY_EE_COLUMNS,
                            REL_BETA_COLUMNS, SJNR_N_COLUMNS, SweepResult,
@@ -155,11 +155,10 @@ class TestSjnrSweep:
         fast = uniform_beta_sjnr(model, phases, powers, betas)
         assert fast.shape == (n_users, betas.size)
         for j, beta in enumerate(betas):
-            beam = BeamformConfig(np.full(n, beta), phases)
             reference = sjnr_all(model.ue_channels, model.bs_channel,
                                  model.jammer_direct, model.jammer_channel,
-                                 beam, powers, model.scenario.jammer_power,
-                                 model.noise)
+                                 np.full(n, beta), phases, powers,
+                                 model.scenario.jammer_power, model.noise)
             assert fast[:, j] == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
@@ -267,9 +266,8 @@ class TestOptimizeDriver:
         cfg = small_ga_config(tmp_path)
         best = run_optimize(cfg).best_solution
         record = read_solution_record(cfg.output_dir / "solution.txt")
-        expected = build_model(cfg).ris_output_power(
-            BeamformConfig(np.asarray(best.amplitudes), np.asarray(best.phases)),
-            best.user_powers)
+        expected = build_model(cfg).ris_output_power(best.amplitudes,
+                                                     best.user_powers)
         assert expected > 0
         assert record["ris_power_estimate_w"] == expected
         assert list(record)[-1] == "ris_power_estimate_w"
