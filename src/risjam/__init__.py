@@ -13,7 +13,7 @@ from .config import (ConfigError, ExperimentConfig, SweepSpec, load_config,
                      square_geometry)
 from .link import (NoiseConfig, bler, co_phasing_phases, q_function,
                    reliability, replica_success, sjnr_all)
-from .model import MetricsBlock, MetricsReport, SystemModel
+from .model import MetricsBlock, SystemModel
 from .optimizer import (ConstraintSet, DecisionBlock, DecisionVector,
                         GaSettings, OptimizationResult, decode, decode_block,
                         evaluate_fitness, genome_dimension, rank, run_ga,

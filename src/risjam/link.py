@@ -90,6 +90,9 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
     ue = np.atleast_2d(np.asarray(ue_channels))
     amps, phs = _check_beam(amplitudes, phases)
     p = _check_powers(powers, ue.shape[0])
+    if amps.ndim == p.ndim == 2 and 1 not in (len(amps), len(p)) and len(amps) != len(p):
+        raise ValueError(f"amplitudes ({len(amps)} rows) and powers ({len(p)} rows) "
+                         "must have one row, or the same number of rows")
     n = bs_channel.shape[0]
     if ue.shape[1] != n or jammer_channel.shape[0] != n or amps.shape[-1] != n:
         raise ValueError("channel vectors and beamforming must share one element count")
@@ -202,7 +205,7 @@ def bler(gamma, blocklength, payload_bits):
     safe_v = np.where(dispersion > 0, dispersion, 1.0)
     arg = np.sqrt(blocklength / safe_v) * (capacity - payload_bits / blocklength)
     eps = np.where(dispersion > 0, q_function(arg), 1.0)
-    return float(eps) if np.ndim(gamma) == 0 else eps
+    return float(eps) if eps.ndim == 0 else eps
 
 
 def replica_success(blers):

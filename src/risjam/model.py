@@ -22,28 +22,11 @@ from .traffic import FrameParams, TrafficParams, utilization, mean_delay, \
 
 
 @dataclass(frozen=True)
-class MetricsReport:
-    """Per-user link and traffic metrics plus the system energy efficiency.
-
-    ``mean_delay`` entries and ``energy_efficiency`` are None when any queue
-    is unstable (utilization >= 1).
-    """
-
-    sjnr: tuple[float, ...]
-    bler: tuple[float, ...]
-    replica_success: float
-    reliability: tuple[float, ...]
-    utilization: tuple[float, ...]
-    mean_delay: tuple[float | None, ...]
-    energy_efficiency: float | None
-    stable: bool
-
-
-@dataclass(frozen=True)
 class MetricsBlock:
     """The metric chain of B candidates, candidate b in column (entry) b.
 
-    Per-user arrays are (K, B); the others (B,). ``mean_delay`` and
+    Per-user arrays are (K, B); the others (B,). One point (``column``) has
+    (K,) per-user arrays and 0-d others. ``mean_delay`` and
     ``energy_efficiency`` are NaN where a queue is unstable.
     """
 
@@ -56,21 +39,9 @@ class MetricsBlock:
     energy_efficiency: np.ndarray
     stable: np.ndarray
 
-    def report(self, b: int) -> MetricsReport:
-        """The per-user report of candidate ``b``."""
-        n_users = self.sjnr.shape[0]
-        stable = bool(self.stable[b])
-        return MetricsReport(
-            sjnr=tuple(self.sjnr[:, b].tolist()),
-            bler=tuple(self.bler[:, b].tolist()),
-            replica_success=float(self.replica_success[b]),
-            reliability=(float(self.reliability[b]),) * n_users,
-            utilization=tuple(self.utilization[:, b].tolist()),
-            mean_delay=(tuple(self.mean_delay[:, b].tolist()) if stable
-                        else (None,) * n_users),
-            energy_efficiency=float(self.energy_efficiency[b]) if stable else None,
-            stable=stable,
-        )
+    def column(self, b: int) -> "MetricsBlock":
+        """The metrics of candidate ``b`` alone."""
+        return MetricsBlock(**{name: value[..., b] for name, value in vars(self).items()})
 
 
 class SystemModel:
@@ -125,9 +96,11 @@ class SystemModel:
         if not 1 <= user <= self.n_users:
             raise ValueError(f"user index {user} out of range 1..{self.n_users}")
         phases = co_phasing_phases(self.bs_channel, self.ue_channels[user - 1])
-        amps = np.broadcast_to(np.asarray(amplitudes, dtype=float),
-                               (self.n_elements,)).copy()
-        return amps, phases
+        amps = np.asarray(amplitudes, dtype=float)
+        if amps.shape not in ((), (1,), (self.n_elements,)):
+            raise ValueError(f"amplitudes must be one value or {self.n_elements} "
+                             "values, one per element")
+        return np.full(self.n_elements, amps), phases
 
     def sjnr(self, amplitudes, phases, powers) -> np.ndarray:
         return sjnr_all(self.ue_channels, self.bs_channel, self.jammer_direct,
@@ -153,17 +126,15 @@ class SystemModel:
 
     def evaluate(self, amplitudes, phases, powers,
                  blocklength: int, retransmissions: int,
-                 arrival_rates: tuple[float, ...] | None = None) -> MetricsReport:
+                 arrival_rates: tuple[float, ...] | None = None) -> MetricsBlock:
         """Run the full metric chain for one operating point.
 
-        The one-candidate case of ``evaluate_block``; ``arrival_rates``
-        overrides the scenario rates for this evaluation only (used by
-        traffic sweeps; channels are unaffected).
+        The column of a one-candidate ``evaluate_block``: per-user arrays
+        (K,), the others 0-d. ``arrival_rates`` overrides the scenario rates
+        for this evaluation only (channels are unaffected).
         """
-        block = self.evaluate_block([amplitudes], [phases],
-                                    [powers], [blocklength],
-                                    [retransmissions], arrival_rates)
-        return block.report(0)
+        return self.evaluate_block([amplitudes], [phases], [powers], [blocklength],
+                                   [retransmissions], arrival_rates).column(0)
 
     def queue_block(self, blocklengths, retransmissions,
                     arrival_rates: tuple[float, ...] | None = None

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .link import co_phasing_phases, sic_balanced_weights
-from .model import MetricsBlock, MetricsReport, SystemModel
+from .model import MetricsBlock, SystemModel
 
 # Stand-in objective when the metric chain yields no usable efficiency
 # (unstable queue or zero reliability). Large but finite so ranking
@@ -166,7 +166,7 @@ class OptimizationResult:
     feasible_fraction_history: list[float]
     feasible: bool
     constraint_violations: dict[str, float]
-    best_report: MetricsReport
+    best_report: MetricsBlock
     generations_run: int
 
 
@@ -575,11 +575,11 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     best = decode_block(best_genome[None], k, n, constraints)
     objective, violations, chain = score_block(best, model, constraints)
     violations = {name: float(v[0]) for name, v in violations.items()}
-    report = chain.report(0)
+    report = chain.column(0)
 
     return OptimizationResult(
         best_solution=_first(best),
-        best_eta=report.energy_efficiency,
+        best_eta=float(report.energy_efficiency) if report.stable else None,
         best_objective=float(objective[0]),
         fitness_history=fitness_history,
         mean_history=mean_history,

@@ -202,7 +202,7 @@ def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
         model = build_model(cfg, n_elements)
         if cfg.sweep.policy == "ga":
             result = run_ga(model, cfg.constraints, cfg.ga)
-            gamma_1 = result.best_report.sjnr[0]
+            gamma_1 = float(result.best_report.sjnr[0])
         else:
             gamma_1 = float(model.sjnr(*_policy(cfg, model, 1))[0])
         # no growth ratio after a zero SJNR, as none before the first row
@@ -310,9 +310,11 @@ def solution_record(result: OptimizationResult, cfg: ExperimentConfig,
                     model: SystemModel, timestamp: str | None = None) -> dict:
     """Flat key-value view of an optimization outcome (schema risjam-solution/1).
 
-    ``model`` is the one the GA ran on. The record ends with its
-    reporting-only RIS output power estimate at the best point, which never
-    enters the energy efficiency itself.
+    ``model`` is the one the GA ran on. Per-user metrics are one value per
+    user (the joint reliability repeated), and the delays read ``none``
+    where a queue is unstable. The record ends with its reporting-only RIS
+    output power estimate at the best point, which never enters the energy
+    efficiency itself.
     """
     report = result.best_report
     best = result.best_solution
@@ -331,12 +333,13 @@ def solution_record(result: OptimizationResult, cfg: ExperimentConfig,
         "amplitudes": best.amplitudes,
         "blocklength": best.blocklength,
         "retransmissions": best.retransmissions,
-        "sjnr": report.sjnr,
-        "bler": report.bler,
-        "replica_success": report.replica_success,
-        "reliability": report.reliability,
-        "utilization": report.utilization,
-        "mean_delay_s": report.mean_delay,
+        "sjnr": tuple(report.sjnr.tolist()),
+        "bler": tuple(report.bler.tolist()),
+        "replica_success": float(report.replica_success),
+        "reliability": (float(report.reliability),) * model.n_users,
+        "utilization": tuple(report.utilization.tolist()),
+        "mean_delay_s": (tuple(report.mean_delay.tolist()) if report.stable
+                         else (None,) * model.n_users),
         "violation_delay": result.constraint_violations["delay"],
         "violation_reliability": result.constraint_violations["reliability"],
         "violation_utilization": result.constraint_violations["utilization"],

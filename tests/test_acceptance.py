@@ -245,8 +245,7 @@ def _assert_solution_is_feasible_as_coded(solution, model, cons):
     assert report.stable
     for tau in report.mean_delay:
         assert tau <= cons.delay_thr
-    for rel in report.reliability:
-        assert rel >= cons.rel_thr
+    assert report.reliability >= cons.rel_thr
     for rho in report.utilization:
         assert rho < 1.0
 

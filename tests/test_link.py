@@ -305,6 +305,12 @@ class TestBler:
         with pytest.raises(ValueError):
             bler(-0.5, 100, 50)
 
+    def test_scalar_sjnr_with_integer_array_blocklengths(self):
+        # each entry gets the bits of its scalar call
+        values = bler(5.0, np.array([100, 108]), 256)
+        assert isinstance(values, np.ndarray) and values.shape == (2,)
+        assert values.tolist() == [bler(5.0, 100, 256), bler(5.0, 108, 256)]
+
 
 class TestReliability:
     def test_replica_success_cases(self):

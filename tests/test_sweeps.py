@@ -272,6 +272,17 @@ class TestOptimizeDriver:
         assert record["ris_power_estimate_w"] == expected
         assert list(record)[-1] == "ris_power_estimate_w"
 
+    def test_unstable_best_point_records_none(self, tmp_path):
+        # every queue overflows, so no point has a delay or an efficiency
+        cfg = small_ga_config(tmp_path, "[traffic]\narrival_rate_per_s = 1e6")
+        result = run_optimize(cfg)
+        assert not result.best_report.stable and result.best_eta is None
+        record = read_solution_record(cfg.output_dir / "solution.txt")
+        assert record["energy_efficiency_bits_per_j"] is None
+        assert record["mean_delay_s"] == (None, None)
+        assert record["utilization"] == tuple(result.best_report.utilization.tolist())
+        assert all(rho >= 1 for rho in record["utilization"])
+
     def test_persisted_record_matches_result(self, tmp_path):
         cfg = small_ga_config(tmp_path)
         result = run_optimize(cfg)

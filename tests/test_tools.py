@@ -26,7 +26,7 @@ def test_every_run_config_loads(digests, tmp_path):
     runs = digests.runs()
     assert [name for name, _, _ in runs] == [
         "ga-desk-seed1", "ga-desk-seed2", "ga-desk-seed3", "ga-paper-seed1",
-        "ga-paper-seed2", "one-user", "three-users", "rectangle",
+        "ga-paper-seed2", "one-user", "three-users", "rectangle", "unstable-best",
         "sweep-delay-ee", "sweep-rel-beta", "sweep-sjnr-n", "sweep-delay-ee-n900",
         "sweep-delay-ee-three-users", "sweep-sjnr-n-ga", "mdl-oracle"]
     configs = {}
@@ -41,6 +41,8 @@ def test_every_run_config_loads(digests, tmp_path):
               for name in ("ga-desk-seed1", "rectangle")]
     assert shapes == [(4, 4), (4, 6)]
     assert configs["sweep-delay-ee-n900"].geometry.n_elements == 900
+    unstable = configs["unstable-best"]
+    assert (unstable.traffic.arrival_rates, unstable.ga.max_generations) == ((1e6, 1e6), 3)
     ga_sweep = configs["sweep-sjnr-n-ga"]
     assert (ga_sweep.sweep.policy, ga_sweep.sweep.n_elements_grid) == ("ga", (4, 16, 36))
     assert (ga_sweep.ga.population_size, ga_sweep.ga.max_generations) == (40, 20)

@@ -7,7 +7,9 @@ Runs the CLI of ``CHECKOUT/src`` (by default this checkout's), one fresh
 interpreter per command with BLAS/OpenMP threads pinned to 1:
 
 * ``optimize`` for ga-desk seeds 1-3, ga-paper seeds 1-2, and a one-user,
-  a three-user and a rectangular (4 x 6 elements) variant of ga-desk seed 1;
+  a three-user and a rectangular (4 x 6 elements) variant of ga-desk seed 1,
+  and one whose best point is unstable (an arrival rate of 10^6/s, exit 2),
+  so its ``solution.txt`` records the unstable ``none`` fields;
 * ``sweep delay-ee``, ``sweep rel-beta``, ``sweep sjnr-n`` and
   ``mdl-oracle`` (with the workload's arrival count) for sweep-oracle seed 1,
   ``sweep delay-ee`` for its 900-element variant and for a three-user
@@ -67,6 +69,8 @@ def runs() -> list[tuple[str, list[str], str]]:
     listed.append(("three-users", ["optimize"], _variant("ga-desk", scenario=three_users)))
     listed.append(("rectangle", ["optimize"], _variant(
         "ga-desk", geometry={"n_elements": "24", "n_rows": "4"})))
+    listed.append(("unstable-best", ["optimize"], _variant(
+        "ga-desk", traffic={"arrival_rate_per_s": "1e6"}, ga={"max_generations": "3"})))
     oracle = get_workload("sweep-oracle")
     oracle_text = config_text(oracle, 1)
     listed += [(f"sweep-{kind}", ["sweep", kind], oracle_text)
