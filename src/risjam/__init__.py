@@ -11,8 +11,8 @@ from .channel import (Direction, LinkScenario, RisGeometry, array_response,
                       ris_jammer_channel, ris_ue_channel, wave_vector)
 from .config import (ConfigError, ExperimentConfig, SweepSpec, load_config,
                      square_geometry)
-from .link import (NoiseConfig, bler, co_phasing_phases, q_function,
-                   reliability, replica_success, sjnr_all)
+from .link import (NoiseConfig, bler, co_phasing_phases, polar_weights,
+                   q_function, reliability, replica_success, sjnr_all)
 from .model import MetricsBlock, SystemModel
 from .optimizer import (ConstraintSet, DecisionBlock, DecisionVector,
                         GaSettings, OptimizationResult, decode, decode_block,

@@ -60,10 +60,17 @@ def sic_balanced_weights(bs_channel: np.ndarray, ue_channels: np.ndarray,
     return np.linalg.lstsq(system, targets.astype(complex), rcond=None)[0]
 
 
+def polar_weights(amplitudes, phases) -> np.ndarray:
+    """RIS weights sqrt(amplitude_n) * exp(j * phase_n) of one (N,) beam or
+    a (B, N) block of beams given by amplification factors and phases."""
+    amps, phs = _check_beam(amplitudes, phases)
+    return np.sqrt(amps) * np.exp(1j * phs)
+
+
 # _sic_sjnr checks the range of what may overflow here
 @np.errstate(over="ignore", invalid="ignore")
 def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex,
-             jammer_channel: np.ndarray, amplitudes, phases, powers,
+             jammer_channel: np.ndarray, weights, powers,
              jammer_power: float, noise: NoiseConfig) -> np.ndarray:
     """Received SJNR of every user at the BS under SIC decoding.
 
@@ -76,9 +83,9 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
         bs_channel: (N,) RIS-to-BS channel.
         jammer_direct: scalar jammer-to-BS channel.
         jammer_channel: (N,) jammer-to-RIS channel.
-        amplitudes, phases, powers: one candidate ((N,) beam whose element n
-            applies sqrt(amplitude_n)*exp(j*phase_n), K user powers in watts),
-            or B candidates as (B, N) beams and (B, K) powers.
+        weights, powers: one candidate ((N,) complex RIS weights, element n
+            applying weight_n, e.g. ``polar_weights``; K user powers in
+            watts), or B candidates as (B, N) weights and (B, K) powers.
 
     Returns:
         (K,) linear power ratios (non-negative), entry k-1 for user k; for B
@@ -88,28 +95,32 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
     is not finite.
     """
     ue = np.atleast_2d(np.asarray(ue_channels))
-    amps, phs = _check_beam(amplitudes, phases)
+    w = np.asarray(weights, dtype=complex)
+    if w.ndim not in (1, 2):
+        raise ValueError("RIS weights must be a 1-D or 2-D array")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("RIS weights must be finite")
     p = _check_powers(powers, ue.shape[0])
-    if amps.ndim == p.ndim == 2 and 1 not in (len(amps), len(p)) and len(amps) != len(p):
-        raise ValueError(f"amplitudes ({len(amps)} rows) and powers ({len(p)} rows) "
+    if w.ndim == p.ndim == 2 and 1 not in (len(w), len(p)) and len(w) != len(p):
+        raise ValueError(f"weights ({len(w)} rows) and powers ({len(p)} rows) "
                          "must have one row, or the same number of rows")
     n = bs_channel.shape[0]
-    if ue.shape[1] != n or jammer_channel.shape[0] != n or amps.shape[-1] != n:
+    if ue.shape[1] != n or jammer_channel.shape[0] != n or w.shape[-1] != n:
         raise ValueError("channel vectors and beamforming must share one element count")
 
     # I^T Theta, one row per candidate. Every operand spans the whole block
     # and each product is a stack of (1, N) rows, so a candidate gets the
     # bits it gets alone: a broadcast operand or a plain matrix product can
     # switch numpy to kernels that round differently.
-    weights = np.atleast_2d(np.sqrt(amps) * np.exp(1j * phs))
-    rows = np.tile(bs_channel, (weights.shape[0], 1)) * weights
+    block = np.atleast_2d(w)
+    rows = np.tile(bs_channel, (block.shape[0], 1)) * block
     stacked = rows[:, None, :]
     cascade_gains = np.abs((stacked @ ue.T)[:, 0, :]).T ** 2  # |I^T Theta G_k|^2
     received = np.atleast_2d(p).T * cascade_gains
     gammas = _sic_sjnr(received, (stacked @ jammer_channel[:, None])[:, 0, 0],
                        np.sum(np.abs(rows) ** 2, axis=-1), jammer_direct,
                        jammer_power, noise)
-    single = amps.ndim == 1 and p.ndim == 1
+    single = w.ndim == 1 and p.ndim == 1
     return gammas[:, 0] if single else gammas
 
 

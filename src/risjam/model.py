@@ -16,7 +16,7 @@ import numpy as np
 from .channel import RisGeometry, LinkScenario, ris_ue_channel, ris_bs_channel, \
     jammer_direct_channel, ris_jammer_channel
 from .link import NoiseConfig, sjnr_all, bler, replica_success, reliability, \
-    co_phasing_phases, _check_beam, _check_powers
+    co_phasing_phases, polar_weights, _check_beam, _check_powers
 from .traffic import FrameParams, TrafficParams, utilization, mean_delay, \
     energy_efficiency
 
@@ -103,8 +103,12 @@ class SystemModel:
         return np.full(self.n_elements, amps), phases
 
     def sjnr(self, amplitudes, phases, powers) -> np.ndarray:
+        """``link.sjnr_all`` of a beam given by amplitudes and phases."""
+        return self._sjnr(polar_weights(amplitudes, phases), powers)
+
+    def _sjnr(self, weights, powers) -> np.ndarray:
         return sjnr_all(self.ue_channels, self.bs_channel, self.jammer_direct,
-                        self.jammer_channel, amplitudes, phases, powers,
+                        self.jammer_channel, weights, powers,
                         self.scenario.jammer_power, self.noise)
 
     @np.errstate(over="ignore")
@@ -129,12 +133,14 @@ class SystemModel:
                  arrival_rates: tuple[float, ...] | None = None) -> MetricsBlock:
         """Run the full metric chain for one operating point.
 
-        The column of a one-candidate ``evaluate_block``: per-user arrays
-        (K,), the others 0-d. ``arrival_rates`` overrides the scenario rates
-        for this evaluation only (channels are unaffected).
+        The column of a one-candidate ``evaluate_block`` on the beam's
+        ``link.polar_weights``: per-user arrays (K,), the others 0-d.
+        ``arrival_rates`` overrides the scenario rates for this evaluation
+        only (channels are unaffected).
         """
-        return self.evaluate_block([amplitudes], [phases], [powers], [blocklength],
-                                   [retransmissions], arrival_rates).column(0)
+        return self.evaluate_block([polar_weights(amplitudes, phases)], [powers],
+                                   [blocklength], [retransmissions],
+                                   arrival_rates).column(0)
 
     def queue_block(self, blocklengths, retransmissions,
                     arrival_rates: tuple[float, ...] | None = None
@@ -161,13 +167,13 @@ class SystemModel:
             delays[:, stable] = np.stack([mean_delay(frame, traffic, k) for k in users])
         return rhos, stable, delays
 
-    def evaluate_block(self, amplitudes, phases, powers, blocklengths,
-                       retransmissions,
+    def evaluate_block(self, weights, powers, blocklengths, retransmissions,
                        arrival_rates: tuple[float, ...] | None = None) -> MetricsBlock:
         """Run the full metric chain for B candidates at once.
 
         Args:
-            amplitudes, phases: (B, N) RIS beams, one per row.
+            weights: (B, N) complex RIS weights, one beam per row (see
+                ``link.sjnr_all``).
             powers: (B, K) user transmit powers in watts.
             blocklengths, retransmissions: (B,) integers.
             arrival_rates: K rates overriding the scenario's for every
@@ -182,11 +188,11 @@ class SystemModel:
         replicas = np.asarray(retransmissions)
         if replicas.shape != blocklengths.shape:
             raise ValueError("retransmissions must have one entry per blocklength")
-        for name, rows in (("amplitudes", amplitudes), ("powers", powers)):
+        for name, rows in (("weights", weights), ("powers", powers)):
             if len(np.atleast_2d(rows)) not in (1, blocklengths.size):
                 raise ValueError(f"{name} must have one row, or one per blocklength")
 
-        gammas = self.sjnr(amplitudes, phases, powers)
+        gammas = self._sjnr(weights, powers)
         blers = bler(gammas, blocklengths, self.payload_bits)
         omega = replica_success(blers)
         rel = reliability(omega, replicas)

@@ -1,8 +1,9 @@
 """
 Genetic-algorithm solver for constrained energy-efficiency maximization.
 
-Decision variables are the per-user transmit powers, per-element RIS phases
-and amplification factors, the blocklength and the replica count. The
+Decision variables are the per-user transmit powers, the complex weight of
+each RIS element (its amplification and phase), the blocklength and the
+replica count. The
 objective is to minimize 1/eta subject to the URLLC delay and reliability
 thresholds, queue stability, SIC power ordering and box bounds.
 
@@ -10,10 +11,10 @@ Constraint handling is feasibility dominance: a feasible candidate always
 outranks an infeasible one, feasible candidates compare by objective and
 infeasible ones by total constraint violation. Box bounds hold by
 construction of the genome decoding, so they never appear as residuals.
-Every genome is repaired before it is scored: its powers are put in SIC
-order and its blocklength and replica genes are clamped onto the pairs that
-meet the closed-form delay and utilization constraints, which the residuals
-still check.
+Every genome is repaired before it is scored: its moved weights are put back
+on the disc |w|^2 <= beta_max, its powers in SIC order, and its blocklength
+and replica genes are clamped onto the pairs that meet the closed-form delay
+and utilization constraints, which the residuals still check.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .link import co_phasing_phases, sic_balanced_weights
+from .link import co_phasing_phases, polar_weights, sic_balanced_weights
 from .model import MetricsBlock, SystemModel
 
 # Stand-in objective when the metric chain yields no usable efficiency
@@ -34,6 +35,12 @@ INFEASIBLE_OBJECTIVE = 1e30
 STRICT_MARGIN = 1e-9
 
 TWO_PI = 2.0 * np.pi
+
+# How far (relative) outside the unit disc ``_repair`` leaves a pair of
+# weight genes. A pair it scales onto the circle rounds to within a few ulp
+# of it, so a second repair leaves that pair alone; ``decode_block`` still
+# projects every weight onto the disc exactly.
+DISC_SLACK = 1e-12
 
 # Largest number of genome cells (candidates x RIS elements) decoded and
 # scored in one call of the metric-chain kernel. Populations are evaluated
@@ -150,8 +157,7 @@ class DecisionBlock(NamedTuple):
     """B decoded operating points, candidate b in row (entry) b."""
 
     user_powers: np.ndarray      # (B, K) watts
-    phases: np.ndarray           # (B, N) radians
-    amplitudes: np.ndarray       # (B, N)
+    weights: np.ndarray          # (B, N) complex RIS weights
     blocklength: np.ndarray      # (B,) integers
     retransmissions: np.ndarray  # (B,) integers
 
@@ -173,8 +179,12 @@ class OptimizationResult:
 # ----------------------------------------------------------------------------
 #  Genome encoding
 # ----------------------------------------------------------------------------
-# Layout: [powers (K) | phases (N) | amplitudes (N) | blocklength | replicas],
-# every gene normalized to [0, 1] and affinely mapped to its bounds at decode.
+# Layout: [powers (K) | weights, real parts (N) | weights, imaginary parts (N)
+# | blocklength | replicas], every gene normalized to [0, 1]. The powers and
+# the two integers map affinely onto their bounds. Element n's genes
+# (g_re, g_im) give the point u_n = (2 g_re - 1) + j (2 g_im - 1) of the
+# square around the unit disc, and its weight is w_n = sqrt(beta_max) * u_n
+# once u_n is projected onto that disc, so |w_n|^2 <= beta_max.
 
 def genome_dimension(n_users: int, n_elements: int) -> int:
     return n_users + 2 * n_elements + 2
@@ -183,7 +193,7 @@ def genome_dimension(n_users: int, n_elements: int) -> int:
 def decode_block(genomes: np.ndarray, n_users: int, n_elements: int,
                  constraints: ConstraintSet) -> DecisionBlock:
     """Map a (B, dimension) block of normalized genomes to decision vectors
-    inside all box bounds, one per row."""
+    inside all box bounds, one per row, each RIS beam as its complex weights."""
     k, n = n_users, n_elements
     genomes = np.asarray(genomes, dtype=float)
     if genomes.ndim != 2 or genomes.shape[1] != genome_dimension(k, n):
@@ -194,11 +204,19 @@ def decode_block(genomes: np.ndarray, n_users: int, n_elements: int,
     c = constraints
 
     powers = np.minimum(c.p_min + g[:, :k] * (c.p_max - c.p_min), c.p_max)
-    phases = np.minimum(g[:, k:k + n] * TWO_PI, TWO_PI)
-    amplitudes = np.minimum(g[:, k + n:k + 2 * n] * c.beta_max, c.beta_max)
+    real = 2.0 * g[:, k:k + n] - 1.0
+    imag = 2.0 * g[:, k + n:k + 2 * n] - 1.0
+    # weight per unit of u: a point outside the unit disc moves radially
+    # onto its circle, one inside is scaled by sqrt(beta_max) alone
+    scale = real * real + imag * imag
+    np.sqrt(np.maximum(scale, 1.0, out=scale), out=scale)
+    np.divide(np.sqrt(c.beta_max), scale, out=scale)
+    weights = np.empty(real.shape, dtype=complex)
+    np.multiply(real, scale, out=weights.real)
+    np.multiply(imag, scale, out=weights.imag)
     blocklength = _on_grid(g[:, k + 2 * n], c.nb_min, c.nb_max)
     retransmissions = _on_grid(g[:, k + 2 * n + 1], 1, c.l_max)
-    return DecisionBlock(powers, phases, amplitudes, blocklength, retransmissions)
+    return DecisionBlock(powers, weights, blocklength, retransmissions)
 
 
 def _on_grid(genes: np.ndarray, low: int, high: int) -> np.ndarray:
@@ -210,14 +228,26 @@ def decode(genome: np.ndarray, n_users: int, n_elements: int,
            constraints: ConstraintSet) -> DecisionVector:
     """Map a normalized genome to a decision vector inside all box bounds."""
     return _first(decode_block(np.asarray(genome)[None], n_users, n_elements,
-                               constraints))
+                               constraints), constraints.beta_max)
 
 
-def _first(x: DecisionBlock) -> DecisionVector:
-    """The decision vector in row 0 of a decoded block."""
-    powers, phases, amplitudes, blocklength, replicas = (v[0].tolist() for v in x)
-    return DecisionVector(tuple(powers), tuple(phases), tuple(amplitudes),
-                          blocklength, replicas)
+def _first(x: DecisionBlock, beta_max: float) -> DecisionVector:
+    """The decision vector in row 0 of a decoded block, its weights in polar
+    form: amplitude min(|w|^2, beta_max) (|w|^2 on the disc's edge may round
+    above beta_max) and phase angle(w) mod 2 pi."""
+    w = x.weights[0]
+    amplitudes = np.minimum(w.real ** 2 + w.imag ** 2, beta_max)
+    phases = np.mod(np.angle(w), TWO_PI)
+    return DecisionVector(tuple(x.user_powers[0].tolist()), tuple(phases.tolist()),
+                          tuple(amplitudes.tolist()), int(x.blocklength[0]),
+                          int(x.retransmissions[0]))
+
+
+def _point_block(x: DecisionVector) -> DecisionBlock:
+    """A one-row block of a decision vector, its weights ``polar_weights``."""
+    return DecisionBlock(np.array([x.user_powers], dtype=float),
+                         polar_weights(x.amplitudes, x.phases)[None],
+                         np.array([x.blocklength]), np.array([x.retransmissions]))
 
 
 # ----------------------------------------------------------------------------
@@ -273,24 +303,33 @@ def _repair(genomes: np.ndarray, n_users: int, n_elements: int,
     """Move a C-contiguous (B, dimension) block of genomes in place into the
     box and onto the closed-form part of the feasible set.
 
-    Of the genes at the row-major flat indices ``moved``, phase genes wrap
-    into [0, 1) and the others clip to [0, 1]; every other gene must already
-    lie there, where both leave it unchanged. On every row the power genes
-    are sorted so that p_1 <= ... <= p_K, the blocklength gene is clamped to
-    the largest admitted blocklength, cap(1), and then the replica gene to
-    the largest replica count admitted at the decoded blocklength. A clamped
-    gene sits at the centre of its cap's rounding interval, so it decodes to
-    the cap exactly. Without an admitted pair nothing is clamped.
+    Of the genes at the row-major flat indices ``moved``, every element with
+    a moved weight gene whose point lies more than ``DISC_SLACK`` outside
+    the unit disc is scaled radially onto its circle, and then every moved
+    gene clips to [0, 1]; every other gene must already lie in its box and
+    every other element in the disc, where both leave it unchanged. On every
+    row the power genes are sorted so that p_1 <= ... <= p_K, the
+    blocklength gene is clamped to the largest admitted blocklength, cap(1),
+    and then the replica gene to the largest replica count admitted at the
+    decoded blocklength. A clamped gene sits at the centre of its cap's
+    rounding interval, so it decodes to the cap exactly. Without an admitted
+    pair nothing is clamped.
     """
     k, n, c = n_users, n_elements, constraints
     flat = genomes.reshape(-1, copy=False)
-    genes = flat[moved]
+    # the flat index of the real part of each element with a moved weight
+    # gene; an element listed twice reads and writes the same values twice
     column = moved % genomes.shape[1]
-    # np.mod maps the negatives just below 0 to 1.0, which would wrap again
-    wrapped = np.mod(genes, 1.0)
-    wrapped[wrapped == 1.0] = 0.0
-    flat[moved] = np.where((column >= k) & (column < k + n), wrapped,
-                           np.clip(genes, 0.0, 1.0))
+    beam = (column >= k) & (column < k + 2 * n)
+    real = moved[beam] - n * (column[beam] >= k + n)
+    x = 2.0 * flat[real] - 1.0
+    y = 2.0 * flat[real + n] - 1.0
+    radius = np.hypot(x, y)
+    outside = radius > 1.0 + DISC_SLACK
+    real, scale = real[outside], 0.5 / radius[outside]
+    flat[real] = 0.5 + x[outside] * scale
+    flat[real + n] = 0.5 + y[outside] * scale
+    flat[moved] = np.clip(flat[moved], 0.0, 1.0)
     genomes[:, :k].sort(axis=1)
     if not len(caps):
         return
@@ -331,8 +370,8 @@ def score_block(x: DecisionBlock, model: SystemModel, constraints: ConstraintSet
     can still rank such candidates.
     """
     c = constraints
-    chain = model.evaluate_block(x.amplitudes, x.phases, x.user_powers,
-                                 x.blocklength, x.retransmissions)
+    chain = model.evaluate_block(x.weights, x.user_powers, x.blocklength,
+                                 x.retransmissions)
     zero = np.zeros(chain.stable.shape)
     delay, utilization = _queue_residuals(chain.utilization, chain.stable,
                                           chain.mean_delay, c)
@@ -357,12 +396,8 @@ def score_block(x: DecisionBlock, model: SystemModel, constraints: ConstraintSet
 def evaluate_fitness(x: DecisionVector, model: SystemModel,
                      constraints: ConstraintSet) -> tuple[float, dict[str, float]]:
     """Objective 1/eta and residuals of one decision vector (``score_block``
-    for a block of one)."""
-    block = DecisionBlock(np.array([x.user_powers], dtype=float),
-                          np.array([x.phases], dtype=float),
-                          np.array([x.amplitudes], dtype=float),
-                          np.array([x.blocklength]), np.array([x.retransmissions]))
-    objective, violations, _ = score_block(block, model, constraints)
+    for a block of one, its weights ``link.polar_weights``)."""
+    objective, violations, _ = score_block(_point_block(x), model, constraints)
     return float(objective[0]), {name: float(v[0]) for name, v in violations.items()}
 
 
@@ -424,19 +459,25 @@ def _evaluate_population(pop: np.ndarray, model: SystemModel,
 
 
 def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
-           settings: GaSettings, mutation_rate: float, sigma: float
-           ) -> tuple[np.ndarray, np.ndarray]:
+           settings: GaSettings, mutation_rate: float, sigma: float,
+           n_elements: int) -> tuple[np.ndarray, np.ndarray]:
     """Next population: the elites, then one child per remaining slot, not
-    yet repaired; and the row-major flat indices into the children of the
-    genes that mutated, the only ones that can have left their box.
+    yet repaired; and the sorted row-major flat indices into the children of
+    the genes that mutated, the only ones that can have left their box.
+
+    Crossover passes on each element's two weight genes together, so a
+    child's element is one of its parents' points of the disc.
 
     The random numbers come in whole arrays, in an order that does not
     depend on ``BLOCK_CELLS``: every tournament contestant, every crossover
-    flag, then row by row each child's crossover and mutation uniforms
-    (drawn in row blocks of at most ``BLOCK_CELLS`` genes per kind), and
-    last one Gaussian step for each gene that mutates, in row-major order.
+    flag, one crossover bit per child locus (a power, an element or an
+    integer gene; one byte string, each child's bits starting on a byte),
+    the number of genes that mutate, which genes those are, and last one
+    Gaussian step for each of them, in row-major order.
     """
     size, dim = pop.shape
+    n = n_elements
+    k = dim - 2 * n - 2
     elites = settings.elite_count
     n_children = size - elites
     position = np.empty(size, dtype=np.intp)
@@ -451,30 +492,39 @@ def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
     parents = np.where(standing[..., 0] <= standing[..., 1],
                        contestants[..., 0], contestants[..., 1])
     crossing = rng.random(n_children) < settings.crossover_rate
-    mutating = []  # flat indices into the children, row-major
+    # the locus of each gene: an element's imaginary part shares its real part's
+    loci = np.r_[0:k + n, k:k + n, k + n:k + n + 2]
+    row_bytes = -(-(dim - n) // 8)
+    bits = np.frombuffer(rng.bytes(n_children * row_bytes),
+                         dtype=np.uint8).reshape(n_children, row_bytes)
     rows = max(1, BLOCK_CELLS // dim)
     for start in range(0, n_children, rows):
         block = slice(start, min(start + rows, n_children))
-        uniforms = rng.random((block.stop - start, 2, dim))
-        # a crossing child takes a gene from its second parent where its
-        # crossover uniform is 0.5 or more
-        second = crossing[block, None] & (uniforms[:, 0] >= 0.5)
+        # a crossing child takes a gene from its second parent where the
+        # crossover bit of the gene's locus is set
+        second = np.unpackbits(bits[block], axis=1, count=dim - n).view(bool)[:, loci]
+        second &= crossing[block, None]
         children[block] = np.where(second, pop[parents[block, 1]], pop[parents[block, 0]])
-        mutating.append(start * dim + np.flatnonzero(uniforms[:, 1] < mutation_rate))
-    mutating = np.concatenate(mutating)
+    # each gene mutates with probability mutation_rate
+    cells = children.size
+    mutating = np.sort(rng.choice(cells, rng.binomial(cells, mutation_rate),
+                                  replace=False, shuffle=False))
     children.reshape(-1)[mutating] += rng.normal(0.0, sigma, len(mutating))
     return new_pop, mutating
 
 
 def _initial_population(model: SystemModel, settings: GaSettings,
-                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                        rng: np.random.Generator) -> np.ndarray:
     """Uniform random genomes, the first ``co_phasing_fraction`` of them
-    with seeded beams; and the row-major flat indices of the seed rows'
-    phase genes. Those lie in [0, 1] and may be 1.0; every other gene lies
-    in [0, 1) as drawn or in [0, 1] as seeded.
+    with seeded beams; every gene lies in [0, 1] and every element in the
+    unit disc.
 
-    With one user every seed slot co-phases that user. With K >= 2 the
-    even slots co-phase the users in turn and the odd slots hold
+    Each element's two weight genes are first read as a phase gene u and
+    an amplitude gene v, theta = 2 pi u and beta = beta_max v, and then
+    converted in place to its point sqrt(v) e^(j theta). A uniform phase
+    with a uniform |point|^2 = v is the uniform distribution over the disc.
+    With one user every seed slot co-phases that user. With
+    K >= 2 the even slots co-phase the users in turn and the odd slots hold
     SIC-balanced beams (``link.sic_balanced_weights``), with consecutive
     users' gain ratio r log-spaced over [1, 10^3] across those slots; the
     seeds draw no random numbers. A balanced seed whose squared weights
@@ -500,8 +550,15 @@ def _initial_population(model: SystemModel, settings: GaSettings,
         peak = np.max(squared)
         if 0 < peak < np.inf:
             pop[i, k + n:k + 2 * n] = squared / peak
-    rows = np.arange(n_seeded)[:, None]
-    return pop, (rows * pop.shape[1] + np.arange(k, k + n)).ravel()
+
+    # in row blocks, so that no temporary grows with the population
+    rows = max(1, BLOCK_CELLS // n)
+    for start in range(0, size, rows):
+        phase = TWO_PI * pop[start:start + rows, k:k + n]
+        radius = np.sqrt(pop[start:start + rows, k + n:k + 2 * n])
+        pop[start:start + rows, k:k + n] = 0.5 + 0.5 * radius * np.cos(phase)
+        pop[start:start + rows, k + n:k + 2 * n] = 0.5 + 0.5 * radius * np.sin(phase)
+    return pop
 
 
 def run_ga(model: SystemModel, constraints: ConstraintSet,
@@ -510,13 +567,15 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
 
     Tournament selection of size 2 under the dominance rule, uniform
     crossover, Gaussian mutation with decaying spread. The initial
-    population and every bred one are repaired (``_repair``): the seeded
-    phase genes and the mutated phase genes wrap, the other mutated genes
-    clip to their box, powers are ordered and the blocklength and replica
-    genes are clamped onto the pairs that meet the delay and utilization
-    constraints. No other gene can lie outside its box. The same seed reproduces
-    the run bit for bit; with at least one elite the recorded best value
-    never worsens. Raises OverflowError when the population holds more than
+    population and every bred one are repaired (``_repair``): the elements
+    whose weight genes mutated are scaled back onto the disc, the other
+    mutated genes clip to their box, powers are ordered and the blocklength
+    and replica genes are clamped onto the pairs that meet the delay and
+    utilization constraints. No other gene can lie outside its box. The
+    record is the best genome's decision vector, whose weights are polar,
+    scored as ``evaluate_fitness`` scores it. The same seed reproduces the
+    run bit for bit; with at least one elite the recorded best value never
+    worsens. Raises OverflowError when the population holds more than
     ``MAX_GENOME_CELLS`` genes.
     """
     k, n = model.n_users, model.n_elements
@@ -531,8 +590,8 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     stall_enabled = settings.function_tolerance >= eps
     caps = _blocklength_caps(model, constraints)
 
-    pop, moved = _initial_population(model, settings, rng)
-    _repair(pop, k, n, constraints, caps, moved)
+    pop = _initial_population(model, settings, rng)
+    _repair(pop, k, n, constraints, caps, np.empty(0, dtype=np.intp))
 
     best_standing = best_genome = None
     fitness_history: list[float] = []
@@ -544,7 +603,7 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     # generation 0 is the initial population: ranked and tracked, not recorded
     for generation in range(settings.max_generations + 1):
         if generation:
-            pop, moved = _breed(pop, order, rng, settings, mutation_rate, sigma)
+            pop, moved = _breed(pop, order, rng, settings, mutation_rate, sigma, n)
             _repair(pop[settings.elite_count:], k, n, constraints, caps, moved)
             sigma *= settings.mutation_decay
         objective, total = _evaluate_population(pop, model, constraints)
@@ -572,13 +631,13 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
             if stall_count >= settings.stall_generations:
                 break
 
-    best = decode_block(best_genome[None], k, n, constraints)
-    objective, violations, chain = score_block(best, model, constraints)
+    best = decode(best_genome, k, n, constraints)
+    objective, violations, chain = score_block(_point_block(best), model, constraints)
     violations = {name: float(v[0]) for name, v in violations.items()}
     report = chain.column(0)
 
     return OptimizationResult(
-        best_solution=_first(best),
+        best_solution=best,
         best_eta=float(report.energy_efficiency) if report.stable else None,
         best_objective=float(objective[0]),
         fitness_history=fitness_history,

@@ -19,7 +19,8 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig, square_geometry
-from .link import _check_powers, _sic_sjnr, bler, reliability, replica_success
+from .link import (_check_powers, _sic_sjnr, bler, polar_weights, reliability,
+                   replica_success)
 from .model import SystemModel
 from .optimizer import OptimizationResult, run_ga
 
@@ -129,13 +130,13 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     """
     model = build_model(cfg)
     amplitudes, phases, powers = _policy(cfg, model, model.n_users)
+    weights = polar_weights(amplitudes, phases)
     lengths = np.array(sorted(cfg.sweep.blocklength_grid))
     replicas = np.full(lengths.size, cfg.sweep.retransmissions)
 
     rows: list[tuple] = []
     for rate in sorted(cfg.sweep.arrival_rate_grid):
-        chain = model.evaluate_block(amplitudes[None], phases[None],
-                                     [powers], lengths, replicas,
+        chain = model.evaluate_block(weights[None], [powers], lengths, replicas,
                                      arrival_rates=(rate,) * model.n_users)
         # object arrays hold Python floats, and the marker where unstable
         delay = chain.mean_delay[0].astype(object)

@@ -4,8 +4,10 @@ The block metric-chain kernel against its one-candidate wrappers.
 Every number the GA ranks, reports and sweeps goes through
 ``SystemModel.evaluate_block``; these tests check bit for bit that a
 candidate's numbers do not depend on the block it is scored in, and that
-``decode``, ``evaluate_fitness`` and ``SystemModel.evaluate`` are its B=1
-case.
+``evaluate_fitness`` and ``SystemModel.evaluate`` are its B=1 case on the
+polar weights of a decision vector. A decoded genome's polar record
+(``decode``) carries its weights to within rounding, so its numbers match
+the block's to a stated tolerance.
 """
 
 import numpy as np
@@ -35,6 +37,21 @@ def same_bits(a, b) -> bool:
 def same_metrics(a, b) -> bool:
     """Every field of two ``MetricsBlock``s has the same bits."""
     return all(same_bits(value, getattr(b, name)) for name, value in vars(a).items())
+
+
+# Relative tolerance between the metrics of a decoded genome's polar record
+# and those of its block row: the polar round trip moves each weight by a few
+# ulp, the cascade sums amplify that by their cancellation, and the BLER by
+# its Q-function argument (up to about 38).
+POLAR_RTOL = 1e-9
+
+
+def close_metrics(a, b) -> bool:
+    """Every field of two ``MetricsBlock``s agrees to ``POLAR_RTOL``; NaN
+    where the other is NaN, and values below 1e-300 count as equal."""
+    return all(np.allclose(value, getattr(b, name), rtol=POLAR_RTOL, atol=1e-300,
+                           equal_nan=True)
+               for name, value in vars(a).items())
 
 
 def random_case(seed: int, n_users: int, n_elements: int, n_candidates: int):
@@ -73,15 +90,24 @@ def test_block_boundaries_do_not_change_bits(seed, n_users, n_elements,
         assert same_bits(np.concatenate([p[1][name] for p in parts]), values)
 
     for b, genome in enumerate(genomes):
-        x = decode(genome, n_users, n_elements, WIDE_BOX)
-        single_objective, single_violations = evaluate_fitness(x, model, WIDE_BOX)
-        assert same_bits(single_objective, objective[b])
+        alone = decode_block(genome[None], n_users, n_elements, WIDE_BOX)
+        assert same_bits(alone.weights[0], whole.weights[b])
+        single_objective, single_violations, single_chain = score_block(
+            alone, model, WIDE_BOX)
+        assert same_bits(single_objective, objective[b:b + 1])
         for name, value in single_violations.items():
-            assert same_bits(value, violations[name][b])
+            assert same_bits(value, violations[name][b:b + 1])
+        assert same_metrics(single_chain.column(0), chain.column(b))
 
+        # the polar record scores as the block row, to rounding
+        x = decode(genome, n_users, n_elements, WIDE_BOX)
         report = model.evaluate(x.amplitudes, x.phases, x.user_powers,
                                 x.blocklength, x.retransmissions)
-        assert same_metrics(report, chain.column(b))
+        assert close_metrics(report, chain.column(b))
+        polar_objective, polar_violations = evaluate_fitness(x, model, WIDE_BOX)
+        assert np.isclose(polar_objective, objective[b], rtol=POLAR_RTOL, atol=0.0)
+        for name, value in polar_violations.items():
+            assert np.isclose(value, violations[name][b], rtol=POLAR_RTOL, atol=1e-15)
 
 
 def test_many_users_keep_their_bits():
@@ -92,18 +118,17 @@ def test_many_users_keep_their_bits():
     model = make_model(RisGeometry(1, 4), make_scenario(n_users=9),
                        arrival_rates=tuple(rng.uniform(5.0, 50.0, 9)))
     x = decode_block(genomes, 9, 4, WIDE_BOX)
-    chain = model.evaluate_block(x.amplitudes, x.phases, x.user_powers,
-                                 x.blocklength, x.retransmissions)
+    chain = model.evaluate_block(x.weights, x.user_powers, x.blocklength,
+                                 x.retransmissions)
     assert np.mean(chain.stable) > 0.5
     for b in range(len(genomes)):
-        alone = model.evaluate_block(x.amplitudes[b:b + 1], x.phases[b:b + 1],
-                                     x.user_powers[b:b + 1], x.blocklength[b:b + 1],
-                                     x.retransmissions[b:b + 1])
+        alone = model.evaluate_block(x.weights[b:b + 1], x.user_powers[b:b + 1],
+                                     x.blocklength[b:b + 1], x.retransmissions[b:b + 1])
         assert same_metrics(alone.column(0), chain.column(b))
 
     # one beam and power row given once for every code of the block, as
     # sweep_delay_ee passes them, against the same row tiled over the block
-    first = (x.amplitudes[:1], x.phases[:1], x.user_powers[:1])
+    first = (x.weights[:1], x.user_powers[:1])
     shared = model.evaluate_block(*first, x.blocklength, x.retransmissions)
     tiled = model.evaluate_block(*(np.tile(row, (len(genomes), 1)) for row in first),
                                  x.blocklength, x.retransmissions)
@@ -154,9 +179,9 @@ def recorded_blocks(monkeypatch) -> list[tuple]:
     shapes = []
     evaluate_block = SystemModel.evaluate_block
 
-    def recorded(model, amplitudes, phases, powers, *args, **kwargs):
-        shapes.append((np.shape(amplitudes), np.shape(powers)))
-        return evaluate_block(model, amplitudes, phases, powers, *args, **kwargs)
+    def recorded(model, weights, powers, *args, **kwargs):
+        shapes.append((np.shape(weights), np.shape(powers)))
+        return evaluate_block(model, weights, powers, *args, **kwargs)
 
     monkeypatch.setattr(SystemModel, "evaluate_block", recorded)
     return shapes
@@ -216,7 +241,7 @@ def test_one_arrival_rate_per_user_required():
     (lambda model: model.co_phased_beam(1, [1.0, 2.0, 3.0]),
      "^amplitudes must be one value or 4 values, one per element$"),
     (lambda model: model.sjnr(np.ones((3, 4)), np.zeros((3, 4)), np.full((2, 2), 1e-3)),
-     r"^amplitudes \(3 rows\) and powers \(2 rows\) must have one row, "
+     r"^weights \(3 rows\) and powers \(2 rows\) must have one row, "
      "or the same number of rows$"),
 ], ids=["user-0", "user-minus-1", "user-K+1", "one-power-for-two-users",
         "block-of-powers", "zero-power", "block-of-beams", "one-amplitude-for-four-elements",
@@ -229,14 +254,18 @@ def test_model_rejects_unknown_users_and_bad_powers(call, message):
 
 @pytest.mark.parametrize("bad,message", [
     ({"retransmissions": [1, 1]}, "^retransmissions must have one entry per blocklength$"),
-    ({"amplitudes": np.ones((2, 4))}, "^amplitudes must have one row, or one per blocklength$"),
-    ({"phases": np.zeros((2, 4))}, "^amplitudes and phases must be 1-D or 2-D arrays "),
+    ({"weights": np.ones((2, 4), complex)},
+     "^weights must have one row, or one per blocklength$"),
+    ({"weights": np.ones((3, 5), complex)},
+     "^channel vectors and beamforming must share one element count$"),
     ({"powers": np.full((2, 2), 1e-3)}, "^powers must have one row, or one per blocklength$"),
-], ids=["retransmissions", "amplitudes", "phases", "powers"])
+    ({"weights": np.full((3, 4), np.nan, complex)}, "^RIS weights must be finite$"),
+], ids=["retransmissions", "amplitudes", "phases", "powers", "weights-nan"])
 def test_evaluate_block_names_a_bad_row_count(bad, message):
-    # B = 3 blocklengths; beam and power rows must number 1 or B
+    # B = 3 blocklengths; beam and power rows must number 1 or B. The ids
+    # "amplitudes" and "phases" are the weights' row and element counts.
     model = make_model(RisGeometry(2, 2), make_scenario())
-    block = dict(amplitudes=np.ones((3, 4)), phases=np.zeros((3, 4)),
+    block = dict(weights=np.ones((3, 4), complex),
                  powers=np.full((1, 2), 1e-3), blocklengths=[108, 120, 132],
                  retransmissions=[1, 1, 2])
     assert model.evaluate_block(**block).stable.shape == (3,)
@@ -245,28 +274,31 @@ def test_evaluate_block_names_a_bad_row_count(bad, message):
 
 
 def test_small_run_is_pinned():
-    # recorded from the GA that breeds whole blocks per random draw and
-    # repairs genomes onto the closed-form feasible box; it guards the random
-    # draw order, the repair and the ranking, generation by generation
+    # recorded from the GA with Cartesian weight genes, per-locus crossover
+    # bits and binomial mutation sites; it guards the random draw order, the
+    # repair and the ranking, generation by generation
     model = make_model(RisGeometry(2, 2), make_scenario(
         jammer_power=5e-4, user_dirs=[(1.0, -0.3), (np.pi / 2, -0.1)]))
     result = run_ga(model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160),
                     GaSettings(rng_seed=7, population_size=40, max_generations=15))
-    assert result.fitness_history == [1e30] * 4 + [
-        2.4381229595293755e-07] * 6 + [2.1305822750928473e-07] * 2 + [
-        1.9790526103674595e-07] * 3
-    assert result.mean_history == [1e30] * 4 + [
-        9.75e+29, 9.75e+29, 9.5e+29, 9.5e+29, 9.249999999999999e+29,
-        9.249999999999999e+29, 9e+29, 8.75e+29, 6.5e+29, 7.000000000000001e+29,
-        6.2500000000000005e+29]
-    assert result.feasible_fraction_history == [0.0] * 4 + [
-        0.025, 0.025, 0.05, 0.05, 0.075, 0.075, 0.1, 0.125, 0.35, 0.3, 0.375]
+    assert result.fitness_history == [1.939700631358627e-07] * 3 + [
+        1.214175063470063e-07] * 2 + [
+        6.755122398783956e-08, 6.755122397622746e-08, 5.8870673052681284e-08,
+        5.672552535466127e-08] + [5.1658574900392135e-08] * 3 + [
+        5.0949466819753316e-08] + [4.570835508845735e-08] * 2
+    assert result.mean_history == [
+        9.75e+29, 9.75e+29, 9.5e+29, 8.75e+29, 8.25e+29, 7.000000000000001e+29,
+        5.75e+29, 5.499999999999999e+29, 5e+29, 4.75e+29, 5e+29,
+        3.0000000000000003e+29, 5.250000000000001e+29, 5.75e+29, 5e+29]
+    assert result.feasible_fraction_history == [
+        0.025, 0.025, 0.05, 0.125, 0.175, 0.3, 0.425, 0.45, 0.5, 0.525, 0.5, 0.7,
+        0.475, 0.425, 0.5]
     best = result.best_solution
-    assert best.user_powers == (0.037016677429160455, 0.0742013446440159)
-    assert best.phases == (2.194985292024292, 3.6066757664757403,
-                           3.2642078831186128, 3.239124460046525)
-    assert best.amplitudes == (100.0, 0.9351306221556394,
-                               1.0648534809967314, 99.37128204649667)
-    assert (best.blocklength, best.retransmissions) == (123, 1)
-    assert result.best_eta == 5052922.771033993
-    assert result.best_objective == 1.9790526103674595e-07
+    assert best.user_powers == (0.01307779404824318, 0.037016677429160455)
+    assert best.phases == (2.11896126691137, 2.7623554520710463,
+                           3.7185647320397166, 3.170658012993437)
+    assert best.amplitudes == (100.0, 0.9351306221556389,
+                               1.9874896128369093, 100.0)
+    assert (best.blocklength, best.retransmissions) == (69, 1)
+    assert result.best_eta == 21877838.26533999
+    assert result.best_objective == 4.570835508845735e-08

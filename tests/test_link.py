@@ -6,7 +6,7 @@ import pytest
 
 from risjam.config import load_config
 from risjam.link import (ERFC_TWO_UPTO, ERFC_ZERO_FROM, NoiseConfig, bler,
-                         co_phasing_phases, q_function, reliability,
+                         co_phasing_phases, polar_weights, q_function, reliability,
                          replica_success, sic_balanced_weights, sjnr_all)
 from risjam.sweeps import build_model
 
@@ -57,14 +57,15 @@ def random_instance(rng, n_max=8, k_max=3):
 
 def vectorized(inst, k):
     return sjnr_all(inst["ue"], inst["bs"], inst["h_direct"], inst["g_jam"],
-                    inst["amps"], inst["phases"], inst["powers"], inst["jam_power"],
-                    NoiseConfig(inst["ris_var"], inst["awgn_var"]))[k - 1]
+                    polar_weights(inst["amps"], inst["phases"]), inst["powers"],
+                    inst["jam_power"], NoiseConfig(inst["ris_var"], inst["awgn_var"]))[k - 1]
 
 
 class TestSjnr:
     def test_hand_case_single_element(self):
         value = sjnr_all(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), 0j,
-                         np.array([0j]), np.array([4.0]), np.array([0.0]), (1.0,), 0.0, NoiseConfig(0.0, 1.0))
+                         np.array([0j]), np.array([2.0 + 0j]), (1.0,), 0.0,
+                         NoiseConfig(0.0, 1.0))
         assert value.shape == (1,)
         assert value[0] == pytest.approx(4.0, rel=1e-12)
 
@@ -129,13 +130,13 @@ class TestSjnr:
             with pytest.raises(ValueError):
                 sjnr_all(np.ones((1, n_ue), complex), np.ones(2, complex), 0j,
                          np.ones(n_jam, complex),
-                         np.ones(n_beam), np.zeros(n_beam), powers, 0.0, NoiseConfig(0.0, 1.0))
+                         np.ones(n_beam, complex), powers, 0.0, NoiseConfig(0.0, 1.0))
 
     def test_overflowing_jamming_floor_raises(self):
         # the received powers stay finite while the jamming floor overflows,
         # so every SJNR alone would read exactly 0
         args = (np.ones((2, 4), complex), np.ones(4, complex), 100 + 0j, np.ones(4, complex),
-                np.ones(4), np.zeros(4), (1.0, 1.0))
+                np.ones(4, complex), (1.0, 1.0))
         assert np.all(sjnr_all(*args, 1e300, NoiseConfig(0.0, 1.0)) > 0)
         with pytest.raises(OverflowError, match="interference-plus-noise power or SJNR"):
             sjnr_all(*args, 1e307, NoiseConfig(0.0, 1.0))
@@ -385,23 +386,33 @@ class TestReliability:
             replica_success([0.2, 1.3])
 
 
-def sjnr_with(powers=(1.0,), beam=(np.ones(4), np.zeros(4))):
+def sjnr_with(powers=(1.0,), weights=np.ones(4, complex)):
     """``sjnr_all`` on four elements for one user per power (at least one)."""
-    n_users = max(len(powers), 1)
+    n_users = max(len(np.atleast_2d(powers)[0]), 1)
     return sjnr_all(np.ones((n_users, 4), complex), np.ones(4, complex), 0j,
-                    np.ones(4, complex), *beam, powers, 0.0, NoiseConfig(0.0, 1.0))
+                    np.ones(4, complex), weights, powers, 0.0, NoiseConfig(0.0, 1.0))
 
 
 class TestContainers:
-    """The arguments ``sjnr_all`` and ``bler`` check."""
+    """The arguments ``polar_weights``, ``sjnr_all`` and ``bler`` check."""
 
     @pytest.mark.parametrize("build,message", [
-        (lambda: sjnr_with(beam=(np.ones(3), np.zeros(2))), "equal shape"),
-        (lambda: sjnr_with(beam=(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))),
-         "equal shape"),
-        (lambda: sjnr_with(beam=(np.array([1.0, np.nan]), np.zeros(2))), "finite"),
-        (lambda: sjnr_with(beam=(np.ones(2), np.array([0.0, np.inf]))), "finite"),
-        (lambda: sjnr_with(beam=(np.array([1.0, -1e-3]), np.zeros(2))), "non-negative"),
+        (lambda: polar_weights(np.ones(3), np.zeros(2)), "equal shape"),
+        (lambda: polar_weights(np.ones((2, 2, 2)), np.zeros((2, 2, 2))), "equal shape"),
+        (lambda: polar_weights(np.array([1.0, np.nan]), np.zeros(2)), "finite"),
+        (lambda: polar_weights(np.ones(2), np.array([0.0, np.inf])), "finite"),
+        (lambda: polar_weights(np.array([1.0, -1e-3]), np.zeros(2)), "non-negative"),
+        (lambda: sjnr_with(weights=np.array([1, np.nan, 1, 1], complex)),
+         "^RIS weights must be finite$"),
+        (lambda: sjnr_with(weights=np.array([1, complex(0, np.inf), 1, 1])),
+         "^RIS weights must be finite$"),
+        (lambda: sjnr_with(weights=np.ones((2, 2, 4), complex)),
+         "^RIS weights must be a 1-D or 2-D array$"),
+        (lambda: sjnr_with(weights=np.ones(3, complex)),
+         "^channel vectors and beamforming must share one element count$"),
+        (lambda: sjnr_with(np.full((2, 1), 1e-3), np.ones((3, 4), complex)),
+         r"^weights \(3 rows\) and powers \(2 rows\) must have one row, "
+         "or the same number of rows$"),
         (lambda: sjnr_with(()), "one transmit power per user"),
         (lambda: sjnr_with((1e-3, 0.0)), "positive and finite"),
         (lambda: sjnr_with((-1e-3,)), "positive and finite"),
@@ -414,7 +425,9 @@ class TestContainers:
         (lambda: bler(5.0, 100.5, 256), "blocklength must be a positive integer"),
         (lambda: bler(1.0, np.inf, 256), "blocklength must be a positive integer"),
     ], ids=["beam-shapes", "beam-3d", "beam-nan-amplitude", "beam-inf-phase",
-            "beam-negative-amplitude", "no-powers", "zero-power", "negative-power",
+            "beam-negative-amplitude", "weights-nan", "weights-inf-imaginary",
+            "weights-3d", "weights-three-elements", "weight-rows-for-power-rows",
+            "no-powers", "zero-power", "negative-power",
             "blocklength-0", "blocklength-array-0", "payload-0", "blocklength-nan",
             "payload-nan", "blocklength-fractional", "blocklength-inf"])
     def test_rejects_bad_values(self, build, message):

@@ -12,7 +12,7 @@ import risjam
 from risjam import sweeps
 from risjam.config import PRESETS, load_config
 from risjam.cli import _build_parser, main
-from risjam.link import NoiseConfig, sjnr_all
+from risjam.link import NoiseConfig, polar_weights, sjnr_all
 from risjam.optimizer import run_ga
 from risjam.sweeps import (CONVERGENCE_COLUMNS, DELAY_EE_COLUMNS,
                            REL_BETA_COLUMNS, SJNR_N_COLUMNS, SweepResult,
@@ -157,7 +157,7 @@ class TestSjnrSweep:
         for j, beta in enumerate(betas):
             reference = sjnr_all(model.ue_channels, model.bs_channel,
                                  model.jammer_direct, model.jammer_channel,
-                                 np.full(n, beta), phases, powers,
+                                 polar_weights(np.full(n, beta), phases), powers,
                                  model.scenario.jammer_power, model.noise)
             assert fast[:, j] == pytest.approx(reference, rel=1e-12, abs=0.0)
 

@@ -1,7 +1,7 @@
 """
-``tools/artifact_digests.py`` builds its configs from the benchmark's
-workload module; a rename there must fail here, not only when the script is
-run to compare two commits.
+``tools/artifact_digests.py`` and ``tools/seed_scan.py`` build their configs
+from the benchmark's workload module; a rename there must fail here, not
+only when a script is run to compare two commits.
 """
 
 import importlib.util
@@ -62,3 +62,34 @@ def test_digest_drops_the_config_hash_lines(digests):
     assert digests._digest(csv) == digests._digest(csv.replace(b"0123", b"4567"))
     assert digests._digest(record) == digests._digest(b"seed = 1\n")
     assert digests.CONFIG_HASH.findall(csv + record) == [b"sha256:0123"] * 2
+
+
+SEED_SCAN = SCRIPT.parent / "seed_scan.py"
+
+
+@pytest.fixture(scope="module")
+def seed_scan():
+    spec = importlib.util.spec_from_file_location("seed_scan", SEED_SCAN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_scan_checks_each_run(seed_scan, tmp_path):
+    assert seed_scan._seeds("3-5") == range(3, 6)
+    assert seed_scan._seeds("7") == range(7, 8)
+    workload = seed_scan.get_workload("ga-desk", tiny=True)
+    scans = [seed_scan.scan_seed(workload, seed, tmp_path) for seed in (1, 2)]
+    for seed, scan in zip((1, 2), scans):
+        assert scan["seed"] == seed
+        assert scan["feasible"] is True and scan["eta"] > 0
+        assert scan["failed"] == []
+        assert set(scan["residuals"]) == {"delay", "reliability", "utilization",
+                                          "power_ordering"}
+        assert all(v == 0.0 for v in scan["residuals"].values())
+
+
+def test_seed_scan_rejects_a_sweep_workload(seed_scan):
+    with pytest.raises(SystemExit) as exit_info:
+        seed_scan.main(["--workload", "sweep-oracle", "--seeds", "1-2"])
+    assert exit_info.value.code == 2
