@@ -3,18 +3,19 @@ Genetic-algorithm solver for constrained energy-efficiency maximization.
 
 Decision variables are the per-user transmit powers, the complex weight of
 each RIS element (its amplification and phase), the blocklength and the
-replica count. The
-objective is to minimize 1/eta subject to the URLLC delay and reliability
-thresholds, queue stability, SIC power ordering and box bounds.
+replica count. The objective is to minimize 1/eta subject to the URLLC delay
+and reliability thresholds, queue stability, SIC power ordering and box bounds.
 
 Constraint handling is feasibility dominance: a feasible candidate always
 outranks an infeasible one, feasible candidates compare by objective and
 infeasible ones by total constraint violation. Box bounds hold by
 construction of the genome decoding, so they never appear as residuals.
-Every genome is repaired before it is scored: its moved weights are put back
-on the disc |w|^2 <= beta_max, its powers in SIC order, and its blocklength
-and replica genes are clamped onto the pairs that meet the closed-form delay
-and utilization constraints, which the residuals still check.
+The RIS beam is a complex view of the genome, so decoding it is one
+multiply. Every genome is repaired before it is scored: its moved weights
+are put exactly inside the disc |w|^2 <= beta_max, its powers in SIC order,
+and its blocklength and replica genes are clamped onto the pairs that meet
+the closed-form delay and utilization constraints, which the residuals
+still check.
 """
 
 from dataclasses import dataclass
@@ -35,12 +36,6 @@ INFEASIBLE_OBJECTIVE = 1e30
 STRICT_MARGIN = 1e-9
 
 TWO_PI = 2.0 * np.pi
-
-# How far (relative) outside the unit disc ``_repair`` leaves a pair of
-# weight genes. A pair it scales onto the circle rounds to within a few ulp
-# of it, so a second repair leaves that pair alone; ``decode_block`` still
-# projects every weight onto the disc exactly.
-DISC_SLACK = 1e-12
 
 # Largest number of genome cells (candidates x RIS elements) decoded and
 # scored in one call of the metric-chain kernel. Populations are evaluated
@@ -179,43 +174,53 @@ class OptimizationResult:
 # ----------------------------------------------------------------------------
 #  Genome encoding
 # ----------------------------------------------------------------------------
-# Layout: [powers (K) | weights, real parts (N) | weights, imaginary parts (N)
-# | blocklength | replicas], every gene normalized to [0, 1]. The powers and
-# the two integers map affinely onto their bounds. Element n's genes
-# (g_re, g_im) give the point u_n = (2 g_re - 1) + j (2 g_im - 1) of the
-# square around the unit disc, and its weight is w_n = sqrt(beta_max) * u_n
-# once u_n is projected onto that disc, so |w_n|^2 <= beta_max.
+# Layout: [v_1.re, v_1.im, ..., v_N.re, v_N.im | powers (K) | blocklength |
+# replicas]. Viewed as complex, the first 2N genes of a row are the points v_n
+# of the disc |v| <= 1/2, and element n's weight is w_n = 2 sqrt(beta_max) v_n,
+# so |w_n|^2 <= beta_max. Every other gene lies in [0, 1]: the powers and the
+# two integers map affinely onto their bounds.
 
 def genome_dimension(n_users: int, n_elements: int) -> int:
     return n_users + 2 * n_elements + 2
 
 
+def _into_disc(points: np.ndarray) -> np.ndarray:
+    """Complex ``points``, each one outside the disc |v| <= 1/2 moved radially
+    onto its edge exactly: scaled by 1/(2|v|), then both parts step one ulp
+    toward 0 while re^2 + im^2 still rounds above 1/4 in float64. Points
+    inside keep their bits; with none outside, ``points`` itself returns."""
+    with np.errstate(over="ignore"):
+        outside = points.real ** 2 + points.imag ** 2 > 0.25
+    if not outside.any():
+        return points
+    points = points.copy()
+    edge = points[outside]
+    edge *= 0.5 / np.abs(edge)
+    parts = edge.view(float).reshape(-1, 2)
+    while np.any(over := parts[:, 0] ** 2 + parts[:, 1] ** 2 > 0.25):
+        parts[over] = np.nextafter(parts[over], 0.0)
+    points[outside] = edge
+    return points
+
+
 def decode_block(genomes: np.ndarray, n_users: int, n_elements: int,
                  constraints: ConstraintSet) -> DecisionBlock:
     """Map a (B, dimension) block of normalized genomes to decision vectors
-    inside all box bounds, one per row, each RIS beam as its complex weights."""
+    inside all box bounds, one per row, each RIS beam as its complex weights:
+    its points go through ``_into_disc`` and the other genes clip to [0, 1],
+    which leaves a repaired genome unchanged."""
     k, n = n_users, n_elements
-    genomes = np.asarray(genomes, dtype=float)
+    genomes = np.ascontiguousarray(genomes, dtype=float)
     if genomes.ndim != 2 or genomes.shape[1] != genome_dimension(k, n):
         raise ValueError("genome length does not match problem dimension")
     if not np.all(np.isfinite(genomes)):
         raise ValueError("genome must be finite")
-    g = np.clip(genomes, 0.0, 1.0)
     c = constraints
-
-    powers = np.minimum(c.p_min + g[:, :k] * (c.p_max - c.p_min), c.p_max)
-    real = 2.0 * g[:, k:k + n] - 1.0
-    imag = 2.0 * g[:, k + n:k + 2 * n] - 1.0
-    # weight per unit of u: a point outside the unit disc moves radially
-    # onto its circle, one inside is scaled by sqrt(beta_max) alone
-    scale = real * real + imag * imag
-    np.sqrt(np.maximum(scale, 1.0, out=scale), out=scale)
-    np.divide(np.sqrt(c.beta_max), scale, out=scale)
-    weights = np.empty(real.shape, dtype=complex)
-    np.multiply(real, scale, out=weights.real)
-    np.multiply(imag, scale, out=weights.imag)
-    blocklength = _on_grid(g[:, k + 2 * n], c.nb_min, c.nb_max)
-    retransmissions = _on_grid(g[:, k + 2 * n + 1], 1, c.l_max)
+    weights = 2.0 * np.sqrt(c.beta_max) * _into_disc(genomes[:, :2 * n].view(complex))
+    tail = np.clip(genomes[:, 2 * n:], 0.0, 1.0)
+    powers = np.minimum(c.p_min + tail[:, :k] * (c.p_max - c.p_min), c.p_max)
+    blocklength = _on_grid(tail[:, k], c.nb_min, c.nb_max)
+    retransmissions = _on_grid(tail[:, k + 1], 1, c.l_max)
     return DecisionBlock(powers, weights, blocklength, retransmissions)
 
 
@@ -226,17 +231,12 @@ def _on_grid(genes: np.ndarray, low: int, high: int) -> np.ndarray:
 
 def decode(genome: np.ndarray, n_users: int, n_elements: int,
            constraints: ConstraintSet) -> DecisionVector:
-    """Map a normalized genome to a decision vector inside all box bounds."""
-    return _first(decode_block(np.asarray(genome)[None], n_users, n_elements,
-                               constraints), constraints.beta_max)
-
-
-def _first(x: DecisionBlock, beta_max: float) -> DecisionVector:
-    """The decision vector in row 0 of a decoded block, its weights in polar
-    form: amplitude min(|w|^2, beta_max) (|w|^2 on the disc's edge may round
-    above beta_max) and phase angle(w) mod 2 pi."""
+    """Map a normalized genome to a decision vector inside all box bounds,
+    its weights in polar form: amplitude min(|w|^2, beta_max) (|w|^2 on the
+    disc's edge may round above beta_max) and phase angle(w) mod 2 pi."""
+    x = decode_block(np.asarray(genome)[None], n_users, n_elements, constraints)
     w = x.weights[0]
-    amplitudes = np.minimum(w.real ** 2 + w.imag ** 2, beta_max)
+    amplitudes = np.minimum(w.real ** 2 + w.imag ** 2, constraints.beta_max)
     phases = np.mod(np.angle(w), TWO_PI)
     return DecisionVector(tuple(x.user_powers[0].tolist()), tuple(phases.tolist()),
                           tuple(amplitudes.tolist()), int(x.blocklength[0]),
@@ -303,38 +303,28 @@ def _repair(genomes: np.ndarray, n_users: int, n_elements: int,
     """Move a C-contiguous (B, dimension) block of genomes in place into the
     box and onto the closed-form part of the feasible set.
 
-    Of the genes at the row-major flat indices ``moved``, every element with
-    a moved weight gene whose point lies more than ``DISC_SLACK`` outside
-    the unit disc is scaled radially onto its circle, and then every moved
-    gene clips to [0, 1]; every other gene must already lie in its box and
-    every other element in the disc, where both leave it unchanged. On every
-    row the power genes are sorted so that p_1 <= ... <= p_K, the
-    blocklength gene is clamped to the largest admitted blocklength, cap(1),
-    and then the replica gene to the largest replica count admitted at the
-    decoded blocklength. A clamped gene sits at the centre of its cap's
-    rounding interval, so it decodes to the cap exactly. Without an admitted
-    pair nothing is clamped.
+    Every element with a gene among the row-major flat indices ``moved``
+    goes through ``_into_disc``; every other element must already lie in the
+    disc. The other genes clip to [0, 1], the power genes are sorted on every
+    row so that p_1 <= ... <= p_K, the blocklength gene is clamped to the
+    largest admitted blocklength, cap(1), and then the replica gene to the
+    largest replica count admitted at the decoded blocklength. A clamped
+    gene sits at the centre of its cap's rounding interval, so it decodes to
+    the cap exactly. Without an admitted pair nothing is clamped.
     """
     k, n, c = n_users, n_elements, constraints
-    flat = genomes.reshape(-1, copy=False)
-    # the flat index of the real part of each element with a moved weight
-    # gene; an element listed twice reads and writes the same values twice
-    column = moved % genomes.shape[1]
-    beam = (column >= k) & (column < k + 2 * n)
-    real = moved[beam] - n * (column[beam] >= k + n)
-    x = 2.0 * flat[real] - 1.0
-    y = 2.0 * flat[real + n] - 1.0
-    radius = np.hypot(x, y)
-    outside = radius > 1.0 + DISC_SLACK
-    real, scale = real[outside], 0.5 / radius[outside]
-    flat[real] = 0.5 + x[outside] * scale
-    flat[real + n] = 0.5 + y[outside] * scale
-    flat[moved] = np.clip(flat[moved], 0.0, 1.0)
-    genomes[:, :k].sort(axis=1)
+    row, column = np.divmod(moved, genomes.shape[1])
+    beam = column < 2 * n
+    # an element with both genes moved is read and written twice, alike
+    element = row[beam], column[beam] // 2
+    points = genomes[:, :2 * n].view(complex)
+    points[element] = _into_disc(points[element])
+    tail = genomes[:, 2 * n:]
+    np.clip(tail, 0.0, 1.0, out=tail)
+    tail[:, :k].sort(axis=1)
     if not len(caps):
         return
-    blocklength_gene = genomes[:, k + 2 * n]
-    replica_gene = genomes[:, k + 2 * n + 1]
+    blocklength_gene, replica_gene = tail[:, k], tail[:, k + 1]
     if c.nb_max > c.nb_min:
         np.minimum(blocklength_gene, (caps[0] - c.nb_min) / (c.nb_max - c.nb_min),
                    out=blocklength_gene)
@@ -465,19 +455,19 @@ def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
     yet repaired; and the sorted row-major flat indices into the children of
     the genes that mutated, the only ones that can have left their box.
 
-    Crossover passes on each element's two weight genes together, so a
-    child's element is one of its parents' points of the disc.
+    Crossover takes each element whole, on the complex view, so a child's
+    element is one of its parents' points of the disc, and each of the other
+    genes from one parent.
 
     The random numbers come in whole arrays, in an order that does not
     depend on ``BLOCK_CELLS``: every tournament contestant, every crossover
-    flag, one crossover bit per child locus (a power, an element or an
-    integer gene; one byte string, each child's bits starting on a byte),
-    the number of genes that mutate, which genes those are, and last one
-    Gaussian step for each of them, in row-major order.
+    flag, one crossover bit per element and then per other gene (one byte
+    string, each child's bits starting on a byte), the number of genes that
+    mutate, which genes those are, and last one Gaussian step for each of
+    them, in row-major order.
     """
     size, dim = pop.shape
     n = n_elements
-    k = dim - 2 * n - 2
     elites = settings.elite_count
     n_children = size - elites
     position = np.empty(size, dtype=np.intp)
@@ -492,19 +482,23 @@ def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
     parents = np.where(standing[..., 0] <= standing[..., 1],
                        contestants[..., 0], contestants[..., 1])
     crossing = rng.random(n_children) < settings.crossover_rate
-    # the locus of each gene: an element's imaginary part shares its real part's
-    loci = np.r_[0:k + n, k:k + n, k + n:k + n + 2]
-    row_bytes = -(-(dim - n) // 8)
+    n_bits = dim - n  # the N elements, then the other genes
+    row_bytes = -(-n_bits // 8)
     bits = np.frombuffer(rng.bytes(n_children * row_bytes),
                          dtype=np.uint8).reshape(n_children, row_bytes)
+    points = pop[:, :2 * n].view(complex)
+    child_points = children[:, :2 * n].view(complex)
     rows = max(1, BLOCK_CELLS // dim)
     for start in range(0, n_children, rows):
         block = slice(start, min(start + rows, n_children))
-        # a crossing child takes a gene from its second parent where the
-        # crossover bit of the gene's locus is set
-        second = np.unpackbits(bits[block], axis=1, count=dim - n).view(bool)[:, loci]
-        second &= crossing[block, None]
-        children[block] = np.where(second, pop[parents[block, 1]], pop[parents[block, 0]])
+        first, second = parents[block, 0], parents[block, 1]
+        # a crossing child takes a locus from its second parent where the
+        # locus's crossover bit is set
+        take = np.unpackbits(bits[block], axis=1, count=n_bits).view(bool)
+        take &= crossing[block, None]
+        child_points[block] = np.where(take[:, :n], points[second], points[first])
+        children[block, 2 * n:] = np.where(take[:, n:], pop[second, 2 * n:],
+                                           pop[first, 2 * n:])
     # each gene mutates with probability mutation_rate
     cells = children.size
     mutating = np.sort(rng.choice(cells, rng.binomial(cells, mutation_rate),
@@ -516,23 +510,24 @@ def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
 def _initial_population(model: SystemModel, settings: GaSettings,
                         rng: np.random.Generator) -> np.ndarray:
     """Uniform random genomes, the first ``co_phasing_fraction`` of them
-    with seeded beams; every gene lies in [0, 1] and every element in the
-    unit disc.
+    with seeded beams; every point lies in the disc |v| <= 1/2 and every
+    other gene in [0, 1].
 
-    Each element's two weight genes are first read as a phase gene u and
-    an amplitude gene v, theta = 2 pi u and beta = beta_max v, and then
-    converted in place to its point sqrt(v) e^(j theta). A uniform phase
-    with a uniform |point|^2 = v is the uniform distribution over the disc.
-    With one user every seed slot co-phases that user. With
-    K >= 2 the even slots co-phase the users in turn and the odd slots hold
-    SIC-balanced beams (``link.sic_balanced_weights``), with consecutive
-    users' gain ratio r log-spaced over [1, 10^3] across those slots; the
-    seeds draw no random numbers. A balanced seed whose squared weights
-    overflow or are all 0 keeps its drawn amplitude genes.
+    Each element's drawn pair (a, b) is read as a phase and a squared radius
+    and converted to v = sqrt(b) e^(2 pi j a) / 2 through ``_into_disc``: a
+    uniform phase with a uniform squared radius is uniform over the disc.
+    With one user every seed slot co-phases that user. With K >= 2 the even
+    slots co-phase the users in turn and the odd slots hold SIC-balanced
+    beams w (``link.sic_balanced_weights``), with consecutive users' gain
+    ratio r log-spaced over [1, 10^3] across those slots; the seeds draw no
+    random numbers. A co-phased seed keeps its drawn b at the aligned phase,
+    and a balanced one is w / (2 max|w|) through ``_into_disc``, unless
+    max|w| is 0 or not finite, when it keeps its drawn point.
     """
     k, n = model.n_users, model.n_elements
     size = settings.population_size
     pop = rng.random((size, genome_dimension(k, n)))
+    points = pop[:, :2 * n].view(complex)
     n_seeded = min(int(round(settings.co_phasing_fraction * size)), size)
     if k == 1:
         cophased, balanced = range(n_seeded), range(0)
@@ -540,24 +535,29 @@ def _initial_population(model: SystemModel, settings: GaSettings,
         cophased, balanced = range(0, n_seeded, 2), range(1, n_seeded, 2)
     for j, i in enumerate(cophased):
         aligned = co_phasing_phases(model.bs_channel, model.ue_channels[j % k])
-        pop[i, k:k + n] = aligned / TWO_PI
+        points[i].real = aligned / TWO_PI
+
+    # in row blocks, so that no temporary grows with the population; each
+    # phase is taken within pi/4 of its nearest quarter turn q, where np.cos
+    # and np.sin run fastest, and the point turned by j^q after
+    rows = max(1, BLOCK_CELLS // n)
+    for start in range(0, size, rows):
+        drawn = points[start:start + rows]
+        quarter = np.rint(4.0 * drawn.real)
+        phase = TWO_PI * (drawn.real - 0.25 * quarter)
+        radius = 0.5 * np.sqrt(drawn.imag)
+        block = np.empty(drawn.shape, dtype=complex)
+        np.multiply(radius, np.cos(phase), out=block.real)
+        np.multiply(radius, np.sin(phase), out=block.imag)
+        block *= np.array([1, 1j, -1, -1j])[quarter.astype(np.intp) % 4]
+        drawn[...] = _into_disc(block)
+
     for i, ratio in zip(balanced, np.logspace(0.0, 3.0, len(balanced))):
         weights = sic_balanced_weights(model.bs_channel, model.ue_channels,
                                        model.jammer_channel, ratio)
-        pop[i, k:k + n] = np.mod(np.angle(weights) / TWO_PI, 1.0)
-        with np.errstate(over="ignore"):
-            squared = np.abs(weights) ** 2
-        peak = np.max(squared)
+        peak = np.max(np.abs(weights))
         if 0 < peak < np.inf:
-            pop[i, k + n:k + 2 * n] = squared / peak
-
-    # in row blocks, so that no temporary grows with the population
-    rows = max(1, BLOCK_CELLS // n)
-    for start in range(0, size, rows):
-        phase = TWO_PI * pop[start:start + rows, k:k + n]
-        radius = np.sqrt(pop[start:start + rows, k + n:k + 2 * n])
-        pop[start:start + rows, k:k + n] = 0.5 + 0.5 * radius * np.cos(phase)
-        pop[start:start + rows, k + n:k + 2 * n] = 0.5 + 0.5 * radius * np.sin(phase)
+            points[i] = _into_disc(weights / (2.0 * peak))
     return pop
 
 
@@ -566,12 +566,12 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     """Evolve a population and return the best-ranked operating point.
 
     Tournament selection of size 2 under the dominance rule, uniform
-    crossover, Gaussian mutation with decaying spread. The initial
-    population and every bred one are repaired (``_repair``): the elements
-    whose weight genes mutated are scaled back onto the disc, the other
-    mutated genes clip to their box, powers are ordered and the blocklength
-    and replica genes are clamped onto the pairs that meet the delay and
-    utilization constraints. No other gene can lie outside its box. The
+    crossover of whole elements and genes, Gaussian mutation with decaying
+    spread. The initial population and every bred one are repaired
+    (``_repair``): the elements whose genes mutated are put exactly inside
+    the disc, the other genes clip to their box, powers are ordered and the
+    blocklength and replica genes are clamped onto the pairs that meet the
+    delay and utilization constraints, so decoding changes no gene. The
     record is the best genome's decision vector, whose weights are polar,
     scored as ``evaluate_fitness`` scores it. The same seed reproduces the
     run bit for bit; with at least one elite the recorded best value never
@@ -586,8 +586,7 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     rng = np.random.default_rng(settings.rng_seed)
     mutation_rate = settings.mutation_rate if settings.mutation_rate is not None else 1.0 / dim
     tol = settings.constraint_tolerance
-    eps = float(np.finfo(float).eps)
-    stall_enabled = settings.function_tolerance >= eps
+    stall_enabled = settings.function_tolerance >= np.finfo(float).eps
     caps = _blocklength_caps(model, constraints)
 
     pop = _initial_population(model, settings, rng)
