@@ -43,7 +43,7 @@ def co_phasing_phases(bs_channel: np.ndarray, ue_channel: np.ndarray) -> np.ndar
 
 
 def sic_balanced_weights(bs_channel: np.ndarray, ue_channels: np.ndarray,
-                         jammer_channel: np.ndarray, ratio: float) -> np.ndarray:
+                         jammer_channel: np.ndarray, ratio) -> np.ndarray:
     """Minimum-norm RIS weights that grade the users' cascades for SIC and
     null the jammer's reflection.
 
@@ -52,12 +52,17 @@ def sic_balanced_weights(bs_channel: np.ndarray, ue_channels: np.ndarray,
     the next user's, and the jammer reaches the BS only directly. Weight n
     is sqrt(beta_n)*exp(j*theta_n) up to a common positive scale. With
     fewer than K + 1 elements, or users the array cannot tell apart, this is
-    the least-squares solution instead.
+    the least-squares solution instead. A scalar ``ratio`` gives one (N,)
+    beam; an array of R ratios gives (R, N) beams from one solve, with every
+    ratio's right-hand side as a column.
     """
     ue = np.atleast_2d(ue_channels)
     system = np.vstack([ue, jammer_channel]) * bs_channel
-    targets = np.append(ratio ** (-0.5 * np.arange(ue.shape[0])), 0.0)
-    return np.linalg.lstsq(system, targets.astype(complex), rcond=None)[0]
+    ratios = np.asarray(ratio, dtype=float)
+    targets = np.zeros((ue.shape[0] + 1, ratios.size), dtype=complex)
+    targets[:-1] = ratios.reshape(-1) ** (-0.5 * np.arange(ue.shape[0])[:, None])
+    weights = np.linalg.lstsq(system, targets, rcond=None)[0]
+    return weights.T.reshape(ratios.shape + (system.shape[1],))
 
 
 def polar_weights(amplitudes, phases) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .link import co_phasing_phases, polar_weights, sic_balanced_weights
+from .link import polar_weights, sic_balanced_weights
 from .model import MetricsBlock, SystemModel
 
 # Stand-in objective when the metric chain yields no usable efficiency
@@ -34,8 +34,6 @@ INFEASIBLE_OBJECTIVE = 1e30
 # Strictness margin for the rho_k < 1 constraint: the residual activates at
 # rho = 1 - STRICT_MARGIN so that rho == 1 is never accepted as feasible.
 STRICT_MARGIN = 1e-9
-
-TWO_PI = 2.0 * np.pi
 
 # Largest number of genome cells (candidates x RIS elements) decoded and
 # scored in one call of the metric-chain kernel. Populations are evaluated
@@ -237,7 +235,7 @@ def decode(genome: np.ndarray, n_users: int, n_elements: int,
     x = decode_block(np.asarray(genome)[None], n_users, n_elements, constraints)
     w = x.weights[0]
     amplitudes = np.minimum(w.real ** 2 + w.imag ** 2, constraints.beta_max)
-    phases = np.mod(np.angle(w), TWO_PI)
+    phases = np.mod(np.angle(w), 2.0 * np.pi)
     return DecisionVector(tuple(x.user_powers[0].tolist()), tuple(phases.tolist()),
                           tuple(amplitudes.tolist()), int(x.blocklength[0]),
                           int(x.retransmissions[0]))
@@ -510,54 +508,38 @@ def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
 def _initial_population(model: SystemModel, settings: GaSettings,
                         rng: np.random.Generator) -> np.ndarray:
     """Uniform random genomes, the first ``co_phasing_fraction`` of them
-    with seeded beams; every point lies in the disc |v| <= 1/2 and every
-    other gene in [0, 1].
+    with SIC-balanced beams; every point lies in the disc |v| <= 1/2 and
+    every other gene in [0, 1].
 
-    Each element's drawn pair (a, b) is read as a phase and a squared radius
-    and converted to v = sqrt(b) e^(2 pi j a) / 2 through ``_into_disc``: a
-    uniform phase with a uniform squared radius is uniform over the disc.
-    With one user every seed slot co-phases that user. With K >= 2 the even
-    slots co-phase the users in turn and the odd slots hold SIC-balanced
-    beams w (``link.sic_balanced_weights``), with consecutive users' gain
-    ratio r log-spaced over [1, 10^3] across those slots; the seeds draw no
-    random numbers. A co-phased seed keeps its drawn b at the aligned phase,
-    and a balanced one is w / (2 max|w|) through ``_into_disc``, unless
-    max|w| is 0 or not finite, when it keeps its drawn point.
+    Each element's drawn pair (a, b) is read as the point
+    v = ((a - 1/2) + j (b - 1/2)) / sqrt(2), uniform over the square
+    inscribed in the disc, through ``_into_disc``, which only catches
+    rounding at its corners. Each seeded row holds one SIC-balanced beam w
+    (``link.sic_balanced_weights``), with consecutive users' gain ratio r
+    log-spaced over [1, 10^3] across the seeded rows, all from one solve;
+    the seeds draw no random numbers. A seeded row's points are
+    w / (2 max|w|) through ``_into_disc``, unless max|w| is 0 or not
+    finite, when the row keeps its drawn points.
     """
     k, n = model.n_users, model.n_elements
     size = settings.population_size
     pop = rng.random((size, genome_dimension(k, n)))
     points = pop[:, :2 * n].view(complex)
-    n_seeded = min(int(round(settings.co_phasing_fraction * size)), size)
-    if k == 1:
-        cophased, balanced = range(n_seeded), range(0)
-    else:
-        cophased, balanced = range(0, n_seeded, 2), range(1, n_seeded, 2)
-    for j, i in enumerate(cophased):
-        aligned = co_phasing_phases(model.bs_channel, model.ue_channels[j % k])
-        points[i].real = aligned / TWO_PI
-
-    # in row blocks, so that no temporary grows with the population; each
-    # phase is taken within pi/4 of its nearest quarter turn q, where np.cos
-    # and np.sin run fastest, and the point turned by j^q after
+    # in row blocks, so that no temporary grows with the population
     rows = max(1, BLOCK_CELLS // n)
     for start in range(0, size, rows):
+        block = pop[start:start + rows, :2 * n]
+        block -= 0.5
+        block *= np.sqrt(0.5)
         drawn = points[start:start + rows]
-        quarter = np.rint(4.0 * drawn.real)
-        phase = TWO_PI * (drawn.real - 0.25 * quarter)
-        radius = 0.5 * np.sqrt(drawn.imag)
-        block = np.empty(drawn.shape, dtype=complex)
-        np.multiply(radius, np.cos(phase), out=block.real)
-        np.multiply(radius, np.sin(phase), out=block.imag)
-        block *= np.array([1, 1j, -1, -1j])[quarter.astype(np.intp) % 4]
-        drawn[...] = _into_disc(block)
+        drawn[...] = _into_disc(drawn)
 
-    for i, ratio in zip(balanced, np.logspace(0.0, 3.0, len(balanced))):
-        weights = sic_balanced_weights(model.bs_channel, model.ue_channels,
-                                       model.jammer_channel, ratio)
-        peak = np.max(np.abs(weights))
-        if 0 < peak < np.inf:
-            points[i] = _into_disc(weights / (2.0 * peak))
+    n_seeded = min(int(round(settings.co_phasing_fraction * size)), size)
+    weights = sic_balanced_weights(model.bs_channel, model.ue_channels,
+                                   model.jammer_channel, np.logspace(0.0, 3.0, n_seeded))
+    peak = np.max(np.abs(weights), axis=1)
+    usable = (0 < peak) & (peak < np.inf)
+    points[:n_seeded][usable] = _into_disc(weights[usable] / (2.0 * peak[usable, None]))
     return pop
 
 
@@ -565,9 +547,11 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
            settings: GaSettings) -> OptimizationResult:
     """Evolve a population and return the best-ranked operating point.
 
-    Tournament selection of size 2 under the dominance rule, uniform
-    crossover of whole elements and genes, Gaussian mutation with decaying
-    spread. The initial population and every bred one are repaired
+    The initial population (``_initial_population``) is drawn uniform, its
+    first ``co_phasing_fraction`` rows seeded with SIC-balanced beams from
+    one least-squares solve. Tournament selection of size 2 under the
+    dominance rule, uniform crossover of whole elements and genes, Gaussian
+    mutation with decaying spread. The initial population and every bred one are repaired
     (``_repair``): the elements whose genes mutated are put exactly inside
     the disc, the other genes clip to their box, powers are ordered and the
     blocklength and replica genes are clamped onto the pairs that meet the

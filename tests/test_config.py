@@ -386,7 +386,7 @@ class TestErrors:
 
 
 SEPARATED_USERS = "user_azimuth_rad = 1.0, 1.5707963267948966"
-# a small GA whose seed slots are all taken, half of them SIC-balanced
+# a small GA whose every row holds a SIC-balanced seed
 SMALL_GA = "[ga]\npopulation_size = 8\nmax_generations = 2\nco_phasing_fraction = 1\n"
 
 

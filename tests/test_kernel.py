@@ -275,30 +275,30 @@ def test_evaluate_block_names_a_bad_row_count(bad, message):
 
 def test_small_run_is_pinned():
     # recorded from the GA with interleaved phasor genes, whole-element
-    # crossover and the exact disc projection; it guards the random draw
-    # order, the repair and the ranking, generation by generation
+    # crossover, the exact disc projection and SIC-balanced seeds only; it
+    # guards the random draw order, the repair and the ranking, generation
+    # by generation
     model = make_model(RisGeometry(2, 2), make_scenario(
         jammer_power=5e-4, user_dirs=[(1.0, -0.3), (np.pi / 2, -0.1)]))
     result = run_ga(model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160),
                     GaSettings(rng_seed=7, population_size=40, max_generations=15))
-    assert result.fitness_history == [1.2610936576285744e-07] * 4 + [
-        1.2337689588764007e-07] * 3 + [1.2099395452322922e-07] * 2 + [
-        1.2004920205672274e-07, 1.1587357924884897e-07] + [
-        1.0896413004042858e-07] * 2 + [1.0429656324085124e-07] * 2
+    assert result.fitness_history == [3.898872899999652e-08] * 4 + [
+        3.332061769446539e-08] * 3 + [3.3320617694464114e-08] * 4 + [
+        9.301244314300974e-09] * 3 + [8.5036060877923e-09]
     assert result.mean_history == [
-        9.75e+29, 9.75e+29, 9.5e+29, 8.249999999999999e+29, 8.499999999999999e+29,
-        7.25e+29, 6.5e+29, 6.750000000000001e+29, 5.75e+29, 5.250000000000001e+29,
-        4.5e+29, 3.5000000000000005e+29, 5e+29, 3.0000000000000003e+29,
-        3.7500000000000004e+29]
+        9.249999999999999e+29, 8.75e+29, 8.75e+29, 8.249999999999999e+29, 7.25e+29,
+        6.750000000000001e+29, 5e+29, 4.0000000000000004e+29, 4.25e+29,
+        3.5000000000000005e+29, 3.0000000000000003e+29, 2.75e+29, 3.25e+29,
+        3.7500000000000004e+29, 3.0000000000000003e+29]
     assert result.feasible_fraction_history == [
-        0.025, 0.025, 0.05, 0.175, 0.15, 0.275, 0.35, 0.325, 0.425, 0.475, 0.55, 0.65,
-        0.5, 0.7, 0.625]
+        0.075, 0.125, 0.125, 0.175, 0.275, 0.325, 0.5, 0.6, 0.575, 0.65, 0.7, 0.725,
+        0.675, 0.625, 0.7]
     best = result.best_solution
-    assert best.user_powers == (0.050296985897940835, 0.06400774497755837)
-    assert best.phases == (2.2623013950690765, 2.7623554520710467,
-                           2.614974047426467, 3.1592315630051067)
-    assert best.amplitudes == (83.99430520126577, 0.9351306221556398,
-                               1.0648534809967316, 100.0)
-    assert (best.blocklength, best.retransmissions) == (69, 1)
-    assert result.best_eta == 9588043.641387375
-    assert result.best_objective == 1.0429656324085124e-07
+    assert best.user_powers == (0.0008568011753488956, 0.0036359705656486287)
+    assert best.phases == (2.169622723572744, 2.592251001214303,
+                           2.46328592943975, 3.1858185183903576)
+    assert best.amplitudes == (100.0, 0.7347222824457281,
+                               1.8277661217147356, 86.3316914488316)
+    assert (best.blocklength, best.retransmissions) == (129, 1)
+    assert result.best_eta == 117597168.73945878
+    assert result.best_objective == 8.5036060877923e-09

@@ -204,6 +204,22 @@ class TestSicBalancedWeights:
         user1, user2, _ = self.cascade_gains(build_model(load_config()), ratio)
         assert user1 ** 2 / user2 ** 2 == pytest.approx(1.5625, rel=1e-12)
 
+    def test_an_array_of_ratios_is_one_beam_per_ratio(self, tmp_path):
+        # one solve with a column per ratio; LAPACK may round it apart from
+        # the solves for each ratio alone by a few ulps
+        path = tmp_path / "separated.ini"
+        path.write_text("[scenario]\nuser_azimuth_rad = 1.0, 1.5707963267948966\n")
+        model = build_model(load_config(path))
+        channels = model.bs_channel, model.ue_channels, model.jammer_channel
+        ratios = np.logspace(0.0, 3.0, 7)
+        beams = sic_balanced_weights(*channels, ratios)
+        assert beams.shape == (7, model.n_elements)
+        for beam, ratio in zip(beams, ratios):
+            single = sic_balanced_weights(*channels, ratio)
+            assert single.shape == (model.n_elements,)
+            np.testing.assert_allclose(beam, single, rtol=1e-12, atol=0.0)
+        assert sic_balanced_weights(*channels, np.empty(0)).shape == (0, model.n_elements)
+
 
 class TestQFunction:
     def test_half_at_zero(self):
