@@ -80,8 +80,8 @@ def _cmd_sweep(cfg, kind: str) -> int:
     path = write_sweep_csv(result, cfg.output_dir / f"{kind}.csv")
     print(f"{len(result.rows)} rows -> {path}")
     if kind == "delay-ee":
-        delay_column = result.columns.index("mean_delay_s")
-        if all(row[delay_column] == UNSTABLE_MARKER for row in result.rows):
+        delays = result.values[result.columns.index("mean_delay_s")]
+        if all(delay == UNSTABLE_MARKER for delay in delays):
             print("every grid point is unstable", file=sys.stderr)
             return 2
     return 0

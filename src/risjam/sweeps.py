@@ -3,14 +3,17 @@ Experiment sweeps, flat-file persistence and the optimization driver.
 
 Each sweep walks a configured grid with a deterministic beamforming policy
 (phases co-phased to the plotted user's cascade, uniform amplitudes) and
-emits plot-ready rows. Results serialize to CSV with a few metadata comment
-lines (config hash, seed, version, timestamp); re-running with the same
-config and seed reproduces every byte except the timestamp.
+returns its results as columns, one sequence per column name: the numpy
+arrays it computed, or short lists. Results serialize to CSV with a few
+metadata comment lines (config hash, seed, version, timestamp); the cells
+read exactly as ``csv.writer`` writes the rows, and re-running with the
+same config and seed reproduces every byte except the timestamp.
 """
 
 import csv
-import itertools
+import io
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,14 +45,71 @@ REFERENCE_SJNR_GROWTH_PERCENT = 13.64
 UNSTABLE_MARKER = "unstable"
 
 
+def _as_list(column):
+    # tolist turns the values of a numeric array into Python scalars
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+class SweepRows(Sequence):
+    """Read-only row view of a result's columns: each row is a tuple, and
+    numeric array columns give Python scalars. ``len`` builds no row; the
+    view compares equal to a list of tuples and shows as one."""
+
+    def __init__(self, values: tuple):
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values[0]) if self._values else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(*(_as_list(column[index]) for column in self._values)))
+        index = range(len(self))[index]  # negative indices; IndexError if out of range
+        return tuple(_as_list(column[index:index + 1])[0] for column in self._values)
+
+    def __iter__(self):
+        return zip(*map(_as_list, self._values))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (SweepRows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class SweepResult:
-    """Grid rows plus run metadata; round-trips through CSV unchanged."""
+    """A sweep's columns plus run metadata; round-trips through CSV unchanged.
+
+    ``values`` holds one equal-length sequence per name in ``columns``: a
+    numpy array where the sweep computed one, or a list. ``rows`` views
+    them as tuples.
+    """
 
     kind: str
     columns: tuple[str, ...]
-    rows: list[tuple]
+    values: tuple
     metadata: dict[str, str]
+
+    def __post_init__(self):
+        self.values = tuple(self.values)
+        if (len(self.values) != len(self.columns)
+                or len({len(column) for column in self.values}) > 1):
+            raise ValueError(f"{self.kind}: {len(self.columns)} column names "
+                             f"need as many equal-length columns")
+
+    @property
+    def rows(self) -> SweepRows:
+        return SweepRows(self.values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return ((self.kind, self.columns, self.metadata)
+                == (other.kind, other.columns, other.metadata)
+                and self.rows == other.rows)
 
 
 # ----------------------------------------------------------------------------
@@ -119,6 +179,12 @@ def uniform_beta_sjnr(model: SystemModel, phases: np.ndarray, powers_w,
 #  Sweeps
 # ----------------------------------------------------------------------------
 
+def _last_at(column: np.ndarray, mask: np.ndarray):
+    """The column's value at the last row the mask selects, or None."""
+    hits = np.flatnonzero(mask)
+    return column[hits[-1]] if hits.size else None
+
+
 def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     """Mean delay and energy efficiency over (arrival rate, blocklength).
 
@@ -133,9 +199,10 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     weights = polar_weights(amplitudes, phases)
     lengths = np.array(sorted(cfg.sweep.blocklength_grid))
     replicas = np.full(lengths.size, cfg.sweep.retransmissions)
+    rates = np.array(sorted(cfg.sweep.arrival_rate_grid), dtype=float)
 
-    rows: list[tuple] = []
-    for rate in sorted(cfg.sweep.arrival_rate_grid):
+    utilizations, delays, etas = [], [], []
+    for rate in rates.tolist():
         chain = model.evaluate_block(weights[None], [powers], lengths, replicas,
                                      arrival_rates=(rate,) * model.n_users)
         # object arrays hold Python floats, and the marker where unstable
@@ -143,17 +210,23 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
         delay[~chain.stable] = UNSTABLE_MARKER
         eta = chain.energy_efficiency.astype(object)
         eta[~chain.stable] = None
-        rows.extend(zip(itertools.repeat(float(rate)), lengths.tolist(),
-                        chain.utilization[0].tolist(), delay.tolist(), eta.tolist()))
+        utilizations.append(chain.utilization[0])
+        delays.append(delay)
+        etas.append(eta)
+    rate_column = np.repeat(rates, lengths.size)
+    length_column = np.tile(lengths, rates.size)
+    delay_column = np.concatenate(delays)
 
     metadata = _metadata(cfg, "delay-ee")
-    delays = {(row[0], row[1]): row[3] for row in rows}
-    low, high = delays.get((100.0, 108)), delays.get((1300.0, 108))
+    low, high = (_last_at(delay_column, (rate_column == rate) & (length_column == 108))
+                 for rate in (100.0, 1300.0))
     if isinstance(low, float) and isinstance(high, float):
         # ratio between the two highlighted operating points, usually quoted
         # as a percentage
         metadata["delay_ratio_100_1300"] = repr(low / high)
-    return SweepResult("delay-ee", DELAY_EE_COLUMNS, rows, metadata)
+    values = (rate_column, length_column, np.concatenate(utilizations),
+              delay_column, np.concatenate(etas))
+    return SweepResult("delay-ee", DELAY_EE_COLUMNS, values, metadata)
 
 
 def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
@@ -167,8 +240,9 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
     betas = np.asarray(sorted(cfg.sweep.beta_grid), dtype=float)
     metadata = _metadata(cfg, "rel-beta")
 
-    rows: list[tuple] = []
-    for n_elements in cfg.sweep.n_elements_grid or (4, 100, 400, 900):
+    counts = np.array(cfg.sweep.n_elements_grid or (4, 100, 400, 900))
+    rels = []
+    for n_elements in counts.tolist():
         model = build_model(cfg, n_elements)
         _, phases, powers = _policy(cfg, model, model.n_users)
         gammas = uniform_beta_sjnr(model, phases, powers, betas)
@@ -182,8 +256,10 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
         reference = REFERENCE_REL_BETA_THRESHOLDS.get(n_elements)
         if reference is not None:
             metadata[f"reference_threshold_beta_n{n_elements}"] = repr(reference)
-        rows.extend(zip(itertools.repeat(n_elements), betas.tolist(), rel.tolist()))
-    return SweepResult("rel-beta", REL_BETA_COLUMNS, rows, metadata)
+        rels.append(rel)
+    values = (np.repeat(counts, betas.size), np.tile(betas, counts.size),
+              np.concatenate(rels))
+    return SweepResult("rel-beta", REL_BETA_COLUMNS, values, metadata)
 
 
 def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
@@ -197,7 +273,7 @@ def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
     """
     metadata = _metadata(cfg, "sjnr-n")
     metadata["reference_growth_percent"] = repr(REFERENCE_SJNR_GROWTH_PERCENT)
-    rows: list[tuple] = []
+    counts, gammas, growths = [], [], []
     previous = None
     for n_elements in cfg.sweep.n_elements_grid or (4, 16, 36, 64, 100, 196, 400, 625, 900):
         model = build_model(cfg, n_elements)
@@ -208,12 +284,14 @@ def sweep_sjnr_vs_n(cfg: ExperimentConfig) -> SweepResult:
             gamma_1 = float(model.sjnr(*_policy(cfg, model, 1))[0])
         # no growth ratio after a zero SJNR, as none before the first row
         growth = gamma_1 / previous if previous else None
-        rows.append((n_elements, gamma_1, growth))
+        counts.append(n_elements)
+        gammas.append(gamma_1)
+        growths.append(growth)
         previous = gamma_1
         reference = REFERENCE_SJNR.get(n_elements)
         if reference is not None:
             metadata[f"reference_sjnr_n{n_elements}"] = repr(reference)
-    return SweepResult("sjnr-n", SJNR_N_COLUMNS, rows, metadata)
+    return SweepResult("sjnr-n", SJNR_N_COLUMNS, (counts, gammas, growths), metadata)
 
 
 # ----------------------------------------------------------------------------
@@ -236,30 +314,82 @@ def _decode_cell(text: str):
         return text
 
 
-def _write_csv(path: str | Path, metadata: dict, columns, rows) -> Path:
+# rows formatted and written at a time, so a file's text never exists whole
+CSV_CHUNK_ROWS = 1 << 14
+# the characters for which csv.writer (QUOTE_MINIMAL, "\n" line ends) may
+# quote a cell
+_MAY_QUOTE = re.compile('[,"\r\n]')
+# array dtypes whose distinct values are formatted once each
+_DEDUPED = (np.dtype(np.int64), np.dtype(np.float64))
+
+
+def _quoted(text: str) -> str:
+    """A cell's text as ``csv.writer`` writes it, quoted where csv quotes it."""
+    if _MAY_QUOTE.search(text):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text])
+        text = buffer.getvalue()[:-1]
+    return text
+
+
+def _column_texts(column) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(texts, order)``: row i's cell reads ``texts[order[i]]``, or
+    ``texts[i]`` where order is None.
+
+    An int64 or float64 array is split into its distinct values by their
+    bits (so -0.0 and 0.0 stay apart, and so do NaNs), and each gets its
+    ``str`` once: the shortest round-tripping repr for a float. Any other
+    column is formatted cell by cell: None as an empty cell, anything else
+    as its ``str``.
+    """
+    if isinstance(column, np.ndarray) and column.dtype in _DEDUPED:
+        distinct, order = np.unique(column.view(np.int64), return_inverse=True)
+        texts = list(map(str, distinct.view(column.dtype).tolist()))
+        return np.array(texts, dtype=object), order
+    texts = ["" if value is None else str(value) for value in column]
+    if _MAY_QUOTE.search("".join(texts)):
+        texts = list(map(_quoted, texts))
+    return np.array(texts, dtype=object), None
+
+
+def _write_csv(result: SweepResult, path: str | Path) -> Path:
     """Write ``# key=value`` comment lines, a header row, then the data rows.
 
-    ``csv.writer`` writes None as an empty cell, integers with ``str`` and
-    floats (numpy float64 too) as their shortest round-tripping repr, which
-    ``_decode_cell`` reads back.
+    The bytes are those of ``csv.writer`` with ``lineterminator="\n"`` over
+    the rows: None is an empty cell (``""`` alone on its row), integers
+    read as their ``str`` and floats (numpy float64 too) as their shortest
+    round-tripping repr, which ``_decode_cell`` reads back.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    formatted = [_column_texts(column) for column in result.values]
+    if len(formatted) == 1:
+        texts, order = formatted[0]
+        formatted = [(np.where(texts == "", '""', texts), order)]
+    # each cell text carries the separator that follows it
+    ends = [","] * (len(formatted) - 1) + ["\n"]
+    formatted = [(texts + end, order) for (texts, order), end in zip(formatted, ends)]
     with open(path, "w", newline="\n") as handle:
-        for key, value in metadata.items():
+        for key, value in result.metadata.items():
             handle.write(f"# {key}={value}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        csv.writer(handle, lineterminator="\n").writerow(result.columns)
+        n_rows = len(result.rows)
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = slice(start, min(start + CSV_CHUNK_ROWS, n_rows))
+            cells = np.empty((chunk.stop - start, len(formatted)), dtype=object)
+            for j, (texts, order) in enumerate(formatted):
+                cells[:, j] = texts[chunk] if order is None else texts[order[chunk]]
+            handle.write("".join(cells.ravel().tolist()))
     return path
 
 
 def write_sweep_csv(result: SweepResult, path: str | Path) -> Path:
     """Write metadata comment lines, a header row, then the data rows."""
-    return _write_csv(path, result.metadata, result.columns, result.rows)
+    return _write_csv(result, path)
 
 
 def read_sweep_csv(path: str | Path) -> SweepResult:
+    """The result a sweep CSV holds, with list columns of decoded cells."""
     metadata: dict[str, str] = {}
     with open(path, newline="") as handle:
         data_lines = []
@@ -271,8 +401,11 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
                 data_lines.append(line)
     reader = csv.reader(data_lines)
     columns = tuple(next(reader))
-    rows = [tuple(_decode_cell(cell) for cell in row) for row in reader]
-    return SweepResult(metadata.get("kind", ""), columns, rows, metadata)
+    rows = [tuple(map(_decode_cell, row)) for row in reader]
+    if any(len(row) != len(columns) for row in rows):
+        raise ValueError(f"{path}: a row's cell count differs from the header's")
+    values = [list(column) for column in zip(*rows)] or [[] for _ in columns]
+    return SweepResult(metadata.get("kind", ""), columns, values, metadata)
 
 
 # ----------------------------------------------------------------------------
@@ -285,9 +418,10 @@ def write_convergence_csv(result: OptimizationResult, cfg: ExperimentConfig,
     reproduce identical bytes."""
     metadata = {"kind": "convergence", "config_hash": cfg.config_hash,
                 "seed": cfg.seed, "version": __version__}
-    rows = zip(itertools.count(1), result.fitness_history, result.mean_history,
-               result.feasible_fraction_history)
-    return _write_csv(path, metadata, CONVERGENCE_COLUMNS, rows)
+    values = (range(1, len(result.fitness_history) + 1), result.fitness_history,
+              result.mean_history, result.feasible_fraction_history)
+    return _write_csv(SweepResult("convergence", CONVERGENCE_COLUMNS, values,
+                                  metadata), path)
 
 
 def _encode_value(value) -> str:

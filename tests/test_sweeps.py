@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -32,6 +34,35 @@ def small_ga_config(tmp_path, extra="", seed=7, out="out"):
     path = tmp_path / "small.ini"
     path.write_text(text)
     return load_config(path, seed=seed, output_dir=tmp_path / out)
+
+
+FLOAT_EDGES = (-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16)
+csv_floats = st.floats() | st.sampled_from(FLOAT_EDGES)
+csv_int64s = st.integers(-2 ** 63, 2 ** 63 - 1)
+csv_cells = st.one_of(
+    st.integers(), csv_int64s.map(np.int64), csv_floats, csv_floats.map(np.float64),
+    st.booleans(), st.none(), st.text(alphabet=',"\n\rab ', max_size=4))
+
+
+def csv_reference(result):
+    """The bytes csv.writer writes for a result's rows, after its metadata."""
+    text = io.StringIO()
+    text.writelines(f"# {key}={value}\n" for key, value in result.metadata.items())
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(result.columns)
+    writer.writerows(zip(*result.values))
+    return text.getvalue().encode()
+
+
+def csv_column(n_rows):
+    """A result column of n_rows values: an int64 or float64 array, or a
+    list mixing Python and numpy scalars, None and text that csv quotes."""
+    return st.one_of(
+        st.lists(csv_int64s, min_size=n_rows, max_size=n_rows).map(
+            lambda cells: np.array(cells, dtype=np.int64)),
+        st.lists(csv_floats, min_size=n_rows, max_size=n_rows).map(
+            lambda cells: np.array(cells, dtype=np.float64)),
+        st.lists(csv_cells, min_size=n_rows, max_size=n_rows))
 
 
 class TestDelayEeSweep:
@@ -185,11 +216,11 @@ class TestCsvRoundTrip:
 
     def test_cell_text_is_pinned(self, tmp_path):
         nan, inf = float("nan"), float("inf")
-        rows = [(7, np.int64(-3), 0.1, np.float64(0.1)),
-                (np.int64(2 ** 40), 1e-05, np.float64(1e-05), np.float64(1e+16)),
-                (0, np.float64(5e-324), np.float64(-0.0), np.float64(nan)),
-                (1, np.float64(inf), None, UNSTABLE_MARKER)]
-        result = SweepResult("pin", ("a", "b", "c", "d"), rows,
+        values = ([7, np.int64(2 ** 40), 0, 1],
+                  [np.int64(-3), 1e-05, np.float64(5e-324), np.float64(inf)],
+                  [0.1, np.float64(1e-05), np.float64(-0.0), None],
+                  [np.float64(0.1), np.float64(1e+16), np.float64(nan), UNSTABLE_MARKER])
+        result = SweepResult("pin", ("a", "b", "c", "d"), values,
                              {"kind": "pin", "seed": "1"})
         path = write_sweep_csv(result, tmp_path / "pin.csv")
         assert path.read_text() == (
@@ -202,6 +233,68 @@ class TestCsvRoundTrip:
         assert repr(again.rows) == repr(
             [(7, -3, 0.1, 0.1), (2 ** 40, 1e-05, 1e-05, 1e+16),
              (0, 5e-324, -0.0, nan), (1, inf, None, "unstable")])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_writer_matches_csv_writer(self, data, tmp_path_factory):
+        n_rows = data.draw(st.integers(0, 12))
+        n_columns = data.draw(st.integers(1, 4))
+        values = tuple(data.draw(csv_column(n_rows)) for _ in range(n_columns))
+        columns = tuple(f"c{i}" for i in range(n_columns))
+        result = SweepResult("w", columns, values, {"kind": "w", "seed": "3"})
+        path = write_sweep_csv(result, tmp_path_factory.getbasetemp() / "w.csv")
+        assert path.read_bytes() == csv_reference(result)
+
+    def test_writer_matches_csv_writer_across_chunks(self, tmp_path):
+        n = 2 * sweeps.CSV_CHUNK_ROWS + 3
+        values = (np.arange(n, dtype=np.int64) % 7, np.linspace(-1.0, 1.0, n),
+                  [None if i % 5 else f"{i},x" for i in range(n)])
+        result = SweepResult("w", ("k", "x", "note"), values, {"kind": "w"})
+        path = write_sweep_csv(result, tmp_path / "w.csv")
+        assert path.read_bytes() == csv_reference(result)
+
+    def test_lone_empty_cells_and_empty_results(self, tmp_path):
+        # csv.writer writes an empty field alone on its row as ""
+        lone = SweepResult("w", ("x",), ([None, "", "a", 1.5],), {})
+        assert write_sweep_csv(lone, tmp_path / "a.csv").read_text() == 'x\n""\n""\na\n1.5\n'
+        empty = SweepResult("w", ("n", "x"), (np.array([], dtype=np.int64), []),
+                            {"kind": "w"})
+        assert write_sweep_csv(empty, tmp_path / "b.csv").read_text() == "# kind=w\nn,x\n"
+        assert read_sweep_csv(tmp_path / "b.csv") == empty
+
+    def test_rows_view_reads_the_columns(self):
+        result = SweepResult("v", ("n", "x", "note"), (
+            np.array([4, 4, 9]), np.array([0.5, -0.0, 2.0]), ["a", None, "b,c"]), {})
+        rows = result.rows
+        expected = [(4, 0.5, "a"), (4, -0.0, None), (9, 2.0, "b,c")]
+        assert len(rows) == 3
+        assert rows[-1] == (9, 2.0, "b,c")
+        assert [type(cell) for cell in rows[0]] == [int, float, str]
+        assert rows[1:] == expected[1:]
+        assert list(rows) == expected
+        assert rows == expected and expected == rows
+        assert rows != expected[:2] and rows != expected[0]
+        assert repr(rows) == repr(expected)
+        with pytest.raises(IndexError):
+            rows[3]
+
+    def test_row_count_builds_no_rows(self):
+        class NoList(np.ndarray):
+            def tolist(self):
+                raise AssertionError("tolist called")
+
+        column = np.zeros(10 ** 6).view(NoList)
+        assert len(SweepResult("big", ("x",), (column,), {}).rows) == 10 ** 6
+
+    def test_columns_must_match_their_names(self, tmp_path):
+        with pytest.raises(ValueError):
+            SweepResult("w", ("a", "b"), ([1, 2], [3]), {})
+        with pytest.raises(ValueError):
+            SweepResult("w", ("a", "b"), ([1, 2],), {})
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("a,b\n1,2\n3\n")
+        with pytest.raises(ValueError, match="cell count"):
+            read_sweep_csv(ragged)
 
     @pytest.mark.parametrize("text,value", [
         ("", None), ("none", None), ("true", True), ("false", False),

@@ -28,7 +28,8 @@ def test_every_run_config_loads(digests, tmp_path):
         "ga-desk-seed1", "ga-desk-seed2", "ga-desk-seed3", "ga-paper-seed1",
         "ga-paper-seed2", "one-user", "three-users", "rectangle", "unstable-best",
         "sweep-delay-ee", "sweep-rel-beta", "sweep-sjnr-n", "sweep-delay-ee-n900",
-        "sweep-delay-ee-three-users", "sweep-sjnr-n-ga", "mdl-oracle"]
+        "sweep-delay-ee-three-users", "sweep-sjnr-n-ga", "sweep-rel-beta-edges",
+        "mdl-oracle"]
     configs = {}
     for name, _, text in runs:
         path = tmp_path / f"{name}.ini"

@@ -34,7 +34,7 @@ def test_every_trace_target_exists(tracing):
 def test_observers_read_the_calling_contract(tracing, tmp_path):
     # the observers read simulate_md1's third positional argument and the
     # rows of write_sweep_csv's first one
-    result = sweeps.SweepResult("pin", ("a", "b"), [(1, 0.5), (2, None)],
+    result = sweeps.SweepResult("pin", ("a", "b"), ([1, 2], [0.5, None]),
                                 {"kind": "pin"})
     with tracing.instrument(tracing.Tracer()) as tracer:
         traffic.simulate_md1(100.0, 1e-3, 1000, seed=1)

@@ -13,8 +13,9 @@ interpreter per command with BLAS/OpenMP threads pinned to 1:
 * ``sweep delay-ee``, ``sweep rel-beta``, ``sweep sjnr-n`` and
   ``mdl-oracle`` (with the workload's arrival count) for sweep-oracle seed 1,
   ``sweep delay-ee`` for its 900-element variant and for a three-user
-  variant with unstable rows, and ``sweep sjnr-n`` with a small GA run per
-  element count.
+  variant with unstable rows, ``sweep sjnr-n`` with a small GA run per
+  element count, and ``sweep rel-beta`` on an edge-case grid (a signed
+  zero, the smallest subnormal, repeated amplitudes and element counts).
 
 The configs come from this checkout's ``bench/workloads.config_text``, so two
 checkouts run the same configs. Every output file is hashed without its
@@ -82,6 +83,10 @@ def runs() -> list[tuple[str, list[str], str]]:
     listed.append(("sweep-sjnr-n-ga", ["sweep", "sjnr-n"], _variant(
         "sweep-oracle", sweep={"policy": "ga", "n_elements_grid": "4, 16, 36"},
         ga={"population_size": "40", "max_generations": "20"})))
+    listed.append(("sweep-rel-beta-edges", ["sweep", "rel-beta"], _variant(
+        "sweep-oracle", sweep={
+            "beta_grid": "-0.0, 0.0, 5e-324, 0.1, 0.1, 0.30000000000000004, 50",
+            "n_elements_grid": "4, 4"})))
     listed.append(("mdl-oracle", ["mdl-oracle", "--arrivals", str(oracle.md1_arrivals)],
                    oracle_text))
     return listed
