@@ -172,14 +172,11 @@ SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
         "population_size": ("200", _integer),
         "max_generations": ("100", _integer),
         "crossover_rate": ("0.9", _number),
-        "mutation_rate": ("auto", _unless("auto", _number)),  # auto: one expected mutation per genome
         "elite_count": ("2", _integer),
         "rng_seed": ("12345", _integer),
         "constraint_tolerance": ("1e-30", _number),
         "function_tolerance": ("1e-30", _number),
-        "co_phasing_fraction": ("0.1", _number),
-        "mutation_sigma": ("0.1", _number),
-        "mutation_decay": ("0.99", _number),
+        "seeded_fraction": ("0.1", _number),
         "stall_generations": ("50", _integer),
         "delay_thr_s": ("1e-3", _number),
         "rel_thr": ("0.99999", _number),

@@ -11,11 +11,12 @@ outranks an infeasible one, feasible candidates compare by objective and
 infeasible ones by total constraint violation. Box bounds hold by
 construction of the genome decoding, so they never appear as residuals.
 The RIS beam is a complex view of the genome, so decoding it is one
-multiply. Every genome is repaired before it is scored: its moved weights
-are put exactly inside the disc |w|^2 <= beta_max, its powers in SIC order,
-and its blocklength and replica genes are clamped onto the pairs that meet
-the closed-form delay and utilization constraints, which the residuals
-still check.
+multiply. Every weight is put exactly inside the disc |w|^2 <= beta_max
+where it is made: drawn or seeded in the initial population, or moved by a
+mutation. Every genome is repaired before it is scored: its powers are put
+in SIC order, and its blocklength and replica genes are clamped onto the
+pairs that meet the closed-form delay and utilization constraints, which the
+residuals still check.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,12 @@ INFEASIBLE_OBJECTIVE = 1e30
 # Strictness margin for the rho_k < 1 constraint: the residual activates at
 # rho = 1 - STRICT_MARGIN so that rho == 1 is never accepted as feasible.
 STRICT_MARGIN = 1e-9
+
+# Gaussian mutation: each gene mutates with probability 1/dimension, by a
+# normal step whose spread starts at MUTATION_SIGMA and is multiplied by
+# MUTATION_DECAY after every generation.
+MUTATION_SIGMA = 0.1
+MUTATION_DECAY = 0.99
 
 # Largest number of genome cells (candidates x RIS elements) decoded and
 # scored in one call of the metric-chain kernel. Populations are evaluated
@@ -91,24 +98,22 @@ class ConstraintSet:
 class GaSettings:
     """Population, operator and stopping configuration of the GA.
 
-    ``mutation_rate`` of None means one expected mutation per genome
-    (1/dimension). ``function_tolerance`` is relative, as MATLAB ``ga``'s
-    FunctionTolerance: a generation stalls unless the best standing's value
-    drops by at least that fraction of its previous value. Tolerances below
-    machine epsilon request exact feasibility and disable stall detection.
+    ``seeded_fraction`` is the share of the initial population whose beams
+    are seeded (``_initial_population``). ``function_tolerance`` is
+    relative, as MATLAB ``ga``'s FunctionTolerance: a generation stalls
+    unless the best standing's value drops by at least that fraction of its
+    previous value. Tolerances below machine epsilon request exact
+    feasibility and disable stall detection.
     """
 
     population_size: int = 200
     max_generations: int = 100
     crossover_rate: float = 0.9
-    mutation_rate: float | None = None
     elite_count: int = 2
     rng_seed: int = 12345
     constraint_tolerance: float = 1e-30
     function_tolerance: float = 1e-30
-    co_phasing_fraction: float = 0.1
-    mutation_sigma: float = 0.1
-    mutation_decay: float = 0.99
+    seeded_fraction: float = 0.1
     stall_generations: int = 50
 
     def __post_init__(self):
@@ -124,15 +129,11 @@ class GaSettings:
             raise ValueError("generation count must be non-negative")
         if not 0 <= self.crossover_rate <= 1:
             raise ValueError("crossover rate must be a probability")
-        if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
-            raise ValueError("mutation rate must be a probability")
-        if not 0 <= self.co_phasing_fraction <= 1:
-            raise ValueError("co-phasing seed fraction must be a probability")
+        if not 0 <= self.seeded_fraction <= 1:
+            raise ValueError("seeded-beam fraction must be a probability")
         if not (0 <= self.constraint_tolerance < np.inf
                 and 0 <= self.function_tolerance < np.inf):
             raise ValueError("tolerances must be non-negative and finite")
-        if not (0 <= self.mutation_sigma < np.inf and 0 <= self.mutation_decay < np.inf):
-            raise ValueError("mutation spread and decay must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -296,28 +297,22 @@ def _blocklength_caps(model: SystemModel, constraints: ConstraintSet) -> np.ndar
                              np.full(l_cap, c.nb_min), np.full(l_cap, c.nb_max))
 
 
-def _repair(genomes: np.ndarray, n_users: int, n_elements: int,
-            constraints: ConstraintSet, caps: np.ndarray, moved: np.ndarray) -> None:
-    """Move a C-contiguous (B, dimension) block of genomes in place into the
-    box and onto the closed-form part of the feasible set.
+def _repair(genomes: np.ndarray, n_users: int, constraints: ConstraintSet,
+            caps: np.ndarray) -> None:
+    """Move the power and integer genes of a (B, dimension) block of genomes
+    in place into their box and onto the closed-form part of the feasible
+    set; the beam genes are left as they are.
 
-    Every element with a gene among the row-major flat indices ``moved``
-    goes through ``_into_disc``; every other element must already lie in the
-    disc. The other genes clip to [0, 1], the power genes are sorted on every
-    row so that p_1 <= ... <= p_K, the blocklength gene is clamped to the
-    largest admitted blocklength, cap(1), and then the replica gene to the
-    largest replica count admitted at the decoded blocklength. A clamped
-    gene sits at the centre of its cap's rounding interval, so it decodes to
-    the cap exactly. Without an admitted pair nothing is clamped.
+    The K power genes and the two integer genes clip to [0, 1], the power
+    genes are sorted on every row so that p_1 <= ... <= p_K, the blocklength
+    gene is clamped to the largest admitted blocklength, cap(1), and then the
+    replica gene to the largest replica count admitted at the decoded
+    blocklength. A clamped gene sits at the centre of its cap's rounding
+    interval, so it decodes to the cap exactly. Without an admitted pair
+    nothing is clamped.
     """
-    k, n, c = n_users, n_elements, constraints
-    row, column = np.divmod(moved, genomes.shape[1])
-    beam = column < 2 * n
-    # an element with both genes moved is read and written twice, alike
-    element = row[beam], column[beam] // 2
-    points = genomes[:, :2 * n].view(complex)
-    points[element] = _into_disc(points[element])
-    tail = genomes[:, 2 * n:]
+    k, c = n_users, constraints
+    tail = genomes[:, -(k + 2):]
     np.clip(tail, 0.0, 1.0, out=tail)
     tail[:, :k].sort(axis=1)
     if not len(caps):
@@ -448,14 +443,16 @@ def _evaluate_population(pop: np.ndarray, model: SystemModel,
 
 def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
            settings: GaSettings, mutation_rate: float, sigma: float,
-           n_elements: int) -> tuple[np.ndarray, np.ndarray]:
-    """Next population: the elites, then one child per remaining slot, not
-    yet repaired; and the sorted row-major flat indices into the children of
-    the genes that mutated, the only ones that can have left their box.
+           n_elements: int) -> np.ndarray:
+    """Next population: the elites, then one child per remaining slot, its
+    beam in the disc and its other genes not yet repaired.
 
     Crossover takes each element whole, on the complex view, so a child's
     element is one of its parents' points of the disc, and each of the other
-    genes from one parent.
+    genes from one parent. Each gene then mutates with probability
+    ``mutation_rate`` by a Gaussian step of spread ``sigma``, and every
+    element with a mutated gene goes through ``_into_disc``; an element with
+    no mutated gene keeps its parent's bits.
 
     The random numbers come in whole arrays, in an order that does not
     depend on ``BLOCK_CELLS``: every tournament contestant, every crossover
@@ -497,17 +494,21 @@ def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
         child_points[block] = np.where(take[:, :n], points[second], points[first])
         children[block, 2 * n:] = np.where(take[:, n:], pop[second, 2 * n:],
                                            pop[first, 2 * n:])
-    # each gene mutates with probability mutation_rate
     cells = children.size
     mutating = np.sort(rng.choice(cells, rng.binomial(cells, mutation_rate),
                                   replace=False, shuffle=False))
     children.reshape(-1)[mutating] += rng.normal(0.0, sigma, len(mutating))
-    return new_pop, mutating
+    row, column = np.divmod(mutating, dim)
+    beam = column < 2 * n
+    # an element with both genes mutated is read and written twice, alike
+    element = row[beam], column[beam] // 2
+    child_points[element] = _into_disc(child_points[element])
+    return new_pop
 
 
 def _initial_population(model: SystemModel, settings: GaSettings,
                         rng: np.random.Generator) -> np.ndarray:
-    """Uniform random genomes, the first ``co_phasing_fraction`` of them
+    """Uniform random genomes, the first ``seeded_fraction`` of them
     with SIC-balanced beams; every point lies in the disc |v| <= 1/2 and
     every other gene in [0, 1].
 
@@ -534,7 +535,7 @@ def _initial_population(model: SystemModel, settings: GaSettings,
         drawn = points[start:start + rows]
         drawn[...] = _into_disc(drawn)
 
-    n_seeded = min(int(round(settings.co_phasing_fraction * size)), size)
+    n_seeded = min(int(round(settings.seeded_fraction * size)), size)
     weights = sic_balanced_weights(model.bs_channel, model.ue_channels,
                                    model.jammer_channel, np.logspace(0.0, 3.0, n_seeded))
     peak = np.max(np.abs(weights), axis=1)
@@ -548,14 +549,14 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     """Evolve a population and return the best-ranked operating point.
 
     The initial population (``_initial_population``) is drawn uniform, its
-    first ``co_phasing_fraction`` rows seeded with SIC-balanced beams from
-    one least-squares solve. Tournament selection of size 2 under the
-    dominance rule, uniform crossover of whole elements and genes, Gaussian
-    mutation with decaying spread. The initial population and every bred one are repaired
-    (``_repair``): the elements whose genes mutated are put exactly inside
-    the disc, the other genes clip to their box, powers are ordered and the
-    blocklength and replica genes are clamped onto the pairs that meet the
-    delay and utilization constraints, so decoding changes no gene. The
+    first ``seeded_fraction`` rows seeded with SIC-balanced beams from one
+    least-squares solve. Tournament selection of size 2 under the dominance
+    rule, uniform crossover of whole elements and genes, Gaussian mutation
+    with decaying spread that puts every mutated element back into the disc.
+    The initial population and every bred one are repaired (``_repair``):
+    the power and integer genes clip to their box, powers are ordered and
+    the blocklength and replica genes are clamped onto the pairs that meet
+    the delay and utilization constraints, so decoding changes no gene. The
     record is the best genome's decision vector, whose weights are polar,
     scored as ``evaluate_fitness`` scores it. The same seed reproduces the
     run bit for bit; with at least one elite the recorded best value never
@@ -568,27 +569,26 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
         raise OverflowError(f"population_size {settings.population_size} x genome "
                             f"dimension {dim} is above 2**26 genes")
     rng = np.random.default_rng(settings.rng_seed)
-    mutation_rate = settings.mutation_rate if settings.mutation_rate is not None else 1.0 / dim
     tol = settings.constraint_tolerance
     stall_enabled = settings.function_tolerance >= np.finfo(float).eps
     caps = _blocklength_caps(model, constraints)
 
     pop = _initial_population(model, settings, rng)
-    _repair(pop, k, n, constraints, caps, np.empty(0, dtype=np.intp))
+    _repair(pop, k, constraints, caps)
 
     best_standing = best_genome = None
     fitness_history: list[float] = []
     mean_history: list[float] = []
     feasible_fraction_history: list[float] = []
-    sigma = settings.mutation_sigma
+    sigma = MUTATION_SIGMA
     stall_count = 0
 
     # generation 0 is the initial population: ranked and tracked, not recorded
     for generation in range(settings.max_generations + 1):
         if generation:
-            pop, moved = _breed(pop, order, rng, settings, mutation_rate, sigma, n)
-            _repair(pop[settings.elite_count:], k, n, constraints, caps, moved)
-            sigma *= settings.mutation_decay
+            pop = _breed(pop, order, rng, settings, 1.0 / dim, sigma, n)
+            _repair(pop[settings.elite_count:], k, constraints, caps)
+            sigma *= MUTATION_DECAY
         objective, total = _evaluate_population(pop, model, constraints)
         order = rank(objective, total, tol)
         infeasible, value = _standing(objective, total, tol)

@@ -67,12 +67,9 @@ FLOAT_DOMAINS = {
     ("traffic", "header_time_s"): HEADER_TIME,
     ("traffic", "bandwidth_hz"): BANDWIDTH,
     ("ga", "crossover_rate"): PROBABILITY,
-    ("ga", "mutation_rate"): PROBABILITY,
     ("ga", "constraint_tolerance"): non_negative(),
     ("ga", "function_tolerance"): non_negative(),
-    ("ga", "co_phasing_fraction"): PROBABILITY,
-    ("ga", "mutation_sigma"): non_negative(),
-    ("ga", "mutation_decay"): non_negative(),
+    ("ga", "seeded_fraction"): PROBABILITY,
     ("ga", "delay_thr_s"): positive(),
     ("ga", "rel_thr"): st.floats(min_value=0.0, max_value=1.0,
                                  exclude_min=True, exclude_max=True),
@@ -116,13 +113,10 @@ OUT_OF_DOMAIN_CASES = [
     ("fbl", "payload_bytes = 0", "[fbl] payload_bytes: must be >= 1"),
     ("ga", "rng_seed = -1", "invalid ga settings: rng_seed must be non-negative"),
     ("ga", "max_generations = -1", "invalid ga settings: generation count must be non-negative"),
-    ("ga", "mutation_rate = 1.5", "invalid ga settings: mutation rate must be a probability"),
-    ("ga", "co_phasing_fraction = 2",
-     "invalid ga settings: co-phasing seed fraction must be a probability"),
+    ("ga", "seeded_fraction = 2",
+     "invalid ga settings: seeded-beam fraction must be a probability"),
     ("ga", "rel_thr = 1", "invalid ga settings: reliability threshold must lie in (0, 1)"),
     ("ga", "p_min_w = 0.2", "invalid ga settings: need 0 < p_min <= p_max"),
-    ("ga", "mutation_sigma = -0.1", "invalid ga settings: mutation spread and decay"),
-    ("ga", "mutation_decay = -1", "invalid ga settings: mutation spread and decay"),
     ("ga", "stall_generations = -5", "invalid ga settings: stall_generations must be at least 1"),
     ("ga", "stall_generations = 0", "invalid ga settings: stall_generations must be at least 1"),
     ("sweep", "blocklength = 0", "[sweep] blocklength: must be >= 1"),
@@ -216,6 +210,15 @@ class TestDefaults:
         assert cfg.constraints.l_max == 10
         assert cfg.ga.constraint_tolerance == 1e-30
 
+    def test_every_ga_key_is_read(self):
+        # a [ga] key is a GaSettings field or one of the keys passed to
+        # ConstraintSet, so no key loads and is then ignored
+        constraint_keys = {"delay_thr_s", "rel_thr", "beta_max", "p_max_w", "p_min_w",
+                           "l_max", "nb_min", "nb_max"}
+        field_names = {f.name for f in dataclasses.fields(GaSettings)}
+        assert not field_names & constraint_keys
+        assert set(config.SCHEMA["ga"]) == field_names | constraint_keys
+
     def test_schema_defaults_equal_dataclass_defaults(self):
         # each of these defaults is written twice: as a SCHEMA string and as
         # a dataclass field default
@@ -292,7 +295,11 @@ class TestErrors:
          "[geometry] n_rows = 3 does not divide n_elements = 16"),
         ("[ga]\nl_max = 65537",
          "invalid ga settings: maximum retransmission count must lie in 1..2**16"),
-    ], ids=["n_cols", "report_ris_power", "n_rows", "l_max"])
+        *((f"[ga]\n{key} = {value}", f"unknown key '{key}' in section [ga]")
+          for key, value in [("mutation_rate", "auto"), ("mutation_sigma", "0.1"),
+                             ("mutation_decay", "0.99"), ("co_phasing_fraction", "0.1")]),
+    ], ids=["n_cols", "report_ris_power", "n_rows", "l_max", "mutation_rate",
+            "mutation_sigma", "mutation_decay", "co_phasing_fraction"])
     def test_removed_key_or_bound_exits_1(self, tmp_path, capsys, setting, message):
         path = write(tmp_path, f"{setting}\n")
         out = tmp_path / "out"
@@ -387,7 +394,7 @@ class TestErrors:
 
 SEPARATED_USERS = "user_azimuth_rad = 1.0, 1.5707963267948966"
 # a small GA whose every row holds a SIC-balanced seed
-SMALL_GA = "[ga]\npopulation_size = 8\nmax_generations = 2\nco_phasing_fraction = 1\n"
+SMALL_GA = "[ga]\npopulation_size = 8\nmax_generations = 2\nseeded_fraction = 1\n"
 
 
 def numeric_cells(path):
@@ -546,8 +553,8 @@ class TestEchoAndHash:
         assert again.config_hash == cfg.config_hash
         assert again.traffic.arrival_rates == (321.0, 321.0)
 
-    # Broadcast list, start:stop:step and comma-list grids, 'auto' and an
-    # empty optional key.
+    # Broadcast list, start:stop:step and comma-list grids, an integer in
+    # place of 'auto' and an empty optional key.
     EVERY_PARSER = "\n".join([
         "[geometry]", "n_rows = 2", "spacing_h = 0.5",
         "[scenario]", "dist_ris_ue_m = 10, 20, 30", "user_azimuth_rad = 0.5",
@@ -555,15 +562,15 @@ class TestEchoAndHash:
         "path_gain_db = 20", "awgn_dbm = -90",
         "[traffic]", "arrival_rate_per_s = 100, 200, 300", "retransmissions = 3",
         "[fbl]", "payload_bytes = 16",
-        "[ga]", "mutation_rate = auto", "delay_thr_s = 2e-3",
+        "[ga]", "delay_thr_s = 2e-3",
         "[sweep]", "blocklength_grid = 60:120:20",
         "arrival_rate_grid = 100, 300", "beta_grid = 0:10:0.5",
         "n_elements_grid = 4, 16, 36", "cophase_user = 2", ""])
 
     @pytest.mark.parametrize("preset,text,expected", [
-        (None, None, "sha256:a8d2422640f1464d"),
-        ("paper", None, "sha256:b7da17b2dce567f7"),
-        (None, EVERY_PARSER, "sha256:a79706676d5899b2"),
+        (None, None, "sha256:8b1236cc2a84edb7"),
+        ("paper", None, "sha256:3462613f75fc9a89"),
+        (None, EVERY_PARSER, "sha256:34a266fb278be4fb"),
     ], ids=["defaults", "paper", "every-parser"])
     def test_hash_is_pinned(self, tmp_path, preset, text, expected):
         path = None if text is None else write(tmp_path, text)

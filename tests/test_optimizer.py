@@ -109,10 +109,10 @@ class TestDecode:
         cons = ConstraintSet(beta_max=40.0)
         k, n = 2, 5
         pop = rng.uniform(-1.0, 1.0, (30, genome_dimension(k, n)))
-        optimizer._repair(pop, k, n, cons, np.empty(0, dtype=np.int64),
-                          np.arange(pop.size))
-        weights = decode_block(pop, k, n, cons).weights
         view = pop[:, :2 * n].view(complex)
+        view[...] = optimizer._into_disc(view)
+        optimizer._repair(pop, k, cons, np.empty(0, dtype=np.int64))
+        weights = decode_block(pop, k, n, cons).weights
         assert weights.tobytes() == (2 * np.sqrt(cons.beta_max) * view).tobytes()
 
     @pytest.mark.parametrize("tail", [-0.2, 1.2])
@@ -234,7 +234,7 @@ class TestRunGa:
         # each drawn pair (a, b) is the point ((a - 1/2) + j (b - 1/2)) / sqrt(2)
         pop[:, :2] = (pop[:, :2] - 0.5) * np.sqrt(0.5)
         # the seeded rows hold the SIC-balanced beams w / (2 max|w|)
-        seeded = int(round(settings.co_phasing_fraction * 30))
+        seeded = int(round(settings.seeded_fraction * 30))
         w = sic_balanced_weights(toy_model.bs_channel, toy_model.ue_channels,
                                  toy_model.jammer_channel, np.logspace(0.0, 3.0, seeded))
         points = w / (2.0 * np.max(np.abs(w), axis=1, keepdims=True))
@@ -323,7 +323,7 @@ class TestRunGa:
         # the run turns feasible in generation 9
         cons = ConstraintSet(p_min=1e-3, nb_min=60, nb_max=160)
         settings = dict(rng_seed=33, population_size=40, max_generations=60,
-                        co_phasing_fraction=0.0)
+                        seeded_fraction=0.0)
         result = run_ga(weak_link_model, cons, GaSettings(
             **settings, function_tolerance=1e-9, stall_generations=3))
         full = run_ga(weak_link_model, cons, GaSettings(**settings))
@@ -342,7 +342,7 @@ class TestRunGa:
         # feasible part of the run without stall detection.
         cons = ConstraintSet(p_min=1e-3, nb_min=60, nb_max=160)
         settings = dict(rng_seed=105, population_size=120, max_generations=60,
-                        co_phasing_fraction=0.0)
+                        seeded_fraction=0.0)
         full = run_ga(weak_link_model, cons, GaSettings(**settings)).fitness_history
         assert full[2] == INFEASIBLE_OBJECTIVE > full[3]
         stalls = 0
@@ -365,7 +365,7 @@ class TestRunGa:
             result = run_ga(weak_link_model, cons,
                             GaSettings(rng_seed=seed, population_size=120,
                                        max_generations=60,
-                                       co_phasing_fraction=fraction))
+                                       seeded_fraction=fraction))
             assert result.feasible
             s = result.best_solution
             weights = np.sqrt(s.amplitudes) * np.exp(1j * np.array(s.phases))
@@ -387,20 +387,13 @@ class TestRunGa:
         lambda bad: ConstraintSet(delay_thr=bad),
         lambda bad: ConstraintSet(beta_max=bad),
         lambda bad: ConstraintSet(p_max=bad),
-        lambda bad: GaSettings(mutation_sigma=bad),
-        lambda bad: GaSettings(mutation_decay=bad),
         lambda bad: GaSettings(constraint_tolerance=bad),
         lambda bad: GaSettings(function_tolerance=bad),
-    ], ids=["delay_thr", "beta_max", "p_max", "mutation_sigma", "mutation_decay",
-            "constraint_tolerance", "function_tolerance"])
+    ], ids=["delay_thr", "beta_max", "p_max", "constraint_tolerance",
+            "function_tolerance"])
     def test_non_finite_settings_rejected(self, build, bad):
         with pytest.raises(ValueError, match="finite"):
             build(bad)
-
-    @pytest.mark.parametrize("field", ["mutation_sigma", "mutation_decay"])
-    def test_negative_mutation_settings_rejected(self, field):
-        with pytest.raises(ValueError, match="non-negative"):
-            GaSettings(**{field: -0.1})
 
     # with stalling enabled, a stall count below 1 would stop the run after
     # one generation, and numpy rejects a negative seed only when run_ga starts
@@ -477,7 +470,7 @@ class TestSeeding:
     def test_sic_balanced_seeds(self, n_users):
         model = self.separated_model(n_users)
         k, n = n_users, model.n_elements
-        settings = GaSettings(population_size=50, co_phasing_fraction=0.4)
+        settings = GaSettings(population_size=50, seeded_fraction=0.4)
         rng = np.random.default_rng(5)
         pop = optimizer._initial_population(model, settings, rng)
         points, other = pop[:, :2 * n].view(complex), pop[:, 2 * n:]
@@ -525,7 +518,7 @@ class TestSeeding:
             return weights
 
         monkeypatch.setattr(optimizer, "sic_balanced_weights", beams)
-        settings = GaSettings(population_size=10, co_phasing_fraction=0.5)
+        settings = GaSettings(population_size=10, seeded_fraction=0.5)
         pop = optimizer._initial_population(model, settings, np.random.default_rng(3))
         points = pop[:, :2 * n].view(complex)
         drawn = drawn_points(np.random.default_rng(3).random(pop.shape), n)
@@ -596,10 +589,15 @@ class TestRepair:
         genomes = rng.random((40, genome_dimension(k, n)))
         edges = rng.random(genomes.shape) < 0.2
         genomes[edges] = rng.integers(0, 2, genomes.shape)[edges]
+        points = genomes[:, :2 * n].view(complex)
+        points[...] = optimizer._into_disc(points)
         before = genomes.copy()
 
         caps = optimizer._blocklength_caps(model, c)
-        optimizer._repair(genomes, k, n, c, caps, np.arange(genomes.size))
+        optimizer._repair(genomes, k, c, caps)
+        # the beam genes keep their bits
+        assert np.array_equal(genomes[:, :2 * n].view(np.uint64),
+                              before[:, :2 * n].view(np.uint64))
         x = decode_block(genomes, k, n, c)
         _, violations, _ = score_block(x, model, c)
         assert np.all(np.diff(x.user_powers, axis=1) >= 0.0)
@@ -629,80 +627,6 @@ class TestRepair:
         assert np.all(x.retransmissions[capped] == admitted[capped])
         assert np.all(x.retransmissions <= admitted)
 
-    @hypothesis_settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
-           n_elements=st.integers(1, 40), nb_min=st.integers(1, 400),
-           nb_spread=st.one_of(st.integers(0, 3000), st.integers(0, 10 ** 9)),
-           l_max=st.integers(1, 30), delay_exponent=st.floats(-6.0, -1.0),
-           size=st.integers(2, 30), elite_fraction=st.floats(0.0, 1.0),
-           crossover_rate=st.floats(0.0, 1.0), mutation_rate=st.floats(0.0, 1.0),
-           sigma=st.floats(0.0, 2.0))
-    def test_repairing_the_moved_genes_equals_repairing_every_gene(
-            self, seed, n_users, n_elements, nb_min, nb_spread, l_max,
-            delay_exponent, size, elite_fraction, crossover_rate, mutation_rate,
-            sigma):
-        rng = np.random.default_rng(seed)
-        model = make_model(RisGeometry(1, n_elements), make_scenario(n_users=n_users),
-                           arrival_rates=tuple(rng.uniform(10.0, 3000.0, n_users)),
-                           header_time=float(rng.uniform(0.0, 1e-4)),
-                           bandwidth=float(rng.uniform(5e4, 1e6)))
-        c = ConstraintSet(delay_thr=10.0 ** delay_exponent, p_min=1e-4,
-                          nb_min=nb_min, nb_max=nb_min + nb_spread, l_max=l_max)
-        k, n = n_users, n_elements
-        caps = optimizer._blocklength_caps(model, c)
-        pop = rng.random((size, genome_dimension(k, n)))
-        edges = rng.random(pop.shape) < 0.2
-        pop[edges] = rng.integers(0, 2, pop.shape)[edges]
-        optimizer._repair(pop, k, n, c, caps, np.arange(pop.size))
-        settings = GaSettings(population_size=size,
-                              elite_count=int(elite_fraction * (size - 1)),
-                              crossover_rate=crossover_rate)
-
-        bred, moved = optimizer._breed(pop, rng.permutation(size).tolist(), rng,
-                                       settings, mutation_rate, sigma, n)
-        children = bred[settings.elite_count:]
-        indexed, full = children.copy(), children.copy()
-        optimizer._repair(indexed, k, n, c, caps, moved)
-        optimizer._repair(full, k, n, c, caps, np.arange(full.size))
-        # bit for bit: -0.0 and 0.0 differ
-        assert np.array_equal(indexed.view(np.uint64), full.view(np.uint64))
-        # and a second repair of every gene changes none
-        again = indexed.copy()
-        optimizer._repair(again, k, n, c, caps, np.arange(again.size))
-        assert np.array_equal(again.view(np.uint64), indexed.view(np.uint64))
-        assert np.all((0.0 <= indexed[:, 2 * n:]) & (indexed[:, 2 * n:] <= 1.0))
-        before = children[:, :2 * n].view(complex)
-        after = indexed[:, :2 * n].view(complex)
-        # exactly inside the disc, in float64 and with no slack
-        assert np.all(after.real ** 2 + after.imag ** 2 <= 0.25)
-        # the elements whose real or imaginary gene moved
-        row, column = np.divmod(moved, children.shape[1])
-        beam = column < 2 * n
-        moved_element = np.zeros(before.shape, dtype=bool)
-        moved_element[row[beam], column[beam] // 2] = True
-        # the others stay as they are, bit for bit
-        assert np.array_equal(after[~moved_element].view(np.uint64),
-                              before[~moved_element].view(np.uint64))
-        # a moved element outside the disc moves radially onto its circle
-        outside = moved_element & (before.real ** 2 + before.imag ** 2 > 0.25)
-        np.testing.assert_allclose(after[outside],
-                                   before[outside] / (2 * np.abs(before[outside])),
-                                   rtol=0.0, atol=5e-16)
-        # one inside it keeps its bits
-        inside = moved_element & ~outside
-        assert np.array_equal(after[inside].view(np.uint64),
-                              before[inside].view(np.uint64))
-
-    def test_unmoved_elements_stay_untouched(self):
-        # K = 1, N = 3, genes: (real, imaginary) pairs | power | integers.
-        # Element 0 lies outside the disc but did not move; element 1's real
-        # gene moved outside the disc, element 2's imaginary gene inside it.
-        genome = np.full((1, genome_dimension(1, 3)), 0.5)
-        genome[0, :6] = [0.5, 0.5, 1.0, 0.0, -0.25, 0.0]
-        optimizer._repair(genome, 1, 3, ConstraintSet(), np.empty(0, dtype=np.int64),
-                          np.array([2, 5]))
-        assert genome[0, :6].tolist() == [0.5, 0.5, 0.5, 0.0, -0.25, 0.0]
-
     def test_caps_admit_the_utilization_boundary(self):
         # a utilization of exactly 1 - STRICT_MARGIN leaves score_block's
         # residual at 0, so the caps admit every pair in the box
@@ -726,3 +650,129 @@ class TestRepair:
         assert not len(optimizer._blocklength_caps(build_model(cfg), cfg.constraints))
         assert main(["optimize", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+class RecordingGenerator:
+    """A numpy Generator that keeps the last value each of its methods drew."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.drawn = rng, {}
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            self.drawn[name] = value = method(*args, **kwargs)
+            return value
+        return draw
+
+
+class TestBreed:
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
+           n_elements=st.integers(1, 40), nb_min=st.integers(1, 400),
+           nb_spread=st.one_of(st.integers(0, 3000), st.integers(0, 10 ** 9)),
+           l_max=st.integers(1, 30), delay_exponent=st.floats(-6.0, -1.0),
+           size=st.integers(2, 30), elite_fraction=st.floats(0.0, 1.0),
+           crossover_rate=st.floats(0.0, 1.0), mutation_rate=st.floats(0.0, 1.0),
+           sigma=st.floats(0.0, 2.0))
+    def test_mutated_elements_are_put_into_the_disc(
+            self, seed, n_users, n_elements, nb_min, nb_spread, l_max,
+            delay_exponent, size, elite_fraction, crossover_rate, mutation_rate,
+            sigma):
+        rng = np.random.default_rng(seed)
+        model = make_model(RisGeometry(1, n_elements), make_scenario(n_users=n_users),
+                           arrival_rates=tuple(rng.uniform(10.0, 3000.0, n_users)),
+                           header_time=float(rng.uniform(0.0, 1e-4)),
+                           bandwidth=float(rng.uniform(5e4, 1e6)))
+        c = ConstraintSet(delay_thr=10.0 ** delay_exponent, p_min=1e-4,
+                          nb_min=nb_min, nb_max=nb_min + nb_spread, l_max=l_max)
+        k, n = n_users, n_elements
+        caps = optimizer._blocklength_caps(model, c)
+        pop = rng.random((size, genome_dimension(k, n)))
+        edges = rng.random(pop.shape) < 0.2
+        pop[edges] = rng.integers(0, 2, pop.shape)[edges]
+        parent_points = pop[:, :2 * n].view(complex)
+        parent_points[...] = optimizer._into_disc(parent_points)
+        optimizer._repair(pop, k, c, caps)
+        settings = GaSettings(population_size=size,
+                              elite_count=int(elite_fraction * (size - 1)),
+                              crossover_rate=crossover_rate)
+        order = rng.permutation(size).tolist()
+        breeding_seed = int(rng.integers(2 ** 32))
+
+        draws = RecordingGenerator(np.random.default_rng(breeding_seed))
+        bred = optimizer._breed(pop, order, draws, settings, mutation_rate, sigma, n)
+        # the same draws without mutation give the crossed children
+        crossed = optimizer._breed(pop, order, np.random.default_rng(breeding_seed),
+                                   settings, 0.0, sigma, n)
+        elites = settings.elite_count
+        assert np.array_equal(bred[:elites].view(np.uint64),
+                              crossed[:elites].view(np.uint64))
+        mutated = crossed[elites:].copy()
+        mutating = np.sort(draws.drawn["choice"])
+        mutated.reshape(-1)[mutating] += draws.drawn["normal"]
+        children = bred[elites:]
+        # the genes after the beam are the mutated ones, not yet repaired
+        assert np.array_equal(children[:, 2 * n:].view(np.uint64),
+                              mutated[:, 2 * n:].view(np.uint64))
+
+        # every point lies exactly inside the disc, in float64 and with no
+        # slack, so a projection changes no bit
+        points = bred[:, :2 * n].view(complex)
+        assert np.all(points.real ** 2 + points.imag ** 2 <= 0.25)
+        assert optimizer._into_disc(points) is points
+        # the elements whose real or imaginary gene mutated
+        row, column = np.divmod(mutating, bred.shape[1])
+        beam = column < 2 * n
+        mutated_element = np.zeros((len(children), n), dtype=bool)
+        mutated_element[row[beam], column[beam] // 2] = True
+        before = mutated[:, :2 * n].view(complex)
+        after = children[:, :2 * n].view(complex)
+        # the others keep their parents' bits
+        assert np.array_equal(after[~mutated_element].view(np.uint64),
+                              before[~mutated_element].view(np.uint64))
+        # a mutated element outside the disc moves radially onto its circle
+        outside = mutated_element & (before.real ** 2 + before.imag ** 2 > 0.25)
+        np.testing.assert_allclose(after[outside],
+                                   before[outside] / (2 * np.abs(before[outside])),
+                                   rtol=0.0, atol=5e-16)
+        # one inside it keeps its bits
+        inside = mutated_element & ~outside
+        assert np.array_equal(after[inside].view(np.uint64),
+                              before[inside].view(np.uint64))
+
+        # the repair moves the other genes into their box and no beam gene
+        repaired = children.copy()
+        optimizer._repair(repaired, k, c, caps)
+        assert np.array_equal(repaired[:, :2 * n].view(np.uint64),
+                              children[:, :2 * n].view(np.uint64))
+        assert np.all((0.0 <= repaired[:, 2 * n:]) & (repaired[:, 2 * n:] <= 1.0))
+        # and a second repair changes none
+        again = repaired.copy()
+        optimizer._repair(again, k, c, caps)
+        assert np.array_equal(again.view(np.uint64), repaired.view(np.uint64))
+
+    def test_unmutated_elements_stay_untouched(self):
+        # K = 1, N = 3, genes: (real, imaginary) pairs | power | integers.
+        # One parent, no elite and no crossover: the child is the parent,
+        # with genes 2 and 5 mutated by fixed steps. Element 0 lies outside
+        # the disc but does not mutate; element 1's real gene mutates outside
+        # the disc, element 2's imaginary gene inside it.
+        class FixedMutation(RecordingGenerator):
+            def binomial(self, cells, rate):
+                return 2
+
+            def choice(self, cells, count, replace, shuffle):
+                return np.array([2, 5])
+
+            def normal(self, mean, spread, count):
+                return np.array([0.5, -0.25])
+
+        parent = np.full((1, genome_dimension(1, 3)), 0.5)
+        parent[0, :6] = [0.5, 0.5, 0.5, 0.0, -0.25, 0.25]
+        settings = GaSettings(population_size=1, elite_count=0, crossover_rate=0.0)
+        child = optimizer._breed(parent, [0], FixedMutation(np.random.default_rng(0)),
+                                 settings, 1.0, 1.0, 3)
+        assert child[0, :6].tolist() == [0.5, 0.5, 0.5, 0.0, -0.25, 0.0]
+        assert child[0, 6:].tolist() == [0.5, 0.5, 0.5]
