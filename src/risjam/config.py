@@ -175,9 +175,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
         "elite_count": ("2", _integer),
         "rng_seed": ("12345", _integer),
         "constraint_tolerance": ("1e-30", _number),
-        "function_tolerance": ("1e-30", _number),
         "seeded_fraction": ("0.1", _number),
-        "stall_generations": ("50", _integer),
         "delay_thr_s": ("1e-3", _number),
         "rel_thr": ("0.99999", _number),
         "beta_max": ("100", _number),

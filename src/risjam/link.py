@@ -233,7 +233,7 @@ def replica_success(blers):
     float and a (K, B) input a (B,) array.
     """
     b = np.atleast_1d(np.asarray(blers, dtype=float))
-    if np.any(b < 0) or np.any(b > 1):
+    if not (np.all(b >= 0) and np.all(b <= 1)):  # NaN fails both
         raise ValueError("block error rates must lie in [0, 1]")
     omega = np.prod(1.0 - b, axis=0)
     return float(omega) if b.ndim == 1 else omega
@@ -250,10 +250,10 @@ def reliability(omega_s, retransmissions):
     fast path for L = 2 round differently from its array power).
     """
     replicas = np.asarray(retransmissions)
-    if np.any(replicas < 1):
-        raise ValueError("retransmission count must be at least 1")
+    if not np.all((replicas >= 1) & (replicas < np.inf) & (replicas == np.floor(replicas))):
+        raise ValueError("retransmission count must be a positive integer")
     w = np.asarray(omega_s, dtype=float)
-    if np.any(w < 0) or np.any(w > 1):
+    if not (np.all(w >= 0) and np.all(w <= 1)):
         raise ValueError("replica success probability must lie in [0, 1]")
     shape = np.broadcast_shapes(w.shape, replicas.shape, (1,))
     r = 1.0 - np.power(np.full(shape, 1.0 - w), np.full(shape, replicas, dtype=float))

@@ -96,14 +96,12 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class GaSettings:
-    """Population, operator and stopping configuration of the GA.
+    """Population and operator configuration of the GA.
 
+    A run evolves exactly ``max_generations`` generations.
     ``seeded_fraction`` is the share of the initial population whose beams
-    are seeded (``_initial_population``). ``function_tolerance`` is
-    relative, as MATLAB ``ga``'s FunctionTolerance: a generation stalls
-    unless the best standing's value drops by at least that fraction of its
-    previous value. Tolerances below machine epsilon request exact
-    feasibility and disable stall detection.
+    are seeded (``_initial_population``). A candidate counts as feasible
+    when its summed constraint violation is at most ``constraint_tolerance``.
     """
 
     population_size: int = 200
@@ -112,17 +110,13 @@ class GaSettings:
     elite_count: int = 2
     rng_seed: int = 12345
     constraint_tolerance: float = 1e-30
-    function_tolerance: float = 1e-30
     seeded_fraction: float = 0.1
-    stall_generations: int = 50
 
     def __post_init__(self):
         if self.population_size < 1:
             raise ValueError("population must not be empty")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        if self.stall_generations < 1:
-            raise ValueError("stall_generations must be at least 1")
         if not 0 <= self.elite_count < self.population_size:
             raise ValueError("elite count must be smaller than the population")
         if self.max_generations < 0:
@@ -131,9 +125,8 @@ class GaSettings:
             raise ValueError("crossover rate must be a probability")
         if not 0 <= self.seeded_fraction <= 1:
             raise ValueError("seeded-beam fraction must be a probability")
-        if not (0 <= self.constraint_tolerance < np.inf
-                and 0 <= self.function_tolerance < np.inf):
-            raise ValueError("tolerances must be non-negative and finite")
+        if not 0 <= self.constraint_tolerance < np.inf:
+            raise ValueError("constraint tolerance must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -570,7 +563,6 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
                             f"dimension {dim} is above 2**26 genes")
     rng = np.random.default_rng(settings.rng_seed)
     tol = settings.constraint_tolerance
-    stall_enabled = settings.function_tolerance >= np.finfo(float).eps
     caps = _blocklength_caps(model, constraints)
 
     pop = _initial_population(model, settings, rng)
@@ -581,7 +573,6 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
     mean_history: list[float] = []
     feasible_fraction_history: list[float] = []
     sigma = MUTATION_SIGMA
-    stall_count = 0
 
     # generation 0 is the initial population: ranked and tracked, not recorded
     for generation in range(settings.max_generations + 1):
@@ -594,7 +585,6 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
         infeasible, value = _standing(objective, total, tol)
         top = order[0]
         standing = (bool(infeasible[top]), float(value[top]))
-        previous = best_standing
         if best_standing is None or standing < best_standing:
             best_standing, best_genome = standing, pop[top].copy()
         if not generation:
@@ -603,16 +593,6 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
         fitness_history.append(float(_merit(*best_standing)))
         mean_history.append(float(np.mean(_merit(infeasible, value))))
         feasible_fraction_history.append(float(np.mean(~infeasible)))
-
-        if stall_enabled:
-            # a generation stalls unless the best turns feasible or its
-            # value drops by the tolerance times its previous value
-            stalled = (previous[0] == best_standing[0]
-                       and previous[1] - best_standing[1]
-                       < settings.function_tolerance * abs(previous[1]))
-            stall_count = stall_count + 1 if stalled else 0
-            if stall_count >= settings.stall_generations:
-                break
 
     best = decode(best_genome, k, n, constraints)
     objective, violations, chain = score_block(_point_block(best), model, constraints)

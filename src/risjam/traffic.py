@@ -43,7 +43,8 @@ class FrameParams:
             raise ValueError("header time must be non-negative and finite")
         if not 0 < self.bandwidth < np.inf:
             raise ValueError("bandwidth must be positive and finite")
-        if np.any(np.asarray(self.blocklength) < 1):
+        n_b = np.asarray(self.blocklength)
+        if not np.all((n_b >= 1) & (n_b < np.inf) & (n_b == np.floor(n_b))):
             raise ValueError("blocklength must be a positive integer")
 
     @property
@@ -71,8 +72,9 @@ class TrafficParams:
             raise ValueError("at least one arrival rate required")
         if not all(0 < rate < np.inf for rate in self.arrival_rates):
             raise ValueError("arrival rates must be positive and finite")
-        if np.any(np.asarray(self.retransmissions) < 1):
-            raise ValueError("retransmission count must be at least 1")
+        replicas = np.asarray(self.retransmissions)
+        if not np.all((replicas >= 1) & (replicas < np.inf) & (replicas == np.floor(replicas))):
+            raise ValueError("retransmission count must be a positive integer")
 
     @property
     def n_users(self) -> int:

@@ -410,7 +410,8 @@ def sjnr_with(powers=(1.0,), weights=np.ones(4, complex)):
 
 
 class TestContainers:
-    """The arguments ``polar_weights``, ``sjnr_all`` and ``bler`` check."""
+    """The arguments ``polar_weights``, ``sjnr_all``, ``bler``,
+    ``replica_success`` and ``reliability`` check."""
 
     @pytest.mark.parametrize("build,message", [
         (lambda: polar_weights(np.ones(3), np.zeros(2)), "equal shape"),
@@ -440,12 +441,19 @@ class TestContainers:
         (lambda: bler(1.0, 108, np.nan), "payload must be a positive number of bits"),
         (lambda: bler(5.0, 100.5, 256), "blocklength must be a positive integer"),
         (lambda: bler(1.0, np.inf, 256), "blocklength must be a positive integer"),
+        (lambda: replica_success([np.nan, 0.1]), r"block error rates must lie in \[0, 1\]"),
+        (lambda: reliability(np.nan, 2), r"replica success probability must lie in \[0, 1\]"),
+        (lambda: reliability(0.5, np.nan), "retransmission count must be a positive integer"),
+        (lambda: reliability(0.5, 1.5), "retransmission count must be a positive integer"),
+        (lambda: reliability(0.5, np.inf), "retransmission count must be a positive integer"),
     ], ids=["beam-shapes", "beam-3d", "beam-nan-amplitude", "beam-inf-phase",
             "beam-negative-amplitude", "weights-nan", "weights-inf-imaginary",
             "weights-3d", "weights-three-elements", "weight-rows-for-power-rows",
             "no-powers", "zero-power", "negative-power",
             "blocklength-0", "blocklength-array-0", "payload-0", "blocklength-nan",
-            "payload-nan", "blocklength-fractional", "blocklength-inf"])
+            "payload-nan", "blocklength-fractional", "blocklength-inf",
+            "blers-nan", "omega-nan", "replicas-nan", "replicas-fractional",
+            "replicas-inf"])
     def test_rejects_bad_values(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()

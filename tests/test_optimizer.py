@@ -310,52 +310,20 @@ class TestRunGa:
         assert not result.feasible
         assert sum(result.constraint_violations.values()) > 0
 
-    def test_stall_detection_stops_early(self, toy_model, toy_constraints):
-        settings = GaSettings(rng_seed=21, population_size=40, max_generations=400,
-                              function_tolerance=1e-6, stall_generations=12)
-        result = run_ga(toy_model, toy_constraints, settings)
-        assert result.generations_run < 400
-        assert len(result.fitness_history) == result.generations_run
-
-    def test_stall_detection_follows_infeasible_progress(self, weak_link_model):
-        # while the best is infeasible its merit is exactly 1e30, so stall
-        # detection must follow its violation, which here keeps falling until
-        # the run turns feasible in generation 9
+    def test_run_spends_its_whole_budget(self, weak_link_model):
+        # the best stays infeasible, its merit exactly 1e30, until the run
+        # turns feasible in generation 9; every generation is still evolved
         cons = ConstraintSet(p_min=1e-3, nb_min=60, nb_max=160)
-        settings = dict(rng_seed=33, population_size=40, max_generations=60,
-                        seeded_fraction=0.0)
-        result = run_ga(weak_link_model, cons, GaSettings(
-            **settings, function_tolerance=1e-9, stall_generations=3))
-        full = run_ga(weak_link_model, cons, GaSettings(**settings))
-        assert full.fitness_history[:8] == [INFEASIBLE_OBJECTIVE] * 8
-        assert full.fitness_history[8] < INFEASIBLE_OBJECTIVE
+        result = run_ga(weak_link_model, cons,
+                        GaSettings(rng_seed=33, population_size=40,
+                                   max_generations=60, seeded_fraction=0.0))
+        assert result.generations_run == 60
+        assert len(result.fitness_history) == 60
+        assert len(result.mean_history) == 60
+        assert len(result.feasible_fraction_history) == 60
+        assert result.fitness_history[:8] == [INFEASIBLE_OBJECTIVE] * 8
+        assert result.fitness_history[8] < INFEASIBLE_OBJECTIVE
         assert result.feasible
-        assert 4 < result.generations_run < full.generations_run
-        assert result.fitness_history == full.fitness_history[:result.generations_run]
-
-    @pytest.mark.parametrize("tolerance, stop", [(1e-9, 60), (1e-3, 44)])
-    def test_function_tolerance_is_relative(self, weak_link_model, tolerance, stop):
-        # 1/eta is about 3e-7 J/bit here, so an absolute tolerance of 1e-9
-        # would stall on every drop below 0.3%, and one of 1e-3 on every
-        # generation. The run turns feasible in generation 4, before 7 stalls
-        # can accumulate, so the stopping generation follows from the
-        # feasible part of the run without stall detection.
-        cons = ConstraintSet(p_min=1e-3, nb_min=60, nb_max=160)
-        settings = dict(rng_seed=105, population_size=120, max_generations=60,
-                        seeded_fraction=0.0)
-        full = run_ga(weak_link_model, cons, GaSettings(**settings)).fitness_history
-        assert full[2] == INFEASIBLE_OBJECTIVE > full[3]
-        stalls = 0
-        for generation, (previous, best) in enumerate(zip(full, full[1:]), start=2):
-            stalled = previous < INFEASIBLE_OBJECTIVE and previous - best < tolerance * previous
-            stalls = stalls + 1 if stalled else 0
-            if stalls == 7:
-                break
-        assert generation == stop
-        result = run_ga(weak_link_model, cons, GaSettings(
-            **settings, function_tolerance=tolerance, stall_generations=7))
-        assert result.generations_run == stop
-        assert result.fitness_history == full[:stop]
 
     def test_phase_alignment_emerges(self, weak_link_model):
         # reliability on this link is only attainable near coherence, with or
@@ -388,23 +356,15 @@ class TestRunGa:
         lambda bad: ConstraintSet(beta_max=bad),
         lambda bad: ConstraintSet(p_max=bad),
         lambda bad: GaSettings(constraint_tolerance=bad),
-        lambda bad: GaSettings(function_tolerance=bad),
-    ], ids=["delay_thr", "beta_max", "p_max", "constraint_tolerance",
-            "function_tolerance"])
+    ], ids=["delay_thr", "beta_max", "p_max", "constraint_tolerance"])
     def test_non_finite_settings_rejected(self, build, bad):
         with pytest.raises(ValueError, match="finite"):
             build(bad)
 
-    # with stalling enabled, a stall count below 1 would stop the run after
-    # one generation, and numpy rejects a negative seed only when run_ga starts
-    @pytest.mark.parametrize("field,value,message", [
-        ("stall_generations", 0, "stall_generations must be at least 1"),
-        ("stall_generations", -5, "stall_generations must be at least 1"),
-        ("rng_seed", -1, "rng_seed must be non-negative"),
-    ], ids=["stall-0", "stall-minus-5", "seed-minus-1"])
-    def test_stall_count_and_seed_rejected(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
-            GaSettings(function_tolerance=1e-3, **{field: value})
+    # numpy rejects a negative seed only when run_ga starts
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="rng_seed must be non-negative"):
+            GaSettings(rng_seed=-1)
 
     def test_replica_bound(self):
         assert ConstraintSet(l_max=optimizer.MAX_REPLICA_BOUND).l_max == 2 ** 16

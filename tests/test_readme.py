@@ -1,5 +1,6 @@
-"""The README's *Library use* example runs as printed, and its
-*Configuration* block lists every config key with its default."""
+"""The README's *Library use* example runs as printed, its *Configuration*
+block lists every config key with its default, and its allowed-ranges table
+names every key and no other."""
 
 import configparser
 import os
@@ -35,3 +36,20 @@ def test_configuration_block_lists_the_schema():
     listed = [(s, k, v) for s in parser.sections() for k, v in parser.items(s)]
     assert listed == [(s, k, default) for s, keys in config.SCHEMA.items()
                       for k, (default, _) in keys.items()]
+
+
+def test_range_table_names_every_key():
+    # the backticked names in the key column of the allowed-ranges table,
+    # `*` standing for any text, so `dist_*_m` covers the four distances
+    section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| ") and not line.startswith("| section ")]
+    listed = [(cell.strip(), re.compile(name.replace("*", r"\w*")))
+              for cell, keys in rows for name in re.findall(r"`([\w*]+)`", keys)]
+    assert {s for s, _ in listed} == set(config.SCHEMA)
+    for section, keys in config.SCHEMA.items():
+        patterns = [pattern for s, pattern in listed if s == section]
+        for key in keys:
+            assert any(p.fullmatch(key) for p in patterns), (section, key)
+        for pattern in patterns:
+            assert any(pattern.fullmatch(key) for key in keys), (section, pattern.pattern)

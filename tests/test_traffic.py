@@ -167,6 +167,18 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             FrameParams(30e-6, 0.0, 108)
 
+    # a NaN count used to turn mean_delay into nan, and L = 1.5 gave a delay
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, np.array([2, np.nan])],
+                             ids=["nan", "inf", "fractional", "nan-entry"])
+    @pytest.mark.parametrize("build,message", [
+        (lambda bad: FrameParams(30e-6, 180e3, bad), "blocklength must be a positive integer"),
+        (lambda bad: TrafficParams((100.0,), bad),
+         "retransmission count must be a positive integer"),
+    ], ids=["blocklength", "retransmissions"])
+    def test_counts_must_be_positive_integers(self, build, message, bad):
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("build", [
         lambda bad: FrameParams(bad, 180e3, 108),
