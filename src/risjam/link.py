@@ -154,6 +154,20 @@ def _check_powers(powers, n_users: int) -> np.ndarray:
     return p
 
 
+def _check_count(values, name: str) -> np.ndarray:
+    """``values`` as an array of any dtype, checked to hold only positive
+    integers; a NaN, an infinity or a fraction fails with ``name`` in the
+    message."""
+    counts = np.asarray(values)
+    if counts.dtype.kind in "iu":  # integers, all finite and whole
+        whole = counts >= 1
+    else:
+        whole = (counts >= 1) & (counts < np.inf) & (counts == np.floor(counts))
+    if not whole.all():
+        raise ValueError(f"{name} must be a positive integer")
+    return counts
+
+
 def _sic_sjnr(received, jammer_reflected, weight_norm_sq, jammer_direct: complex,
               jammer_power: float, noise: NoiseConfig):
     """SJNR from per-user received powers and the terms every user shares.
@@ -207,9 +221,7 @@ def bler(gamma, blocklength, payload_bits):
     below every positive rate, and the BLER is 1. Accepts scalars or
     arrays, ``blocklength`` an integer array too.
     """
-    n_b = np.asarray(blocklength)  # checked only: integer arrays keep their dtype
-    if not np.all((n_b >= 1) & (n_b < np.inf) & (n_b == np.floor(n_b))):
-        raise ValueError("blocklength must be a positive integer")
+    _check_count(blocklength, "blocklength")  # integer arrays keep their dtype
     if not payload_bits >= 1:
         raise ValueError("payload must be a positive number of bits")
     g = np.asarray(gamma, dtype=float)
@@ -249,9 +261,7 @@ def reliability(omega_s, retransmissions):
     alone, in a slice or in a grid (numpy's scalar power and its square
     fast path for L = 2 round differently from its array power).
     """
-    replicas = np.asarray(retransmissions)
-    if not np.all((replicas >= 1) & (replicas < np.inf) & (replicas == np.floor(replicas))):
-        raise ValueError("retransmission count must be a positive integer")
+    replicas = _check_count(retransmissions, "retransmission count")
     w = np.asarray(omega_s, dtype=float)
     if not (np.all(w >= 0) and np.all(w <= 1)):
         raise ValueError("replica success probability must lie in [0, 1]")

@@ -142,18 +142,16 @@ class SystemModel:
                                    [blocklength], [retransmissions],
                                    arrival_rates).column(0)
 
-    def queue_block(self, blocklengths, retransmissions,
-                    arrival_rates: tuple[float, ...] | None = None
+    def queue_block(self, blocklengths, retransmissions, arrival_rates=None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The queueing stage of the metric chain for B (blocklength,
         replicas) pairs: utilization (K, B), stability of every queue (B,)
         and mean delay (K, B), NaN where a queue is unstable. It depends on
-        neither beams nor powers."""
-        rates = self.arrival_rates if arrival_rates is None else tuple(arrival_rates)
-        if len(rates) != self.n_users:
-            raise ValueError("one arrival rate per user required")
+        neither beams nor powers; ``arrival_rates`` is as in
+        ``evaluate_block``."""
         blocklengths = np.asarray(blocklengths)
         replicas = np.asarray(retransmissions)
+        rates = self._rate_rows(arrival_rates, blocklengths.shape)
         frame = FrameParams(self.header_time, self.bandwidth, blocklengths)
         traffic = TrafficParams(rates, replicas)
         users = range(1, self.n_users + 1)
@@ -163,12 +161,27 @@ class SystemModel:
         if np.any(stable):
             # delay exists only where every queue is stable
             frame = FrameParams(self.header_time, self.bandwidth, blocklengths[stable])
-            traffic = TrafficParams(rates, replicas[stable])
+            traffic = TrafficParams(rates[:, stable] if rates.ndim == 2 else rates,
+                                    replicas[stable])
             delays[:, stable] = np.stack([mean_delay(frame, traffic, k) for k in users])
         return rhos, stable, delays
 
+    def _rate_rows(self, arrival_rates, shape: tuple) -> np.ndarray:
+        """The scenario's K arrival rates, or those given, as a (K,) array;
+        as a (K, B) one, row k - 1 for user k, if a user has one rate per
+        candidate (an array of the candidates' ``shape``)."""
+        if arrival_rates is None:
+            return np.array(self.arrival_rates)
+        rates = list(arrival_rates)
+        shapes = {np.shape(rate) for rate in rates}
+        if len(rates) != self.n_users or not shapes <= {(), shape}:
+            raise ValueError("one arrival rate per user required")
+        if len(shapes) > 1:
+            rates = [np.broadcast_to(rate, shape) for rate in rates]
+        return np.array(rates, dtype=float)
+
     def evaluate_block(self, weights, powers, blocklengths, retransmissions,
-                       arrival_rates: tuple[float, ...] | None = None) -> MetricsBlock:
+                       arrival_rates=None) -> MetricsBlock:
         """Run the full metric chain for B candidates at once.
 
         Args:
@@ -176,8 +189,10 @@ class SystemModel:
                 ``link.sjnr_all``).
             powers: (B, K) user transmit powers in watts.
             blocklengths, retransmissions: (B,) integers.
-            arrival_rates: K rates overriding the scenario's for every
-                candidate of this call.
+            arrival_rates: K entries overriding the scenario's rates, entry
+                k - 1 for user k: one rate for every candidate, or a (B,)
+                array of rates, one per candidate (a (K, B) array is K such
+                entries).
 
         Each candidate gets the bits it gets when evaluated alone. A (1, N)
         beam and (1, K) power row serve all B candidates; their SJNR is computed once.

@@ -25,7 +25,7 @@ from .config import ExperimentConfig, square_geometry
 from .link import (_check_powers, _sic_sjnr, bler, polar_weights, reliability,
                    replica_success)
 from .model import SystemModel
-from .optimizer import OptimizationResult, run_ga
+from .optimizer import BLOCK_CELLS, OptimizationResult, run_ga
 
 DELAY_EE_COLUMNS = ("arrival_rate_per_s", "blocklength", "utilization",
                     "mean_delay_s", "energy_efficiency_bits_per_j")
@@ -191,20 +191,26 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     All users share the swept arrival rate. The replica count comes from
     [sweep] retransmissions (default 1, the value consistent with the
     reference delay numbers). Unstable points carry a marker instead of a
-    delay. Each arrival rate is one metric-chain call, which computes the
-    policy beam's SJNR once for the whole blocklength grid.
+    delay. The flattened grid is scored in blocks of at most
+    ``BLOCK_CELLS`` points, one metric-chain call per block with one arrival
+    rate per point; each call computes the policy beam's SJNR once.
     """
     model = build_model(cfg)
     amplitudes, phases, powers = _policy(cfg, model, model.n_users)
-    weights = polar_weights(amplitudes, phases)
+    weights = polar_weights(amplitudes, phases)[None]
     lengths = np.array(sorted(cfg.sweep.blocklength_grid))
-    replicas = np.full(lengths.size, cfg.sweep.retransmissions)
     rates = np.array(sorted(cfg.sweep.arrival_rate_grid), dtype=float)
+    rate_column = np.repeat(rates, lengths.size)
+    length_column = np.tile(lengths, rates.size)
 
     utilizations, delays, etas = [], [], []
-    for rate in rates.tolist():
-        chain = model.evaluate_block(weights[None], [powers], lengths, replicas,
-                                     arrival_rates=(rate,) * model.n_users)
+    for start in range(0, rate_column.size, BLOCK_CELLS):
+        block = slice(start, start + BLOCK_CELLS)
+        block_lengths = length_column[block]
+        chain = model.evaluate_block(
+            weights, [powers], block_lengths,
+            np.full(block_lengths.size, cfg.sweep.retransmissions),
+            arrival_rates=(rate_column[block],) * model.n_users)
         # object arrays hold Python floats, and the marker where unstable
         delay = chain.mean_delay[0].astype(object)
         delay[~chain.stable] = UNSTABLE_MARKER
@@ -213,8 +219,6 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
         utilizations.append(chain.utilization[0])
         delays.append(delay)
         etas.append(eta)
-    rate_column = np.repeat(rates, lengths.size)
-    length_column = np.tile(lengths, rates.size)
     delay_column = np.concatenate(delays)
 
     metadata = _metadata(cfg, "delay-ee")

@@ -13,8 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest n_arrivals of ``simulate_md1``: its three float64 paths then take 1.5 GiB
+from .link import _check_count
+
+# Largest n_arrivals of ``simulate_md1``, a bound on its run time: about 1.2 s
+# per path on one core of a 2-core x86-64 host (its memory does not grow with
+# the path)
 MAX_ARRIVALS = 2 ** 26
+# Arrivals ``simulate_md1`` draws and walks at a time; its two buffers of
+# float64 fit in a core's L2 cache
+MD1_CHUNK = 1 << 14
 
 
 class UnstableQueueError(ValueError):
@@ -43,9 +50,7 @@ class FrameParams:
             raise ValueError("header time must be non-negative and finite")
         if not 0 < self.bandwidth < np.inf:
             raise ValueError("bandwidth must be positive and finite")
-        n_b = np.asarray(self.blocklength)
-        if not np.all((n_b >= 1) & (n_b < np.inf) & (n_b == np.floor(n_b))):
-            raise ValueError("blocklength must be a positive integer")
+        _check_count(self.blocklength, "blocklength")
 
     @property
     def payload_time(self) -> float:
@@ -61,6 +66,8 @@ class FrameParams:
 class TrafficParams:
     """Per-user Poisson arrival rates (packets/s) and the replica count L.
 
+    ``arrival_rates`` holds one rate per user, or is a (K, B) array whose
+    row k - 1 holds user k's rate for each of B candidates.
     ``retransmissions`` may be an integer array, one count per candidate.
     """
 
@@ -70,11 +77,10 @@ class TrafficParams:
     def __post_init__(self):
         if len(self.arrival_rates) < 1:
             raise ValueError("at least one arrival rate required")
-        if not all(0 < rate < np.inf for rate in self.arrival_rates):
+        rates = np.asarray(self.arrival_rates, dtype=float)
+        if not ((rates > 0) & (rates < np.inf)).all():
             raise ValueError("arrival rates must be positive and finite")
-        replicas = np.asarray(self.retransmissions)
-        if not np.all((replicas >= 1) & (replicas < np.inf) & (replicas == np.floor(replicas))):
-            raise ValueError("retransmission count must be a positive integer")
+        _check_count(self.retransmissions, "retransmission count")
 
     @property
     def n_users(self) -> int:
@@ -85,7 +91,8 @@ def utilization(frame: FrameParams, traffic: TrafficParams, k: int) -> float:
     """Server utilization of user ``k`` (1-based): L * T_f * Lambda_k.
 
     Values >= 1 are legal output; stability is checked where delay is needed.
-    Array blocklengths or replica counts give one utilization per candidate.
+    Array blocklengths, replica counts or rates give one utilization per
+    candidate.
     """
     if not 1 <= k <= traffic.n_users:
         raise ValueError(f"user index {k} out of range 1..{traffic.n_users}")
@@ -140,7 +147,8 @@ def simulate_md1(arrival_rate: float, service_time: float, n_arrivals: int,
     server starting empty. Serves as an independent cross-check of the
     closed-form mean delay: it follows one sample path of the queue through
     Lindley's recursion d_i = max(a_i, d_{i-1}) + S, in its closed form
-    d_i = (i + 1) S + max_{j <= i} (a_j - j S). Raises OverflowError above
+    d_i = (i + 1) S + max_{j <= i} (a_j - j S), as a random walk of at most
+    ``MD1_CHUNK`` steps at a time. Raises OverflowError above
     ``MAX_ARRIVALS`` arrivals.
     """
     if not (0 < arrival_rate < np.inf and 0 < service_time < np.inf):
@@ -150,13 +158,27 @@ def simulate_md1(arrival_rate: float, service_time: float, n_arrivals: int,
     if n_arrivals > MAX_ARRIVALS:
         raise OverflowError(f"{n_arrivals} arrivals is above 2**26")
     rng = np.random.default_rng(seed)
-    arrivals = rng.exponential(1.0 / arrival_rate, size=n_arrivals)
-    # in place, so that a 10^6-packet path holds three arrays and no temporaries
-    np.cumsum(arrivals, out=arrivals)
-    shifts = np.arange(n_arrivals) * service_time  # j S
-    sojourns = arrivals - shifts
-    np.maximum.accumulate(sojourns, out=sojourns)
-    sojourns += shifts
-    sojourns += service_time
-    sojourns -= arrivals
-    return float(np.sum(sojourns)) / n_arrivals
+    scale = 1.0 / arrival_rate
+    # the walk v_i = a_i - (i + 1) S steps by each gap minus S, and packet i
+    # spends S + max_{j <= i} v_j - v_i in the system; chunk by chunk, the
+    # position and running maximum so far enter each chunk's first element
+    walk = np.empty(min(n_arrivals, MD1_CHUNK))
+    peaks = np.empty_like(walk)
+    sums = np.empty(-(-n_arrivals // MD1_CHUNK))
+    position, peak = 0.0, -np.inf
+    for chunk, start in enumerate(range(0, n_arrivals, MD1_CHUNK)):
+        steps = walk[:n_arrivals - start]
+        highs = peaks[:steps.size]
+        rng.standard_exponential(out=steps)
+        steps *= scale  # the bits of rng.exponential(scale)
+        steps -= service_time
+        steps[0] += position
+        np.cumsum(steps, out=steps)
+        first = steps[0]
+        steps[0] = max(first, peak)
+        np.maximum.accumulate(steps, out=highs)
+        steps[0] = first
+        position, peak = steps[-1], highs[-1]
+        highs -= steps
+        sums[chunk] = np.sum(highs)
+    return service_time + float(np.sum(sums)) / n_arrivals

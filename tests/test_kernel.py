@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from risjam import sweeps
 from risjam.channel import RisGeometry
 from risjam.config import load_config
 from risjam.model import SystemModel
@@ -187,12 +188,50 @@ def recorded_blocks(monkeypatch) -> list[tuple]:
     return shapes
 
 
-def test_delay_ee_passes_its_beam_once_per_arrival_rate(monkeypatch):
+def test_delay_ee_passes_its_beam_once(monkeypatch):
+    # the default grid fits one block: one call with the beam as one row
     cfg = load_config()
     calls = recorded_blocks(monkeypatch)
     sweep_delay_ee(cfg)
     one_row = ((1, cfg.geometry.n_elements), (1, cfg.scenario.n_users))
-    assert calls == [one_row] * len(cfg.sweep.arrival_rate_grid)
+    assert calls == [one_row]
+
+
+def test_delay_ee_blocks_do_not_change_its_rows(monkeypatch):
+    cfg = load_config()
+    whole = sweep_delay_ee(cfg)
+    calls = recorded_blocks(monkeypatch)
+    monkeypatch.setattr(sweeps, "BLOCK_CELLS", 100)
+    blocked = sweep_delay_ee(cfg)
+    assert len(calls) == -(-len(whole.rows) // 100) > 1
+    # floats compare equal only when their bits are (no row holds a NaN)
+    assert blocked.rows == whole.rows
+    assert blocked.metadata["delay_ratio_100_1300"] == whole.metadata["delay_ratio_100_1300"]
+
+
+@pytest.mark.parametrize("n_users", [1, 3])
+def test_a_block_of_rates_scores_like_one_call_per_rate(n_users):
+    # a (K, B) block of arrival rates, column b for candidate b, from light
+    # load to overload, so that some columns are unstable
+    model, genomes, rng = random_case(5, n_users, 6, 40)
+    x = decode_block(genomes, n_users, 6, WIDE_BOX)
+    rates = rng.uniform(10.0, 3000.0, (n_users, len(genomes)))
+    chain = model.evaluate_block(x.weights, x.user_powers, x.blocklength,
+                                 x.retransmissions, arrival_rates=rates)
+    assert 0 < np.mean(chain.stable) < 1
+    for b in range(len(genomes)):
+        alone = model.evaluate_block(x.weights[b:b + 1], x.user_powers[b:b + 1],
+                                     x.blocklength[b:b + 1], x.retransmissions[b:b + 1],
+                                     arrival_rates=tuple(rates[:, b].tolist()))
+        assert same_metrics(alone.column(0), chain.column(b))
+
+    # one rate for user 1 stands for a row of that rate
+    rates[0] = rates[0, 0]
+    mixed = model.evaluate_block(x.weights, x.user_powers, x.blocklength,
+                                 x.retransmissions,
+                                 arrival_rates=[rates[0, 0], *rates[1:]])
+    assert same_metrics(mixed, model.evaluate_block(
+        x.weights, x.user_powers, x.blocklength, x.retransmissions, arrival_rates=rates))
 
 
 def test_ga_scores_its_best_genome_once(monkeypatch):
@@ -271,6 +310,33 @@ def test_evaluate_block_names_a_bad_row_count(bad, message):
     assert model.evaluate_block(**block).stable.shape == (3,)
     with pytest.raises(ValueError, match=message):
         model.evaluate_block(**dict(block, **bad))
+
+
+RATE_COUNT = "^one arrival rate per user required$"
+RATE_RANGE = "^arrival rates must be positive and finite$"
+
+
+@pytest.mark.parametrize("rates,message", [
+    ([np.full(2, 500.0), 500.0], RATE_COUNT),
+    ([np.full(4, 500.0), np.full(4, 500.0)], RATE_COUNT),
+    (np.full((2, 1), 500.0), RATE_COUNT),
+    ([np.full(3, 500.0)], RATE_COUNT),
+    (np.full((3, 3), 500.0), RATE_COUNT),
+    ([500.0, [500.0, 0.0, 500.0]], RATE_RANGE),
+    ([500.0, [500.0, -1.0, 500.0]], RATE_RANGE),
+    (np.array([[500.0, np.nan, 500.0], [500.0] * 3]), RATE_RANGE),
+    ([np.inf, [500.0] * 3], RATE_RANGE),
+], ids=["short-array", "long-arrays", "one-column", "one-user", "three-users",
+        "zero", "negative", "nan", "inf"])
+def test_evaluate_block_rejects_a_bad_rate_block(rates, message):
+    # B = 3 candidates of two users: each user's entry is one rate or three
+    model = make_model(RisGeometry(2, 2), make_scenario())
+    block = dict(weights=np.ones((3, 4), complex), powers=np.full((1, 2), 1e-3),
+                 blocklengths=[108, 120, 132], retransmissions=[1, 1, 2])
+    ok = model.evaluate_block(**block, arrival_rates=[500.0, np.full(3, 400.0)])
+    assert ok.stable.all()
+    with pytest.raises(ValueError, match=message):
+        model.evaluate_block(**block, arrival_rates=rates)
 
 
 def test_small_run_is_pinned():

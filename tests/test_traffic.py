@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risjam.traffic import (MAX_ARRIVALS, FrameParams, TrafficParams,
+from risjam import traffic
+from risjam.traffic import (MAX_ARRIVALS, MD1_CHUNK, FrameParams, TrafficParams,
                             UnstableQueueError, energy_efficiency, mean_delay,
                             simulate_md1, utilization)
 
@@ -152,6 +155,49 @@ class TestDiscreteEventQueue:
             total / n, rel=1e-9, abs=0.0)
 
 
+def lindley_mean_sojourn(rate, service, n, seed):
+    """Mean sojourn of the same arrivals by Lindley's waiting-time recursion
+    W_i = max(0, W_{i-1} + S - X_i), packet by packet in Python floats and
+    summed exactly with ``math.fsum``; no term is a difference of two
+    arrival times."""
+    gaps = np.random.default_rng(seed).exponential(1.0 / rate, size=n).tolist()
+    wait, sojourns = 0.0, [service]
+    for gap in gaps[1:]:
+        wait = max(0.0, wait + service - gap)
+        sojourns.append(wait + service)
+    return math.fsum(sojourns) / n
+
+
+class TestChunkedWalk:
+    """``simulate_md1`` walks the sample path ``MD1_CHUNK`` arrivals at a
+    time; its result must not depend on where the chunks end."""
+
+    @pytest.mark.parametrize("rho", [0.1, 0.95, 1.5])
+    @pytest.mark.parametrize("n", [MD1_CHUNK - 1, MD1_CHUNK, MD1_CHUNK + 1,
+                                   3 * MD1_CHUNK + 7])
+    def test_chunk_boundaries_match_the_per_packet_reference(self, n, rho):
+        service = 6.3e-4
+        assert simulate_md1(rho / service, service, n, seed=n) == pytest.approx(
+            lindley_mean_sojourn(rho / service, service, n, seed=n), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("rho", [0.1, 0.95, 1.5])
+    def test_chunk_size_moves_only_the_summation(self, monkeypatch, rho):
+        # the walk's positions and maxima have the same bits for every chunk
+        # size; only the grouping of the final sum differs
+        service, n = 1e-3, MD1_CHUNK + 7
+        results = []
+        for chunk in (1, 7, 1 << 14):
+            monkeypatch.setattr(traffic, "MD1_CHUNK", chunk)
+            results.append(simulate_md1(rho / service, service, n, seed=3))
+        assert max(results) == pytest.approx(min(results), rel=1e-13, abs=0.0)
+
+    def test_long_path_matches_an_exactly_summed_reference(self):
+        service, n = 6.3e-4, 2 ** 17
+        rate = 0.8 / service
+        assert simulate_md1(rate, service, n, seed=2) == pytest.approx(
+            lindley_mean_sojourn(rate, service, n, seed=2), rel=1e-12, abs=0.0)
+
+
 class TestParamValidation:
     def test_traffic_params(self):
         with pytest.raises(ValueError):
@@ -160,6 +206,18 @@ class TestParamValidation:
             TrafficParams((0.0,), 1)
         with pytest.raises(ValueError):
             TrafficParams((100.0,), 0)
+
+    def test_traffic_params_take_a_block_of_rates(self):
+        rates = np.array([[100.0, 1300.0], [200.0, 300.0]])
+        frame = FrameParams(30e-6, 180e3, np.array([108, 108]))
+        block = TrafficParams(rates, np.array([1, 1]))
+        for k in (1, 2):
+            expected = [utilization(FRAME_108, TrafficParams(tuple(rates[:, b]), 1), k)
+                        for b in (0, 1)]
+            assert utilization(frame, block, k).tolist() == expected
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^arrival rates must be positive and finite$"):
+                TrafficParams(np.array([[100.0, bad], [200.0, 300.0]]), 1)
 
     def test_frame_params(self):
         with pytest.raises(ValueError):

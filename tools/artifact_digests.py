@@ -15,7 +15,11 @@ interpreter per command with BLAS/OpenMP threads pinned to 1:
   ``sweep delay-ee`` for its 900-element variant and for a three-user
   variant with unstable rows, ``sweep sjnr-n`` with a small GA run per
   element count, and ``sweep rel-beta`` on an edge-case grid (a signed
-  zero, the smallest subnormal, repeated amplitudes and element counts).
+  zero, the smallest subnormal, repeated amplitudes and element counts);
+* ``mdl-oracle`` with 3 * 2^14 + 7 arrivals at rho 0.05 and 0.95, so the
+  sample path spans several chunks and ends in a short one, and ``sweep
+  delay-ee`` on an arrival-rate grid of step 1 (145,321 points, more than
+  one block of the metric chain).
 
 The configs come from this checkout's ``bench/workloads.config_text``, so two
 checkouts run the same configs. Every output file is hashed without its
@@ -89,6 +93,10 @@ def runs() -> list[tuple[str, list[str], str]]:
             "n_elements_grid": "4, 4"})))
     listed.append(("mdl-oracle", ["mdl-oracle", "--arrivals", str(oracle.md1_arrivals)],
                    oracle_text))
+    listed.append(("mdl-oracle-chunks", ["mdl-oracle", "--arrivals", str(3 * 2 ** 14 + 7),
+                                         "--rho", "0.05,0.95"], oracle_text))
+    listed.append(("sweep-delay-ee-blocks", ["sweep", "delay-ee"], _variant(
+        "sweep-oracle", sweep={"arrival_rate_grid": "100:1300:1"})))
     return listed
 
 
