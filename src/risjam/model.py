@@ -20,6 +20,15 @@ from .link import NoiseConfig, sjnr_all, bler, replica_success, reliability, \
 from .traffic import FrameParams, TrafficParams, utilization, mean_delay, \
     energy_efficiency
 
+# Largest number of cells (candidates x RIS elements) in one row block. Only
+# the SJNR has temporaries that grow with N, so ``evaluate_block`` computes it
+# in row blocks of this size, where a (B, N) complex temporary is 256 KiB and
+# stays in a per-core L2 cache (2 MiB on the x86-64 host where 2^13..2^16
+# were timed on ga-paper; 2^13 was slowest, 2^15 and 2^16 no faster and
+# used more memory). The GA's breeding and initial population and the
+# delay-ee sweep's point blocks use the same bound.
+BLOCK_CELLS = 1 << 14
+
 
 @dataclass(frozen=True)
 class MetricsBlock:
@@ -160,9 +169,10 @@ class SystemModel:
         delays = np.full(rhos.shape, np.nan)
         if np.any(stable):
             # delay exists only where every queue is stable
-            frame = FrameParams(self.header_time, self.bandwidth, blocklengths[stable])
-            traffic = TrafficParams(rates[:, stable] if rates.ndim == 2 else rates,
-                                    replicas[stable])
+            if not np.all(stable):
+                frame = FrameParams(self.header_time, self.bandwidth, blocklengths[stable])
+                traffic = TrafficParams(rates[:, stable] if rates.ndim == 2 else rates,
+                                        replicas[stable])
             delays[:, stable] = np.stack([mean_delay(frame, traffic, k) for k in users])
         return rhos, stable, delays
 
@@ -195,19 +205,34 @@ class SystemModel:
                 entries).
 
         Each candidate gets the bits it gets when evaluated alone. A (1, N)
-        beam and (1, K) power row serve all B candidates; their SJNR is computed once.
-        Any other row count raises ValueError.
+        beam serves all B candidates and its SJNR is one call of
+        ``link.sjnr_all``; B beams are taken in row blocks of at most
+        ``BLOCK_CELLS`` cells, each with its power rows, and every later stage
+        runs once over all B candidates. A (1, K) power row serves all B
+        candidates too. Any other row count, or blocklengths that are not
+        1-D, raise ValueError.
         """
+        weights = np.asarray(weights)
         powers = np.asarray(powers, dtype=float)
         blocklengths = np.asarray(blocklengths)
         replicas = np.asarray(retransmissions)
+        if blocklengths.ndim != 1:
+            raise ValueError("blocklengths must be a 1-D array, one entry per candidate")
         if replicas.shape != blocklengths.shape:
             raise ValueError("retransmissions must have one entry per blocklength")
-        for name, rows in (("weights", weights), ("powers", powers)):
-            if len(np.atleast_2d(rows)) not in (1, blocklengths.size):
+        beams, power_rows = len(np.atleast_2d(weights)), len(np.atleast_2d(powers))
+        for name, rows in (("weights", beams), ("powers", power_rows)):
+            if rows not in (1, blocklengths.size):
                 raise ValueError(f"{name} must have one row, or one per blocklength")
 
-        gammas = self._sjnr(weights, powers)
+        if beams > 1:
+            step = max(1, BLOCK_CELLS // self.n_elements)
+            gammas = np.hstack([
+                self._sjnr(weights[start:start + step],
+                           powers[start:start + step] if power_rows > 1 else powers)
+                for start in range(0, beams, step)])
+        else:  # one beam, or an empty block
+            gammas = self._sjnr(weights, powers)
         blers = bler(gammas, blocklengths, self.payload_bits)
         omega = replica_success(blers)
         rel = reliability(omega, replicas)

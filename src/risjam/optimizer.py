@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .link import polar_weights, sic_balanced_weights
-from .model import MetricsBlock, SystemModel
+from .model import BLOCK_CELLS, MetricsBlock, SystemModel
 
 # Stand-in objective when the metric chain yields no usable efficiency
 # (unstable queue or zero reliability). Large but finite so ranking
@@ -41,12 +41,6 @@ STRICT_MARGIN = 1e-9
 # MUTATION_DECAY after every generation.
 MUTATION_SIGMA = 0.1
 MUTATION_DECAY = 0.99
-
-# Largest number of genome cells (candidates x RIS elements) decoded and
-# scored in one call of the metric-chain kernel. Populations are evaluated
-# in row blocks of this size, which keeps the (B, N) temporaries of a large
-# RIS from growing with the population.
-BLOCK_CELLS = 1 << 16
 
 # Largest population x genome dimension of a GA run, whose population array
 # (512 MiB at this bound) is allocated whole. The paper scale, 2000 x 804,
@@ -207,9 +201,18 @@ def decode_block(genomes: np.ndarray, n_users: int, n_elements: int,
         raise ValueError("genome length does not match problem dimension")
     if not np.all(np.isfinite(genomes)):
         raise ValueError("genome must be finite")
-    c = constraints
-    weights = 2.0 * np.sqrt(c.beta_max) * _into_disc(genomes[:, :2 * n].view(complex))
-    tail = np.clip(genomes[:, 2 * n:], 0.0, 1.0)
+    return _decode_valid(_into_disc(genomes[:, :2 * n].view(complex)),
+                         np.clip(genomes[:, 2 * n:], 0.0, 1.0), k, constraints)
+
+
+def _decode_valid(points: np.ndarray, tail: np.ndarray, n_users: int,
+                  constraints: ConstraintSet, weights=None) -> DecisionBlock:
+    """The decision vectors of (B, N) points in the disc |v| <= 1/2 and the
+    (B, K + 2) other genes in [0, 1]; unchecked, as ``decode_block`` and the
+    GA's repaired populations give them. The weights go into ``weights`` if
+    given, a (B, N) complex array."""
+    k, c = n_users, constraints
+    weights = np.multiply(2.0 * np.sqrt(c.beta_max), points, out=weights)
     powers = np.minimum(c.p_min + tail[:, :k] * (c.p_max - c.p_min), c.p_max)
     blocklength = _on_grid(tail[:, k], c.nb_min, c.nb_max)
     retransmissions = _on_grid(tail[:, k + 1], 1, c.l_max)
@@ -420,18 +423,24 @@ def _merit(infeasible, value):
 
 def _evaluate_population(pop: np.ndarray, model: SystemModel,
                          constraints: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
-    """Objectives and total violations of a population, scored in row blocks
-    of at most ``BLOCK_CELLS`` genome cells."""
-    rows = max(1, BLOCK_CELLS // model.n_elements)
-    objective = np.empty(len(pop))
-    total = np.empty(len(pop))
-    for start in range(0, len(pop), rows):
-        x = decode_block(pop[start:start + rows], model.n_users,
-                         model.n_elements, constraints)
-        block_objective, violations, _ = score_block(x, model, constraints)
-        objective[start:start + rows] = block_objective
-        total[start:start + rows] = sum(violations.values())
-    return objective, total
+    """Objectives and total violations of a population, decoded and scored
+    in one metric-chain call (whose SJNR runs in row blocks).
+
+    Every point of ``pop`` lies in the disc and every other gene in [0, 1]
+    (``_initial_population``, ``_breed`` and ``_repair`` keep it so), so it
+    is decoded without ``decode_block``'s checks and projections, which would
+    change no bit of it."""
+    size, n = len(pop), model.n_elements
+    # The weights fill the front of an array of the population's size, so
+    # that a freed population and a freed weight array fit each other's
+    # place on the heap. A (B, N) array of its own, a little smaller than a
+    # population, fragmented it: ga-paper's peak RSS read 70 or 82 MB,
+    # depending on the length of the output path.
+    weights = np.empty_like(pop).reshape(-1)[:size * 2 * n].view(complex)
+    x = _decode_valid(pop[:, :2 * n].view(complex), pop[:, 2 * n:], model.n_users,
+                      constraints, weights.reshape(size, n))
+    objective, violations, _ = score_block(x, model, constraints)
+    return objective, sum(violations.values())
 
 
 def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
@@ -526,7 +535,9 @@ def _initial_population(model: SystemModel, settings: GaSettings,
         block -= 0.5
         block *= np.sqrt(0.5)
         drawn = points[start:start + rows]
-        drawn[...] = _into_disc(drawn)
+        inside = _into_disc(drawn)
+        if inside is not drawn:  # a corner point rounded out of the disc
+            drawn[...] = inside
 
     n_seeded = min(int(round(settings.seeded_fraction * size)), size)
     weights = sic_balanced_weights(model.bs_channel, model.ue_channels,

@@ -24,8 +24,8 @@ from ._version import __version__
 from .config import ExperimentConfig, square_geometry
 from .link import (_check_powers, _sic_sjnr, bler, polar_weights, reliability,
                    replica_success)
-from .model import SystemModel
-from .optimizer import BLOCK_CELLS, OptimizationResult, run_ga
+from .model import BLOCK_CELLS, SystemModel
+from .optimizer import OptimizationResult, run_ga
 
 DELAY_EE_COLUMNS = ("arrival_rate_per_s", "blocklength", "utilization",
                     "mean_delay_s", "energy_efficiency_bits_per_j")
@@ -192,8 +192,9 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     [sweep] retransmissions (default 1, the value consistent with the
     reference delay numbers). Unstable points carry a marker instead of a
     delay. The flattened grid is scored in blocks of at most
-    ``BLOCK_CELLS`` points, one metric-chain call per block with one arrival
-    rate per point; each call computes the policy beam's SJNR once.
+    ``model.BLOCK_CELLS`` points, one metric-chain call per block with one
+    arrival rate per point; the policy beam is one row, so each call
+    computes its SJNR in one ``link.sjnr_all`` call.
     """
     model = build_model(cfg)
     amplitudes, phases, powers = _policy(cfg, model, model.n_users)

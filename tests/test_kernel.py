@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risjam import sweeps
+from risjam import model as model_module, sweeps
 from risjam.channel import RisGeometry
 from risjam.config import load_config
 from risjam.model import SystemModel
@@ -136,6 +136,51 @@ def test_many_users_keep_their_bits():
     assert 0 < np.mean(shared.stable) < 1
     for b in range(len(genomes)):
         assert same_metrics(shared.column(b), tiled.column(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
+       n_elements=st.integers(1, 12), rows=st.integers(1, 4),
+       n_candidates=st.integers(2, 30),
+       given_rows=st.sampled_from(["beams-and-powers", "beams", "powers"]))
+def test_sjnr_row_blocks_do_not_change_bits(seed, n_users, n_elements, rows,
+                                            n_candidates, given_rows):
+    # with row blocks of a few beams, a block of more beams than one row
+    # block scores as one call per row block, and as one unblocked call
+    model, genomes, _ = random_case(seed, n_users, n_elements, n_candidates)
+    x = decode_block(genomes, n_users, n_elements, WIDE_BOX)
+    weights = x.weights[:1] if given_rows == "powers" else x.weights
+    powers = x.user_powers[:1] if given_rows == "beams" else x.user_powers
+    # light load and overload alternate, so that blocks mix unstable columns in
+    rates = np.tile([[10.0, 1e6]], (n_users, n_candidates))[:, :n_candidates]
+    block = (x.blocklength, x.retransmissions)
+    whole = model.evaluate_block(weights, powers, *block, arrival_rates=rates)
+    assert 0 < np.mean(whole.stable) < 1
+
+    calls = []
+    sjnr_all = model_module.sjnr_all
+
+    def recorded(ue, bs, direct, jammer, beams, *args):
+        calls.append(len(np.atleast_2d(beams)))
+        return sjnr_all(ue, bs, direct, jammer, beams, *args)
+
+    def rows_of(array, part):
+        return array[part] if len(array) > 1 else array
+
+    row_blocks = [slice(start, start + rows) for start in range(0, n_candidates, rows)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "BLOCK_CELLS", rows * n_elements)
+        patch.setattr(model_module, "sjnr_all", recorded)
+        blocked = model.evaluate_block(weights, powers, *block, arrival_rates=rates)
+        assert calls == ([1] if len(weights) == 1 else
+                         [len(range(n_candidates)[part]) for part in row_blocks])
+        parts = [model.evaluate_block(rows_of(weights, part), rows_of(powers, part),
+                                      *(column[part] for column in block),
+                                      arrival_rates=rates[:, part])
+                 for part in row_blocks]
+    assert same_metrics(blocked, whole)
+    for name, value in vars(whole).items():
+        assert same_bits(np.concatenate([vars(p)[name] for p in parts], axis=-1), value)
 
 
 def test_random_blocks_cover_unstable_and_infeasible_points():
@@ -299,7 +344,12 @@ def test_model_rejects_unknown_users_and_bad_powers(call, message):
      "^channel vectors and beamforming must share one element count$"),
     ({"powers": np.full((2, 2), 1e-3)}, "^powers must have one row, or one per blocklength$"),
     ({"weights": np.full((3, 4), np.nan, complex)}, "^RIS weights must be finite$"),
-], ids=["retransmissions", "amplitudes", "phases", "powers", "weights-nan"])
+    ({"blocklengths": [[108], [120], [132]], "retransmissions": [[1], [1], [2]]},
+     "^blocklengths must be a 1-D array, one entry per candidate$"),
+    ({"weights": np.ones((1, 4), complex), "blocklengths": 108, "retransmissions": 1},
+     "^blocklengths must be a 1-D array, one entry per candidate$"),
+], ids=["retransmissions", "amplitudes", "phases", "powers", "weights-nan",
+        "column-of-blocklengths", "scalar-blocklength"])
 def test_evaluate_block_names_a_bad_row_count(bad, message):
     # B = 3 blocklengths; beam and power rows must number 1 or B. The ids
     # "amplitudes" and "phases" are the weights' row and element counts.

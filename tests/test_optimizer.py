@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings as hypothesis_settings, \
     strategies as st
 
-from risjam import optimizer
+from risjam import model as model_module, optimizer
 from risjam.channel import RisGeometry
 from risjam.cli import main
 from risjam.config import load_config
@@ -18,6 +18,11 @@ from risjam.optimizer import (ConstraintSet, DecisionVector, GaSettings,
 from risjam.sweeps import build_model
 
 from conftest import make_model, make_scenario
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def queue_feasible(model, constraints, blocklengths, replicas) -> np.ndarray:
@@ -388,14 +393,64 @@ class TestRunGa:
         cons = ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)
         settings = GaSettings(rng_seed=5, population_size=40, max_generations=15)
         default = run_ga(two_user_model, cons, settings)
-        # 64 cells hold one 36-gene genome: every row is its own block
+        # 64 cells hold one 36-gene genome: every row is its own block of
+        # breeding and of the initial population; N cells hold one beam, so
+        # the model computes the SJNR one candidate at a time
         monkeypatch.setattr(optimizer, "BLOCK_CELLS", 64)
+        monkeypatch.setattr(model_module, "BLOCK_CELLS", two_user_model.n_elements)
+        beams = []
+        sjnr_all = model_module.sjnr_all
+
+        def recorded(*args):
+            beams.append(len(np.atleast_2d(args[4])))
+            return sjnr_all(*args)
+
+        monkeypatch.setattr(model_module, "sjnr_all", recorded)
         small = run_ga(two_user_model, cons, settings)
-        assert small.fitness_history == default.fitness_history
-        assert small.mean_history == default.mean_history
-        assert small.feasible_fraction_history == default.feasible_fraction_history
-        assert small.best_solution == default.best_solution
-        assert small.best_eta == default.best_eta
+        # 16 populations of 40, then the record of the best
+        assert beams == [1] * (40 * 16 + 1)
+        for name, value in vars(default).items():
+            if name == "best_report":
+                assert all(same_bits(v, getattr(small.best_report, field))
+                           for field, v in vars(value).items())
+            else:
+                assert getattr(small, name) == value, name
+
+    def test_ga_decodes_a_repaired_population_as_decode_block(self, two_user_model,
+                                                             monkeypatch):
+        # the GA decodes its populations without decode_block's checks and
+        # projections; on a repaired population they change no bit
+        model, cons = two_user_model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)
+        k, n = model.n_users, model.n_elements
+        settings = GaSettings(rng_seed=5, population_size=40)
+        rng = np.random.default_rng(settings.rng_seed)
+        caps = optimizer._blocklength_caps(model, cons)
+        initial = optimizer._initial_population(model, settings, rng)
+        optimizer._repair(initial, k, cons, caps)
+        # a high mutation rate and spread take many genes out of their box
+        bred = optimizer._breed(initial, list(range(40)), rng, settings, 0.5, 1.0, n)
+        tail = bred[settings.elite_count:, 2 * n:]
+        assert np.any(tail < 0.0) and np.any(tail > 1.0)
+        optimizer._repair(bred[settings.elite_count:], k, cons, caps)
+
+        decoded = []
+        score_block = optimizer.score_block
+
+        def recorded(x, *args):
+            decoded.append(x)
+            return score_block(x, *args)
+
+        monkeypatch.setattr(optimizer, "score_block", recorded)
+        for pop in (initial, bred):
+            before = pop.copy()
+            objective, total = optimizer._evaluate_population(pop, model, cons)
+            assert same_bits(pop, before)
+            checked = decode_block(pop, k, n, cons)
+            assert all(same_bits(a, b) for a, b in zip(decoded[-1], checked))
+            expected, violations, _ = score_block(checked, model, cons)
+            assert same_bits(objective, expected)
+            assert same_bits(total, sum(violations.values()))
+        assert len(decoded) == 2
 
     def test_desk_seed_90_ends_feasible(self, tmp_path):
         # the separated-user desk config at seed 90 ended with a delay

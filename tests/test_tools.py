@@ -29,7 +29,7 @@ def test_every_run_config_loads(digests, tmp_path):
         "ga-paper-seed2", "one-user", "three-users", "rectangle", "unstable-best",
         "sweep-delay-ee", "sweep-rel-beta", "sweep-sjnr-n", "sweep-delay-ee-n900",
         "sweep-delay-ee-three-users", "sweep-sjnr-n-ga", "sweep-rel-beta-edges",
-        "mdl-oracle", "mdl-oracle-chunks", "sweep-delay-ee-blocks"]
+        "mdl-oracle", "mdl-oracle-chunks", "sweep-delay-ee-blocks", "ga-paper-pop2001"]
     configs = {}
     for name, _, text in runs:
         path = tmp_path / f"{name}.ini"
@@ -50,6 +50,9 @@ def test_every_run_config_loads(digests, tmp_path):
     assert ga_sweep.sweep.arrival_rate_grid == configs["sweep-delay-ee"].sweep.arrival_rate_grid
     blocks = configs["sweep-delay-ee-blocks"].sweep
     assert len(blocks.arrival_rate_grid) * len(blocks.blocklength_grid) == 145_321
+    short = configs["ga-paper-pop2001"]
+    assert (short.geometry.n_elements, short.ga.population_size) == (400, 2001)
+    assert short.ga.max_generations == 3
     chunks = dict((name, command) for name, command, _ in runs)["mdl-oracle-chunks"]
     assert chunks[1:] == ["--arrivals", str(3 * 2 ** 14 + 7), "--rho", "0.05,0.95"]
 

@@ -19,7 +19,9 @@ interpreter per command with BLAS/OpenMP threads pinned to 1:
 * ``mdl-oracle`` with 3 * 2^14 + 7 arrivals at rho 0.05 and 0.95, so the
   sample path spans several chunks and ends in a short one, and ``sweep
   delay-ee`` on an arrival-rate grid of step 1 (145,321 points, more than
-  one block of the metric chain).
+  one block of the metric chain), and ``optimize`` for ga-paper seed 1 with
+  a population of 2001 for 3 generations, so a population ends in a short
+  row block of the SJNR.
 
 The configs come from this checkout's ``bench/workloads.config_text``, so two
 checkouts run the same configs. Every output file is hashed without its
@@ -97,6 +99,8 @@ def runs() -> list[tuple[str, list[str], str]]:
                                          "--rho", "0.05,0.95"], oracle_text))
     listed.append(("sweep-delay-ee-blocks", ["sweep", "delay-ee"], _variant(
         "sweep-oracle", sweep={"arrival_rate_grid": "100:1300:1"})))
+    listed.append(("ga-paper-pop2001", ["optimize"], _variant(
+        "ga-paper", ga={"population_size": "2001", "max_generations": "3"})))
     return listed
 
 
