@@ -72,6 +72,46 @@ def polar_weights(amplitudes, phases) -> np.ndarray:
     return np.sqrt(amps) * np.exp(1j * phs)
 
 
+# Largest number of cells (candidates x RIS elements) in one row block of
+# ``beam_terms``, of the GA's breeding and initial population, and of the
+# delay-ee sweep's point blocks. A (B, N) complex temporary of this size is
+# 256 KiB and stays in a per-core L2 cache (2 MiB on the x86-64 host where
+# 2^13..2^16 were timed on ga-paper; 2^13 was slowest, 2^15 and 2^16 no
+# faster and used more memory).
+BLOCK_CELLS = 1 << 14
+
+
+def beam_terms(ue_channels: np.ndarray, bs_channel: np.ndarray,
+               jammer_channel: np.ndarray, weights: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three beam terms every SJNR is built from, for B beams given as
+    (B, N) complex weights, one per row, and the channels of ``sjnr_all``:
+    the (K, B) cascade gains |I^T Theta G_k|^2, the (B,) jammer reflections
+    I^T Theta g_J and the (B,) norms ||I^T Theta||^2, column (entry) b for
+    beam b.
+
+    The beams are taken in row blocks of at most ``BLOCK_CELLS`` cells.
+    Every operand spans a whole row block and each product is a stack of
+    (1, N) rows, so a beam gets the bits it gets alone: a broadcast operand
+    or a plain matrix product can switch numpy to kernels that round
+    differently.
+    """
+    n_beams, n = weights.shape
+    step = max(1, BLOCK_CELLS // max(1, n))  # N is 0 only in a direct call
+    gains = np.empty((len(ue_channels), n_beams))
+    reflections = np.empty(n_beams, dtype=complex)
+    norms = np.empty(n_beams)
+    for start in range(0, n_beams, step):
+        part = slice(start, start + step)
+        block = weights[part]
+        rows = np.tile(bs_channel, (len(block), 1)) * block  # I^T Theta
+        stacked = rows[:, None, :]
+        gains[:, part] = np.abs((stacked @ ue_channels.T)[:, 0, :]).T ** 2
+        reflections[part] = (stacked @ jammer_channel[:, None])[:, 0, 0]
+        norms[part] = np.sum(np.abs(rows) ** 2, axis=-1)
+    return gains, reflections, norms
+
+
 # _sic_sjnr checks the range of what may overflow here
 @np.errstate(over="ignore", invalid="ignore")
 def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: complex,
@@ -90,14 +130,15 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
         jammer_channel: (N,) jammer-to-RIS channel.
         weights, powers: one candidate ((N,) complex RIS weights, element n
             applying weight_n, e.g. ``polar_weights``; K user powers in
-            watts), or B candidates as (B, N) weights and (B, K) powers.
+            watts), or B candidates as (B, N) weights and (B, K) powers
+            (either may be one row, serving all B).
 
     Returns:
         (K,) linear power ratios (non-negative), entry k-1 for user k; for B
         candidates (K, B), column b for candidate b.
 
-    Raises OverflowError if a user's interference-plus-noise power or SJNR
-    is not finite.
+    ``_sic_sjnr`` over all B columns' ``beam_terms``; raises OverflowError
+    if a user's interference-plus-noise power or SJNR is not finite.
     """
     ue = np.atleast_2d(np.asarray(ue_channels))
     w = np.asarray(weights, dtype=complex)
@@ -113,20 +154,11 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
     if ue.shape[1] != n or jammer_channel.shape[0] != n or w.shape[-1] != n:
         raise ValueError("channel vectors and beamforming must share one element count")
 
-    # I^T Theta, one row per candidate. Every operand spans the whole block
-    # and each product is a stack of (1, N) rows, so a candidate gets the
-    # bits it gets alone: a broadcast operand or a plain matrix product can
-    # switch numpy to kernels that round differently.
-    block = np.atleast_2d(w)
-    rows = np.tile(bs_channel, (block.shape[0], 1)) * block
-    stacked = rows[:, None, :]
-    cascade_gains = np.abs((stacked @ ue.T)[:, 0, :]).T ** 2  # |I^T Theta G_k|^2
-    received = np.atleast_2d(p).T * cascade_gains
-    gammas = _sic_sjnr(received, (stacked @ jammer_channel[:, None])[:, 0, 0],
-                       np.sum(np.abs(rows) ** 2, axis=-1), jammer_direct,
-                       jammer_power, noise)
-    single = w.ndim == 1 and p.ndim == 1
-    return gammas[:, 0] if single else gammas
+    gains, reflections, norms = beam_terms(ue, bs_channel, jammer_channel,
+                                           np.atleast_2d(w))
+    gammas = _sic_sjnr(np.atleast_2d(p).T * gains, reflections, norms,
+                       jammer_direct, jammer_power, noise)
+    return gammas[:, 0] if w.ndim == p.ndim == 1 else gammas
 
 
 def _check_beam(amplitudes, phases) -> tuple[np.ndarray, np.ndarray]:

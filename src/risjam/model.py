@@ -16,19 +16,9 @@ import numpy as np
 from .channel import RisGeometry, LinkScenario, ris_ue_channel, ris_bs_channel, \
     jammer_direct_channel, ris_jammer_channel
 from .link import NoiseConfig, sjnr_all, bler, replica_success, reliability, \
-    co_phasing_phases, polar_weights, _check_beam, _check_powers
+    polar_weights, _check_beam, _check_powers
 from .traffic import FrameParams, TrafficParams, utilization, mean_delay, \
     energy_efficiency
-
-# Largest number of cells (candidates x RIS elements) in one row block. Only
-# the SJNR has temporaries that grow with N, so ``evaluate_block`` computes it
-# in row blocks of this size, where a (B, N) complex temporary is 256 KiB and
-# stays in a per-core L2 cache (2 MiB on the x86-64 host where 2^13..2^16
-# were timed on ga-paper; 2^13 was slowest, 2^15 and 2^16 no faster and
-# used more memory). The GA's breeding and initial population and the
-# delay-ee sweep's point blocks use the same bound.
-BLOCK_CELLS = 1 << 14
-
 
 @dataclass(frozen=True)
 class MetricsBlock:
@@ -99,18 +89,6 @@ class SystemModel:
     def n_elements(self) -> int:
         return self.geometry.n_elements
 
-    def co_phased_beam(self, user: int, amplitudes) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform or per-element amplitudes with phases aligned to one user,
-        as (N,) ``(amplitudes, phases)``."""
-        if not 1 <= user <= self.n_users:
-            raise ValueError(f"user index {user} out of range 1..{self.n_users}")
-        phases = co_phasing_phases(self.bs_channel, self.ue_channels[user - 1])
-        amps = np.asarray(amplitudes, dtype=float)
-        if amps.shape not in ((), (1,), (self.n_elements,)):
-            raise ValueError(f"amplitudes must be one value or {self.n_elements} "
-                             "values, one per element")
-        return np.full(self.n_elements, amps), phases
-
     def sjnr(self, amplitudes, phases, powers) -> np.ndarray:
         """``link.sjnr_all`` of a beam given by amplitudes and phases."""
         return self._sjnr(polar_weights(amplitudes, phases), powers)
@@ -147,9 +125,11 @@ class SystemModel:
         ``arrival_rates`` overrides the scenario rates for this evaluation
         only (channels are unaffected).
         """
-        return self.evaluate_block([polar_weights(amplitudes, phases)], [powers],
-                                   [blocklength], [retransmissions],
-                                   arrival_rates).column(0)
+        weights = polar_weights(amplitudes, phases)
+        if weights.ndim != 1:
+            raise ValueError("one point takes 1-D amplitudes and phases")
+        return self.evaluate_block(weights[None], [powers], [blocklength],
+                                   [retransmissions], arrival_rates).column(0)
 
     def queue_block(self, blocklengths, retransmissions, arrival_rates=None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,15 +184,12 @@ class SystemModel:
                 array of rates, one per candidate (a (K, B) array is K such
                 entries).
 
-        Each candidate gets the bits it gets when evaluated alone. A (1, N)
-        beam serves all B candidates and its SJNR is one call of
-        ``link.sjnr_all``; B beams are taken in row blocks of at most
-        ``BLOCK_CELLS`` cells, each with its power rows, and every later stage
-        runs once over all B candidates. A (1, K) power row serves all B
-        candidates too. Any other row count, or blocklengths that are not
-        1-D, raise ValueError.
+        Each candidate gets the bits it gets when evaluated alone. Every
+        stage runs once over all B candidates, the SJNR in one
+        ``link.sjnr_all`` call. A (1, N) beam or a (1, K) power row serves all
+        B candidates; any other row count, or blocklengths that are not 1-D,
+        raise ValueError.
         """
-        weights = np.asarray(weights)
         powers = np.asarray(powers, dtype=float)
         blocklengths = np.asarray(blocklengths)
         replicas = np.asarray(retransmissions)
@@ -220,19 +197,11 @@ class SystemModel:
             raise ValueError("blocklengths must be a 1-D array, one entry per candidate")
         if replicas.shape != blocklengths.shape:
             raise ValueError("retransmissions must have one entry per blocklength")
-        beams, power_rows = len(np.atleast_2d(weights)), len(np.atleast_2d(powers))
-        for name, rows in (("weights", beams), ("powers", power_rows)):
-            if rows not in (1, blocklengths.size):
+        for name, rows in (("weights", weights), ("powers", powers)):
+            if len(np.atleast_2d(rows)) not in (1, blocklengths.size):
                 raise ValueError(f"{name} must have one row, or one per blocklength")
 
-        if beams > 1:
-            step = max(1, BLOCK_CELLS // self.n_elements)
-            gammas = np.hstack([
-                self._sjnr(weights[start:start + step],
-                           powers[start:start + step] if power_rows > 1 else powers)
-                for start in range(0, beams, step)])
-        else:  # one beam, or an empty block
-            gammas = self._sjnr(weights, powers)
+        gammas = self._sjnr(weights, powers)
         blers = bler(gammas, blocklengths, self.payload_bits)
         omega = replica_success(blers)
         rel = reliability(omega, replicas)

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .link import polar_weights, sic_balanced_weights
-from .model import BLOCK_CELLS, MetricsBlock, SystemModel
+from .link import BLOCK_CELLS, polar_weights, sic_balanced_weights
+from .model import MetricsBlock, SystemModel
 
 # Stand-in objective when the metric chain yields no usable efficiency
 # (unstable queue or zero reliability). Large but finite so ranking
@@ -424,7 +424,7 @@ def _merit(infeasible, value):
 def _evaluate_population(pop: np.ndarray, model: SystemModel,
                          constraints: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     """Objectives and total violations of a population, decoded and scored
-    in one metric-chain call (whose SJNR runs in row blocks).
+    in one metric-chain call, and so in one ``link.sjnr_all`` call.
 
     Every point of ``pop`` lies in the disc and every other gene in [0, 1]
     (``_initial_population``, ``_breed`` and ``_repair`` keep it so), so it

@@ -22,9 +22,10 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig, square_geometry
-from .link import (_check_powers, _sic_sjnr, bler, polar_weights, reliability,
+from .link import (BLOCK_CELLS, _check_beam, _check_powers, _sic_sjnr, beam_terms,
+                   bler, co_phasing_phases, polar_weights, reliability,
                    replica_success)
-from .model import BLOCK_CELLS, SystemModel
+from .model import SystemModel
 from .optimizer import OptimizationResult, run_ga
 
 DELAY_EE_COLUMNS = ("arrival_rate_per_s", "blocklength", "utilization",
@@ -134,8 +135,8 @@ def _policy(cfg: ExperimentConfig, model: SystemModel,
     ``policy_beta_total / N`` on every element and power ``policy_power_w``
     for every user."""
     user = cfg.sweep.cophase_user if cfg.sweep.cophase_user is not None else plotted_user
-    amplitudes, phases = model.co_phased_beam(
-        user, cfg.sweep.policy_beta_total / model.n_elements)
+    phases = co_phasing_phases(model.bs_channel, model.ue_channels[user - 1])
+    amplitudes = np.full(model.n_elements, cfg.sweep.policy_beta_total / model.n_elements)
     return amplitudes, phases, (cfg.sweep.policy_power_w,) * model.n_users
 
 
@@ -157,20 +158,23 @@ def uniform_beta_sjnr(model: SystemModel, phases: np.ndarray, powers_w,
 
     Equivalent to evaluating the SJNR one amplitude at a time but vectorized
     over the amplitude axis; returns shape (K, len(betas)). Raises
-    ValueError and OverflowError as ``link.sjnr_all`` does.
+    ValueError and OverflowError as ``link.sjnr_all`` does, and ValueError
+    for betas that are not a 1-D grid of finite, non-negative amplitudes or
+    phases that are not N finite values.
     """
-    betas = np.asarray(betas, dtype=float)
+    if np.ndim(betas) != 1:
+        raise ValueError("the amplitude grid must be a 1-D array")
+    if np.shape(phases) != model.bs_channel.shape:
+        raise ValueError("channel vectors and beamforming must share one element count")
+    betas = _check_beam(betas, np.zeros(len(betas)))[0]
+    phases = _check_beam(np.zeros(len(phases)), phases)[1]
     # with uniform amplitude beta every weight is sqrt(beta) times the unit
-    # weight, so each term is a scalar product rescaled per grid point and no
+    # weight, so each term of the unit beam is rescaled per grid point and no
     # (len(betas), N) weight matrix is built
-    row_unit = model.bs_channel * np.exp(1j * phases)
-    s_users = model.ue_channels @ row_unit
-    s_jam = row_unit @ model.jammer_channel
-    unit_norm_sq = float(np.sum(np.abs(row_unit) ** 2))
-
+    gains, reflection, norm = beam_terms(model.ue_channels, model.bs_channel,
+                                         model.jammer_channel, np.exp(1j * phases)[None])
     p = _check_powers([powers_w], len(model.ue_channels))[0][:, None]
-    received = p * (np.abs(s_users) ** 2)[:, None] * betas[None, :]
-    return _sic_sjnr(received, np.sqrt(betas) * s_jam, betas * unit_norm_sq,
+    return _sic_sjnr(p * gains * betas, np.sqrt(betas) * reflection, betas * norm,
                      model.jammer_direct, model.scenario.jammer_power,
                      model.noise)
 
@@ -192,9 +196,9 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     [sweep] retransmissions (default 1, the value consistent with the
     reference delay numbers). Unstable points carry a marker instead of a
     delay. The flattened grid is scored in blocks of at most
-    ``model.BLOCK_CELLS`` points, one metric-chain call per block with one
-    arrival rate per point; the policy beam is one row, so each call
-    computes its SJNR in one ``link.sjnr_all`` call.
+    ``link.BLOCK_CELLS`` points, one metric-chain call per block with one
+    arrival rate per point and the policy beam given once as one row, so
+    each call forms that beam's terms once, in one ``link.sjnr_all`` call.
     """
     model = build_model(cfg)
     amplitudes, phases, powers = _policy(cfg, model, model.n_users)

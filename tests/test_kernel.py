@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risjam import model as model_module, sweeps
+from risjam import link, model as model_module, sweeps
 from risjam.channel import RisGeometry
 from risjam.config import load_config
+from risjam.link import co_phasing_phases
 from risjam.model import SystemModel
 from risjam.optimizer import (ConstraintSet, GaSettings, decode, decode_block,
                               evaluate_fitness, genome_dimension, run_ga,
@@ -146,7 +147,8 @@ def test_many_users_keep_their_bits():
 def test_sjnr_row_blocks_do_not_change_bits(seed, n_users, n_elements, rows,
                                             n_candidates, given_rows):
     # with row blocks of a few beams, a block of more beams than one row
-    # block scores as one call per row block, and as one unblocked call
+    # block scores in one sjnr_all call, as its row blocks scored alone, and
+    # as with no row blocks
     model, genomes, _ = random_case(seed, n_users, n_elements, n_candidates)
     x = decode_block(genomes, n_users, n_elements, WIDE_BOX)
     weights = x.weights[:1] if given_rows == "powers" else x.weights
@@ -169,11 +171,10 @@ def test_sjnr_row_blocks_do_not_change_bits(seed, n_users, n_elements, rows,
 
     row_blocks = [slice(start, start + rows) for start in range(0, n_candidates, rows)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model_module, "BLOCK_CELLS", rows * n_elements)
+        patch.setattr(link, "BLOCK_CELLS", rows * n_elements)
         patch.setattr(model_module, "sjnr_all", recorded)
         blocked = model.evaluate_block(weights, powers, *block, arrival_rates=rates)
-        assert calls == ([1] if len(weights) == 1 else
-                         [len(range(n_candidates)[part]) for part in row_blocks])
+        assert calls == [len(weights)]
         parts = [model.evaluate_block(rows_of(weights, part), rows_of(powers, part),
                                       *(column[part] for column in block),
                                       arrival_rates=rates[:, part])
@@ -201,8 +202,8 @@ def test_delay_ee_rows_equal_per_point_evaluations():
     cfg = load_config()
     result = sweep_delay_ee(cfg)
     model = build_model(cfg)
-    beam = model.co_phased_beam(model.n_users,
-                                cfg.sweep.policy_beta_total / model.n_elements)
+    beam = (np.full(model.n_elements, cfg.sweep.policy_beta_total / model.n_elements),
+            co_phasing_phases(model.bs_channel, model.ue_channels[-1]))
     powers = (cfg.sweep.policy_power_w,) * model.n_users
     markers = 0
     for rate, blocklength, rho, delay, eta in result.rows:
@@ -308,28 +309,24 @@ def test_one_arrival_rate_per_user_required():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda model: model.co_phased_beam(0, 1.0), r"^user index 0 out of range 1\.\.2$"),
-    (lambda model: model.co_phased_beam(-1, 1.0), r"^user index -1 out of range 1\.\.2$"),
-    (lambda model: model.co_phased_beam(3, 1.0), r"^user index 3 out of range 1\.\.2$"),
-    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0)[0], (1e-3,)),
+    (lambda model: model.ris_output_power(np.ones(4), (1e-3,)),
      "one transmit power per user required"),
-    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0)[0],
-                                          [[1e-3, 2e-3]]),
+    (lambda model: model.ris_output_power(np.ones(4), [[1e-3, 2e-3]]),
      "one transmit power per user required"),
-    (lambda model: model.ris_output_power(model.co_phased_beam(1, 1.0)[0], (1e-3, 0.0)),
+    (lambda model: model.ris_output_power(np.ones(4), (1e-3, 0.0)),
      "user powers must be positive and finite"),
     (lambda model: model.ris_output_power(np.ones((2, 4)), (1e-3, 2e-3)),
      "1-D or 2-D arrays of equal shape"),
     (lambda model: model.ris_output_power(np.ones(1), (1e-3, 2e-3)),
      "1-D or 2-D arrays of equal shape"),
-    (lambda model: model.co_phased_beam(1, [1.0, 2.0, 3.0]),
-     "^amplitudes must be one value or 4 values, one per element$"),
     (lambda model: model.sjnr(np.ones((3, 4)), np.zeros((3, 4)), np.full((2, 2), 1e-3)),
      r"^weights \(3 rows\) and powers \(2 rows\) must have one row, "
      "or the same number of rows$"),
-], ids=["user-0", "user-minus-1", "user-K+1", "one-power-for-two-users",
-        "block-of-powers", "zero-power", "block-of-beams", "one-amplitude-for-four-elements",
-        "three-amplitudes-for-four-elements", "three-beams-for-two-power-rows"])
+    (lambda model: model.evaluate(np.ones((2, 4)), np.zeros((2, 4)), (1e-3, 2e-3), 108, 1),
+     "^one point takes 1-D amplitudes and phases$"),
+], ids=["one-power-for-two-users", "block-of-powers", "zero-power", "block-of-beams",
+        "one-amplitude-for-four-elements", "three-beams-for-two-power-rows",
+        "block-of-beams-for-one-point"])
 def test_model_rejects_unknown_users_and_bad_powers(call, message):
     model = make_model(RisGeometry(2, 2), make_scenario())
     with pytest.raises(ValueError, match=message):

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from risjam import link
 from risjam.config import load_config
-from risjam.link import (ERFC_TWO_UPTO, ERFC_ZERO_FROM, NoiseConfig, bler,
-                         co_phasing_phases, polar_weights, q_function, reliability,
-                         replica_success, sic_balanced_weights, sjnr_all)
+from risjam.link import (ERFC_TWO_UPTO, ERFC_ZERO_FROM, NoiseConfig, _sic_sjnr,
+                         beam_terms, bler, co_phasing_phases, polar_weights,
+                         q_function, reliability, replica_success,
+                         sic_balanced_weights, sjnr_all)
 from risjam.sweeps import build_model
 
 
@@ -177,6 +180,52 @@ class TestSjnr:
             phases = rng.uniform(0, 2 * np.pi, n)
             value = np.abs(np.sum(bs * np.sqrt(amps) * np.exp(1j * phases) * ue)) ** 2
             assert value <= best * (1 + 1e-12)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBeamTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
+           n=st.integers(1, 12), n_beams=st.integers(0, 12), rows=st.integers(1, 4))
+    @example(seed=0, n_users=2, n=5, n_beams=0, rows=1)
+    def test_sjnr_all_is_sic_sjnr_over_the_beam_terms(self, seed, n_users, n,
+                                                      n_beams, rows):
+        rng = np.random.default_rng(seed)
+        cplx = lambda shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ue, bs, jammer = cplx((n_users, n)), cplx(n), cplx(n)
+        weights = cplx((n_beams, n))
+        powers = rng.uniform(1e-4, 0.1, (n_beams, n_users))
+        rest = (complex(cplx(())), float(rng.uniform(0, 0.01)),
+                NoiseConfig(float(rng.uniform(0, 1e-10)), float(rng.uniform(1e-14, 1e-10))))
+        whole = beam_terms(ue, bs, jammer, weights)
+        assert [t.shape for t in whole] == [(n_users, n_beams), (n_beams,), (n_beams,)]
+
+        # row blocks of a few beams, and each beam alone
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(link, "BLOCK_CELLS", rows * n)
+            blocked = beam_terms(ue, bs, jammer, weights)
+        assert all(same_bits(a, b) for a, b in zip(blocked, whole))
+        for b in range(n_beams):
+            alone = beam_terms(ue, bs, jammer, weights[b:b + 1])
+            assert all(same_bits(a, t[..., b:b + 1]) for a, t in zip(alone, whole))
+
+        gains, reflections, norms = whole
+        gammas = sjnr_all(ue, bs, rest[0], jammer, weights, powers, *rest[1:])
+        assert gammas.shape == (n_users, n_beams)
+        assert same_bits(gammas, _sic_sjnr(powers.T * gains, reflections, norms, *rest))
+
+        # one beam serves every power row through its (K, 1) gains
+        if n_beams:
+            shared = sjnr_all(ue, bs, rest[0], jammer, weights[:1], powers, *rest[1:])
+            assert same_bits(shared, _sic_sjnr(powers.T * gains[:, :1], reflections[:1],
+                                               norms[:1], *rest))
+            for b in range(n_beams):
+                assert same_bits(shared[:, b], sjnr_all(ue, bs, rest[0], jammer, weights[0],
+                                                        powers[b], *rest[1:]))
 
 
 class TestSicBalancedWeights:

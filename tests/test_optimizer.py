@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings as hypothesis_settings, \
     strategies as st
 
-from risjam import model as model_module, optimizer
+from risjam import link, model as model_module, optimizer
 from risjam.channel import RisGeometry
 from risjam.cli import main
 from risjam.config import load_config
@@ -395,9 +395,9 @@ class TestRunGa:
         default = run_ga(two_user_model, cons, settings)
         # 64 cells hold one 36-gene genome: every row is its own block of
         # breeding and of the initial population; N cells hold one beam, so
-        # the model computes the SJNR one candidate at a time
+        # the SJNR's beam terms are formed one candidate at a time
         monkeypatch.setattr(optimizer, "BLOCK_CELLS", 64)
-        monkeypatch.setattr(model_module, "BLOCK_CELLS", two_user_model.n_elements)
+        monkeypatch.setattr(link, "BLOCK_CELLS", two_user_model.n_elements)
         beams = []
         sjnr_all = model_module.sjnr_all
 
@@ -407,8 +407,8 @@ class TestRunGa:
 
         monkeypatch.setattr(model_module, "sjnr_all", recorded)
         small = run_ga(two_user_model, cons, settings)
-        # 16 populations of 40, then the record of the best
-        assert beams == [1] * (40 * 16 + 1)
+        # one call per population of 40 (16 of them), then the record of the best
+        assert beams == [40] * 16 + [1]
         for name, value in vars(default).items():
             if name == "best_report":
                 assert all(same_bits(v, getattr(small.best_report, field))

@@ -192,6 +192,29 @@ class TestSjnrSweep:
                                  model.scenario.jammer_power, model.noise)
             assert fast[:, j] == pytest.approx(reference, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("betas,phases,message", [
+        ([-1.0], None, "^amplification factors must be non-negative$"),
+        ([np.nan], None, "^beamforming parameters must be finite$"),
+        ([np.inf], None, "^beamforming parameters must be finite$"),
+        ([[1.0, 2.0]], None, "^the amplitude grid must be a 1-D array$"),
+        ([1.0], np.full(16, np.nan), "^beamforming parameters must be finite$"),
+        ([1.0], np.zeros(3),
+         "^channel vectors and beamforming must share one element count$"),
+        ([1.0], np.zeros((1, 16)),
+         "^channel vectors and beamforming must share one element count$"),
+    ], ids=["negative-beta", "nan-beta", "inf-beta", "2-D-betas", "nan-phases",
+            "three-phases", "row-of-phases"])
+    def test_uniform_beta_rejects_what_sjnr_all_rejects(self, betas, phases, message):
+        # a 16-element model; unchecked, these values overflow in the SJNR,
+        # broadcast to a wrong shape or fail in numpy's broadcasting
+        model = build_model(load_config())
+        good = np.zeros(model.n_elements)
+        assert uniform_beta_sjnr(model, good, (1e-3,) * model.n_users, [1.0]).shape == (
+            model.n_users, 1)
+        with pytest.raises(ValueError, match=message):
+            uniform_beta_sjnr(model, good if phases is None else phases,
+                              (1e-3,) * model.n_users, betas)
+
 
 class TestCsvRoundTrip:
     def test_sweep_result_round_trips(self, tmp_path):

@@ -7,9 +7,14 @@ here, in the tier-1 suite, and not only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from risjam import sweeps, traffic
+from risjam.channel import RisGeometry
+from risjam.optimizer import ConstraintSet, GaSettings, run_ga
+
+from conftest import make_model, make_scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -46,3 +51,20 @@ def test_observers_read_the_calling_contract(tracing, tmp_path):
     assert tracer.counts["bytes_written"] == path.stat().st_size
     assert set(tracer.names) >= {"traffic.md1:simulate_md1",
                                  "sweeps.write:write_sweep_csv"}
+
+
+def test_every_scored_block_is_one_sjnr_span(tracing):
+    # the link.sjnr figures of a traced GA run count these spans; a refactor
+    # that bypassed sjnr_all in the model's namespace would read 0 there
+    model = make_model(RisGeometry(2, 2), make_scenario())
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        model.evaluate_block(np.ones((3, 4), complex), np.full((1, 2), 1e-3),
+                             [108, 120, 132], [1, 1, 2])
+    assert tracer.names.count("link.sjnr:sjnr_all") == 1
+
+    generations = 3
+    settings = GaSettings(rng_seed=5, population_size=20, max_generations=generations)
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        run_ga(model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160), settings)
+    # the initial population, one bred population per generation, the record
+    assert tracer.names.count("link.sjnr:sjnr_all") == generations + 2
