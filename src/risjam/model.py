@@ -20,6 +20,7 @@ from .link import NoiseConfig, sjnr_all, bler, replica_success, reliability, \
 from .traffic import FrameParams, TrafficParams, utilization, mean_delay, \
     energy_efficiency
 
+
 @dataclass(frozen=True)
 class MetricsBlock:
     """The metric chain of B candidates, candidate b in column (entry) b.

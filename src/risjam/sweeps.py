@@ -167,12 +167,12 @@ def uniform_beta_sjnr(model: SystemModel, phases: np.ndarray, powers_w,
     if np.shape(phases) != model.bs_channel.shape:
         raise ValueError("channel vectors and beamforming must share one element count")
     betas = _check_beam(betas, np.zeros(len(betas)))[0]
-    phases = _check_beam(np.zeros(len(phases)), phases)[1]
     # with uniform amplitude beta every weight is sqrt(beta) times the unit
     # weight, so each term of the unit beam is rescaled per grid point and no
     # (len(betas), N) weight matrix is built
+    unit = polar_weights(np.ones(model.bs_channel.shape), phases)
     gains, reflection, norm = beam_terms(model.ue_channels, model.bs_channel,
-                                         model.jammer_channel, np.exp(1j * phases)[None])
+                                         model.jammer_channel, unit[None])
     p = _check_powers([powers_w], len(model.ue_channels))[0][:, None]
     return _sic_sjnr(p * gains * betas, np.sqrt(betas) * reflection, betas * norm,
                      model.jammer_direct, model.scenario.jammer_power,
