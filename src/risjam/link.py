@@ -104,11 +104,11 @@ def beam_terms(ue_channels: np.ndarray, bs_channel: np.ndarray,
     for start in range(0, n_beams, step):
         part = slice(start, start + step)
         block = weights[part]
-        rows = np.tile(bs_channel, (len(block), 1)) * block  # I^T Theta
+        rows = bs_channel[None].repeat(len(block), axis=0) * block  # I^T Theta
         stacked = rows[:, None, :]
         gains[:, part] = np.abs((stacked @ ue_channels.T)[:, 0, :]).T ** 2
         reflections[part] = (stacked @ jammer_channel[:, None])[:, 0, 0]
-        norms[part] = np.sum(np.abs(rows) ** 2, axis=-1)
+        norms[part] = np.add.reduce(np.abs(rows) ** 2, axis=-1)
     return gains, reflections, norms
 
 
@@ -144,7 +144,7 @@ def sjnr_all(ue_channels: np.ndarray, bs_channel: np.ndarray, jammer_direct: com
     w = np.asarray(weights, dtype=complex)
     if w.ndim not in (1, 2):
         raise ValueError("RIS weights must be a 1-D or 2-D array")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("RIS weights must be finite")
     p = _check_powers(powers, ue.shape[0])
     if w.ndim == p.ndim == 2 and 1 not in (len(w), len(p)) and len(w) != len(p):
@@ -181,7 +181,7 @@ def _check_powers(powers, n_users: int) -> np.ndarray:
     p = np.asarray(powers, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] != n_users:
         raise ValueError("one transmit power per user required")
-    if not np.all((p > 0) & np.isfinite(p)):
+    if not ((p > 0) & np.isfinite(p)).all():
         raise ValueError("user powers must be positive and finite")
     return p
 
@@ -200,6 +200,11 @@ def _check_count(values, name: str) -> np.ndarray:
     return counts
 
 
+def _check_payload(payload_bits) -> None:
+    if not payload_bits >= 1:
+        raise ValueError("payload must be a positive number of bits")
+
+
 def _sic_sjnr(received, jammer_reflected, weight_norm_sq, jammer_direct: complex,
               jammer_power: float, noise: NoiseConfig):
     """SJNR from per-user received powers and the terms every user shares.
@@ -212,8 +217,8 @@ def _sic_sjnr(received, jammer_reflected, weight_norm_sq, jammer_direct: complex
     not finite; callers silence numpy's overflow warnings around it.
     """
     # residual SIC interference for user k is the tail sum over k+1..K
-    tail = np.concatenate([np.cumsum(received[::-1], axis=0)[::-1][1:],
-                           np.zeros_like(received[:1])])
+    tail = np.zeros_like(received)
+    np.cumsum(received[:0:-1], axis=0, out=tail[-2::-1])
     jamming = jammer_power * np.abs(jammer_direct + jammer_reflected) ** 2
     floor = jamming + weight_norm_sq * noise.ris_thermal_var + noise.awgn_var
     interference = tail + floor
@@ -238,8 +243,8 @@ def q_function(x):
     out = np.where(low, 2.0, 0.0)
     # only the unsaturated elements pay for a Python-level call; NaN is one
     mid = ~(low | (z >= ERFC_ZERO_FROM))
-    out[mid] = np.fromiter(map(math.erfc, z[mid].tolist()), float,
-                           np.count_nonzero(mid))
+    values = z[mid].tolist()
+    out[mid] = np.fromiter(map(math.erfc, values), float, len(values))
     return 0.5 * out
 
 
@@ -254,10 +259,9 @@ def bler(gamma, blocklength, payload_bits):
     arrays, ``blocklength`` an integer array too.
     """
     _check_count(blocklength, "blocklength")  # integer arrays keep their dtype
-    if not payload_bits >= 1:
-        raise ValueError("payload must be a positive number of bits")
+    _check_payload(payload_bits)
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0) or not np.all(np.isfinite(g)):
+    if (g < 0).any() or not np.isfinite(g).all():
         raise ValueError("SJNR must be finite and non-negative")
     capacity = np.log2(1.0 + g)
     with np.errstate(over="ignore"):  # (1 + g)^2 = inf above ~1e154 gives 1/inf = 0, exact
@@ -277,7 +281,7 @@ def replica_success(blers):
     float and a (K, B) input a (B,) array.
     """
     b = np.atleast_1d(np.asarray(blers, dtype=float))
-    if not (np.all(b >= 0) and np.all(b <= 1)):  # NaN fails both
+    if not ((b >= 0).all() and (b <= 1).all()):  # NaN fails both
         raise ValueError("block error rates must lie in [0, 1]")
     omega = np.prod(1.0 - b, axis=0)
     return float(omega) if b.ndim == 1 else omega
@@ -295,8 +299,8 @@ def reliability(omega_s, retransmissions):
     """
     replicas = _check_count(retransmissions, "retransmission count")
     w = np.asarray(omega_s, dtype=float)
-    if not (np.all(w >= 0) and np.all(w <= 1)):
+    if not ((w >= 0).all() and (w <= 1).all()):
         raise ValueError("replica success probability must lie in [0, 1]")
-    shape = np.broadcast_shapes(w.shape, replicas.shape, (1,))
+    shape = np.broadcast(w, replicas).shape or (1,)
     r = 1.0 - np.power(np.full(shape, 1.0 - w), np.full(shape, replicas, dtype=float))
     return float(r[0]) if w.ndim == 0 and replicas.ndim == 0 else r

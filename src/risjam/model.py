@@ -16,9 +16,9 @@ import numpy as np
 from .channel import RisGeometry, LinkScenario, ris_ue_channel, ris_bs_channel, \
     jammer_direct_channel, ris_jammer_channel
 from .link import NoiseConfig, sjnr_all, bler, replica_success, reliability, \
-    polar_weights, _check_beam, _check_powers
+    polar_weights, _check_beam, _check_payload, _check_powers
 from .traffic import FrameParams, TrafficParams, utilization, mean_delay, \
-    energy_efficiency
+    energy_efficiency, _check_frame, _check_rates, _queue, _service_time
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,10 @@ class SystemModel:
     once; every candidate evaluation then costs a few vector operations.
     Evaluations are pure and safe to run concurrently.
 
-    Raises OverflowError if a synthesized channel entry is not finite, and
-    ``sjnr`` and the evaluations raise it if an SJNR is not finite
+    The constants every evaluation uses (frame timing, payload, arrival
+    rates) are checked here, once, with the messages of the stages that use
+    them. Raises OverflowError if a synthesized channel entry is not finite,
+    and ``sjnr`` and the evaluations raise it if an SJNR is not finite
     (``link.sjnr_all``).
     """
 
@@ -61,6 +63,11 @@ class SystemModel:
                  payload_bits: int, arrival_rates: tuple[float, ...]):
         if len(arrival_rates) != scenario.n_users:
             raise ValueError("one arrival rate per user required")
+        _check_frame(header_time, bandwidth)
+        _check_payload(payload_bits)
+        rates = np.array(arrival_rates, dtype=float)
+        _check_rates(rates)
+        self._rates = rates[:, None]  # one row per user, for every candidate
         self.geometry = geometry
         self.scenario = scenario
         self.noise = noise
@@ -138,10 +145,13 @@ class SystemModel:
         replicas) pairs: utilization (K, B), stability of every queue (B,)
         and mean delay (K, B), NaN where a queue is unstable. It depends on
         neither beams nor powers; ``arrival_rates`` is as in
-        ``evaluate_block``."""
+        ``evaluate_block``. Built from ``FrameParams``, ``TrafficParams`` and
+        each user's ``utilization`` and ``mean_delay``, with their checks;
+        ``evaluate_block`` gives the same bits in one pass over all users."""
         blocklengths = np.asarray(blocklengths)
         replicas = np.asarray(retransmissions)
-        rates = self._rate_rows(arrival_rates, blocklengths.shape)
+        rates = np.broadcast_to(self._rate_rows(arrival_rates, blocklengths.shape),
+                                (self.n_users,) + blocklengths.shape)
         frame = FrameParams(self.header_time, self.bandwidth, blocklengths)
         traffic = TrafficParams(rates, replicas)
         users = range(1, self.n_users + 1)
@@ -152,24 +162,25 @@ class SystemModel:
             # delay exists only where every queue is stable
             if not np.all(stable):
                 frame = FrameParams(self.header_time, self.bandwidth, blocklengths[stable])
-                traffic = TrafficParams(rates[:, stable] if rates.ndim == 2 else rates,
-                                        replicas[stable])
+                traffic = TrafficParams(rates[:, stable], replicas[stable])
             delays[:, stable] = np.stack([mean_delay(frame, traffic, k) for k in users])
         return rhos, stable, delays
 
     def _rate_rows(self, arrival_rates, shape: tuple) -> np.ndarray:
-        """The scenario's K arrival rates, or those given, as a (K,) array;
+        """The scenario's K arrival rates, or those given, as a (K, 1) array;
         as a (K, B) one, row k - 1 for user k, if a user has one rate per
-        candidate (an array of the candidates' ``shape``)."""
+        candidate (an array of the candidates' ``shape``). Given rates are
+        not range-checked here."""
         if arrival_rates is None:
-            return np.array(self.arrival_rates)
+            return self._rates
         rates = list(arrival_rates)
         shapes = {np.shape(rate) for rate in rates}
         if len(rates) != self.n_users or not shapes <= {(), shape}:
             raise ValueError("one arrival rate per user required")
         if len(shapes) > 1:
             rates = [np.broadcast_to(rate, shape) for rate in rates]
-        return np.array(rates, dtype=float)
+        rows = np.array(rates, dtype=float)
+        return rows if rows.ndim == 2 else rows[:, None]
 
     def evaluate_block(self, weights, powers, blocklengths, retransmissions,
                        arrival_rates=None) -> MetricsBlock:
@@ -190,6 +201,11 @@ class SystemModel:
         ``link.sjnr_all`` call. A (1, N) beam or a (1, K) power row serves all
         B candidates; any other row count, or blocklengths that are not 1-D,
         raise ValueError.
+
+        Each input is checked once: the row counts and the arrival rates
+        here, the weights and powers in ``sjnr_all``, the blocklengths in
+        ``bler`` and the replica counts in ``reliability``. The queue stage
+        runs over all users in one pass, unchecked.
         """
         powers = np.asarray(powers, dtype=float)
         blocklengths = np.asarray(blocklengths)
@@ -198,22 +214,26 @@ class SystemModel:
             raise ValueError("blocklengths must be a 1-D array, one entry per candidate")
         if replicas.shape != blocklengths.shape:
             raise ValueError("retransmissions must have one entry per blocklength")
-        for name, rows in (("weights", weights), ("powers", powers)):
-            if len(np.atleast_2d(rows)) not in (1, blocklengths.size):
+        for name, shape in (("weights", np.shape(weights)), ("powers", powers.shape)):
+            if len(shape) > 1 and shape[0] not in (1, blocklengths.size):
                 raise ValueError(f"{name} must have one row, or one per blocklength")
+        rates = self._rate_rows(arrival_rates, blocklengths.shape)
+        if arrival_rates is not None:  # the scenario's were checked once
+            _check_rates(rates)
 
         gammas = self._sjnr(weights, powers)
         blers = bler(gammas, blocklengths, self.payload_bits)
         omega = replica_success(blers)
         rel = reliability(omega, replicas)
 
-        rhos, stable, delays = self.queue_block(blocklengths, replicas, arrival_rates)
-        eta = np.full(stable.shape, np.nan)
-        if np.any(stable):
-            user_powers = np.broadcast_to(powers, (stable.size, self.n_users))
-            eta[stable] = energy_efficiency(
-                self.payload_bits, np.broadcast_to(rel[stable], delays[:, stable].shape),
-                user_powers[stable].T, delays[:, stable])
+        rhos, stable, delays = _queue(
+            _service_time(self.header_time, self.bandwidth, blocklengths, replicas), rates)
+        # an unstable column's efficiency is computed with stand-in delays and discarded
+        n_users, n_candidates = rhos.shape
+        eta = np.where(stable, energy_efficiency(
+            self.payload_bits, rel[None].repeat(n_users, axis=0),
+            np.broadcast_to(powers, (n_candidates, n_users)).T,
+            np.where(stable, delays, 1.0)), np.nan)
 
         return MetricsBlock(sjnr=np.broadcast_to(gammas, blers.shape), bler=blers,
                             replica_success=omega, reliability=rel, utilization=rhos,

@@ -19,6 +19,7 @@ pairs that meet the closed-form delay and utilization constraints, which the
 residuals still check.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -183,8 +184,11 @@ def _into_disc(points: np.ndarray) -> np.ndarray:
     edge = points[outside]
     edge *= 0.5 / np.abs(edge)
     parts = edge.view(float).reshape(-1, 2)
-    while np.any(over := parts[:, 0] ** 2 + parts[:, 1] ** 2 > 0.25):
-        parts[over] = np.nextafter(parts[over], 0.0)
+    over = np.nonzero(np.add.reduce(np.square(parts), axis=1) > 0.25)[0]
+    while over.size:
+        stepped = np.nextafter(parts[over], 0.0)
+        parts[over] = stepped
+        over = over[np.add.reduce(np.square(stepped), axis=1) > 0.25]
     points[outside] = edge
     return points
 
@@ -212,7 +216,7 @@ def _decode_valid(points: np.ndarray, tail: np.ndarray, n_users: int,
     GA's repaired populations give them. The weights go into ``weights`` if
     given, a (B, N) complex array."""
     k, c = n_users, constraints
-    weights = np.multiply(2.0 * np.sqrt(c.beta_max), points, out=weights)
+    weights = np.multiply(2.0 * math.sqrt(c.beta_max), points, out=weights)
     powers = np.minimum(c.p_min + tail[:, :k] * (c.p_max - c.p_min), c.p_max)
     blocklength = _on_grid(tail[:, k], c.nb_min, c.nb_max)
     retransmissions = _on_grid(tail[:, k + 1], 1, c.l_max)
@@ -279,9 +283,9 @@ def _blocklength_caps(model: SystemModel, constraints: ConstraintSet) -> np.ndar
     c = constraints
 
     def feasible(blocklengths, replicas):
-        queue = model.queue_block(*np.broadcast_arrays(
+        rhos, _, delays = model.queue_block(*np.broadcast_arrays(
             np.asarray(blocklengths, dtype=np.int64), np.asarray(replicas, dtype=np.int64)))
-        delay, utilization = _queue_residuals(*queue, c)
+        delay, utilization = _queue_residuals(rhos, delays, c)
         return (delay == 0.0) & (utilization == 0.0)
 
     if not feasible([c.nb_min], [1])[0]:
@@ -309,7 +313,7 @@ def _repair(genomes: np.ndarray, n_users: int, constraints: ConstraintSet,
     """
     k, c = n_users, constraints
     tail = genomes[:, -(k + 2):]
-    np.clip(tail, 0.0, 1.0, out=tail)
+    tail.clip(0.0, 1.0, out=tail)
     tail[:, :k].sort(axis=1)
     if not len(caps):
         return
@@ -319,8 +323,8 @@ def _repair(genomes: np.ndarray, n_users: int, constraints: ConstraintSet,
                    out=blocklength_gene)
     if c.l_max > 1:
         # the replica counts admitted at a blocklength are 1..(caps >= it)
-        admitted = np.searchsorted(-caps, -_on_grid(blocklength_gene, c.nb_min, c.nb_max),
-                                   side="right")
+        admitted = (-caps).searchsorted(-_on_grid(blocklength_gene, c.nb_min, c.nb_max),
+                                        side="right")
         np.minimum(replica_gene, (admitted - 1) / (c.l_max - 1), out=replica_gene)
 
 
@@ -328,13 +332,13 @@ def _repair(genomes: np.ndarray, n_users: int, constraints: ConstraintSet,
 #  Fitness and ranking
 # ----------------------------------------------------------------------------
 
-def _queue_residuals(rhos, stable, delays, constraints: ConstraintSet
+def _queue_residuals(rhos, delays, constraints: ConstraintSet
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Delay and utilization residuals (B,) of ``SystemModel.queue_block``'s
-    output; where a queue is unstable only the utilization one is positive."""
-    zero = np.zeros(stable.shape)
-    delay = sum(np.where(stable, np.maximum(0.0, delays - constraints.delay_thr), 0.0),
-                zero)
+    """Delay and utilization residuals (B,) of the (K, B) utilizations and
+    mean delays of the metric chain; where a queue is unstable its delays are
+    NaN and only the utilization residual is positive."""
+    zero = np.zeros(rhos.shape[1:])
+    delay = sum(np.fmax(0.0, delays - constraints.delay_thr), zero)  # fmax drops NaN
     utilization = sum(np.maximum(0.0, rhos - (1.0 - STRICT_MARGIN)), zero)
     return delay, utilization
 
@@ -352,8 +356,7 @@ def score_block(x: DecisionBlock, model: SystemModel, constraints: ConstraintSet
     chain = model.evaluate_block(x.weights, x.user_powers, x.blocklength,
                                  x.retransmissions)
     zero = np.zeros(chain.stable.shape)
-    delay, utilization = _queue_residuals(chain.utilization, chain.stable,
-                                          chain.mean_delay, c)
+    delay, utilization = _queue_residuals(chain.utilization, chain.mean_delay, c)
     # each residual adds its per-user terms one user after the other
     violations = {
         "delay": delay,
@@ -365,11 +368,10 @@ def score_block(x: DecisionBlock, model: SystemModel, constraints: ConstraintSet
     }
 
     eta = chain.energy_efficiency
-    usable = eta > 0.0  # false where the queue is unstable (NaN)
-    objective = np.where(
-        usable, np.minimum(1.0 / np.where(usable, eta, 1.0), INFEASIBLE_OBJECTIVE),
-        INFEASIBLE_OBJECTIVE)
-    return objective, violations, chain
+    objective = np.full(eta.shape, INFEASIBLE_OBJECTIVE)
+    # eta > 0 is false where the queue is unstable (NaN)
+    np.divide(1.0, eta, out=objective, where=eta > 0.0)
+    return np.minimum(objective, INFEASIBLE_OBJECTIVE, out=objective), violations, chain
 
 
 def evaluate_fitness(x: DecisionVector, model: SystemModel,
@@ -467,10 +469,11 @@ def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
     n = n_elements
     elites = settings.elite_count
     n_children = size - elites
+    ranked = np.fromiter(order, np.intp, size)
     position = np.empty(size, dtype=np.intp)
-    position[order] = np.arange(size)
+    position[ranked] = np.arange(size)
     new_pop = np.empty(pop.shape)  # C order: the children reshape to a flat view
-    new_pop[:elites] = pop[order[:elites]]
+    new_pop[:elites] = pop[ranked[:elites]]
     children = new_pop[elites:]
 
     # size-2 tournaments, two per child: the contestant ranked earlier wins
@@ -602,8 +605,8 @@ def run_ga(model: SystemModel, constraints: ConstraintSet,
             continue
 
         fitness_history.append(float(_merit(*best_standing)))
-        mean_history.append(float(np.mean(_merit(infeasible, value))))
-        feasible_fraction_history.append(float(np.mean(~infeasible)))
+        mean_history.append(float(_merit(infeasible, value).mean()))
+        feasible_fraction_history.append(np.count_nonzero(~infeasible) / len(infeasible))
 
     best = decode(best_genome, k, n, constraints)
     objective, violations, chain = score_block(_point_block(best), model, constraints)

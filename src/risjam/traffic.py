@@ -43,23 +43,16 @@ class FrameParams:
 
     header_time: float
     bandwidth: float
-    blocklength: int
+    blocklength: int | np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.header_time < np.inf:
-            raise ValueError("header time must be non-negative and finite")
-        if not 0 < self.bandwidth < np.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        _check_frame(self.header_time, self.bandwidth)
         _check_count(self.blocklength, "blocklength")
 
     @property
-    def payload_time(self) -> float:
-        return self.blocklength / self.bandwidth
-
-    @property
-    def duration(self) -> float:
-        """Total frame time: header plus payload."""
-        return self.header_time + self.payload_time
+    def duration(self) -> float | np.ndarray:
+        """Total frame time: header plus payload, the service time of one replica."""
+        return _service_time(self.header_time, self.bandwidth, self.blocklength, 1)
 
 
 @dataclass(frozen=True)
@@ -71,15 +64,13 @@ class TrafficParams:
     ``retransmissions`` may be an integer array, one count per candidate.
     """
 
-    arrival_rates: tuple[float, ...]
-    retransmissions: int
+    arrival_rates: tuple[float, ...] | np.ndarray
+    retransmissions: int | np.ndarray
 
     def __post_init__(self):
         if len(self.arrival_rates) < 1:
             raise ValueError("at least one arrival rate required")
-        rates = np.asarray(self.arrival_rates, dtype=float)
-        if not ((rates > 0) & (rates < np.inf)).all():
-            raise ValueError("arrival rates must be positive and finite")
+        _check_rates(np.asarray(self.arrival_rates, dtype=float))
         _check_count(self.retransmissions, "retransmission count")
 
     @property
@@ -87,29 +78,77 @@ class TrafficParams:
         return len(self.arrival_rates)
 
 
-def utilization(frame: FrameParams, traffic: TrafficParams, k: int) -> float:
+def _check_frame(header_time: float, bandwidth: float) -> None:
+    if not 0 <= header_time < np.inf:
+        raise ValueError("header time must be non-negative and finite")
+    if not 0 < bandwidth < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
+
+
+def _check_rates(rates: np.ndarray) -> None:
+    if not ((rates > 0) & (rates < np.inf)).all():
+        raise ValueError("arrival rates must be positive and finite")
+
+
+def _service_time(header_time, bandwidth, blocklength, replicas):
+    """Deterministic service time L * T_f of ``replicas`` frames back to
+    back, each header_time + blocklength / bandwidth long; elementwise over
+    arrays of blocklengths and replica counts."""
+    return replicas * (header_time + blocklength / bandwidth)
+
+
+def _utilization(service, rates):
+    """Utilization L * T_f * Lambda of arrival rates Lambda at service time
+    L * T_f, elementwise."""
+    return service * rates
+
+
+def _sojourn(service, rho):
+    """M/D/1 mean sojourn time at deterministic service time ``service`` and
+    utilization ``rho``; meaningful only where rho < 1."""
+    return service * (2.0 - rho) / (2.0 * (1.0 - rho))
+
+
+def _user_load(frame: FrameParams, traffic: TrafficParams, k: int):
+    """Service time L * T_f and utilization L * T_f * Lambda_k of user ``k``."""
+    if not 1 <= k <= traffic.n_users:
+        raise ValueError(f"user index {k} out of range 1..{traffic.n_users}")
+    service = _service_time(frame.header_time, frame.bandwidth, frame.blocklength,
+                            traffic.retransmissions)
+    return service, _utilization(service, traffic.arrival_rates[k - 1])
+
+
+def utilization(frame: FrameParams, traffic: TrafficParams, k: int) -> float | np.ndarray:
     """Server utilization of user ``k`` (1-based): L * T_f * Lambda_k.
 
     Values >= 1 are legal output; stability is checked where delay is needed.
     Array blocklengths, replica counts or rates give one utilization per
     candidate.
     """
-    if not 1 <= k <= traffic.n_users:
-        raise ValueError(f"user index {k} out of range 1..{traffic.n_users}")
-    return traffic.retransmissions * frame.duration * traffic.arrival_rates[k - 1]
+    return _user_load(frame, traffic, k)[1]
 
 
-def mean_delay(frame: FrameParams, traffic: TrafficParams, k: int) -> float:
+def mean_delay(frame: FrameParams, traffic: TrafficParams, k: int) -> float | np.ndarray:
     """Mean packet sojourn time of user ``k``: M/D/1 with service L*T_f.
 
     L*T_f * (2 - rho) / (2*(1 - rho)); requires rho < 1 for every
     candidate when given arrays.
     """
-    rho = utilization(frame, traffic, k)
+    service, rho = _user_load(frame, traffic, k)
     if np.any(rho >= 1.0):
         raise UnstableQueueError(float(np.max(rho)), user=k)
-    service = traffic.retransmissions * frame.duration
-    return service * (2.0 - rho) / (2.0 * (1.0 - rho))
+    return _sojourn(service, rho)
+
+
+def _queue(service, rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Utilizations service * rate of users on axis 0 (rates broadcasting
+    against the (B,) service times), whether every user's queue of a column
+    is stable (B,), and the mean delays, NaN in an unstable column."""
+    rhos = _utilization(service, rates)
+    stable = (rhos < 1.0).all(axis=0)
+    # an unstable column's delays are computed at rho = 0, then discarded
+    delays = np.where(stable, _sojourn(service, np.where(stable, rhos, 0.0)), np.nan)
+    return rhos, stable, delays
 
 
 def energy_efficiency(payload_bits: int, reliabilities, powers, delays):
@@ -124,19 +163,20 @@ def energy_efficiency(payload_bits: int, reliabilities, powers, delays):
     tau = np.asarray(delays, dtype=float)
     if not (rel.shape == p.shape == tau.shape):
         raise ValueError("reliabilities, powers and delays must have one entry per user")
-    if not np.all(np.isfinite(tau)):
+    if not np.isfinite(tau).all():
         raise ValueError("delays must be finite (stable queues)")
     energy = _user_sum(p * tau)
-    if np.any(energy <= 0):
+    if (energy <= 0).any():
         raise ValueError("total consumed energy must be positive")
     eta = payload_bits * _user_sum(rel) / energy
     return float(eta) if rel.ndim == 1 else eta
 
 
-def _user_sum(values):
+def _user_sum(values: np.ndarray):
     """Sum over the users on axis 0, along a contiguous axis, so that each
     column's sum has the bits of the same sum over a 1-D array."""
-    return np.sum(np.ascontiguousarray(np.moveaxis(values, 0, -1)), axis=-1)
+    users_last = values.transpose(*range(1, values.ndim), 0)
+    return np.add.reduce(np.ascontiguousarray(users_last), axis=-1)
 
 
 def simulate_md1(arrival_rate: float, service_time: float, n_arrivals: int,

@@ -18,11 +18,13 @@ from risjam import link, model as model_module, sweeps
 from risjam.channel import RisGeometry
 from risjam.config import load_config
 from risjam.link import co_phasing_phases
-from risjam.model import SystemModel
+from risjam.model import MetricsBlock, SystemModel
 from risjam.optimizer import (ConstraintSet, GaSettings, decode, decode_block,
                               evaluate_fitness, genome_dimension, run_ga,
                               score_block)
 from risjam.sweeps import UNSTABLE_MARKER, build_model, sweep_delay_ee
+from risjam.traffic import (FrameParams, TrafficParams, energy_efficiency,
+                            mean_delay, utilization)
 
 from conftest import make_model, make_scenario
 
@@ -182,6 +184,127 @@ def test_sjnr_row_blocks_do_not_change_bits(seed, n_users, n_elements, rows,
     assert same_metrics(blocked, whole)
     for name, value in vars(whole).items():
         assert same_bits(np.concatenate([vars(p)[name] for p in parts], axis=-1), value)
+
+
+def public_stages(model, weights, powers, blocklengths, replicas, rates):
+    """The metric chain of a block composed from the public checked stages:
+    ``sjnr_all`` -> ``bler`` -> ``replica_success`` -> ``reliability`` ->
+    each user's ``utilization`` and, on the stable columns, ``mean_delay``
+    -> ``energy_efficiency`` on the stable columns; ``rates`` is (K, B)."""
+    gammas = link.sjnr_all(model.ue_channels, model.bs_channel, model.jammer_direct,
+                           model.jammer_channel, weights, powers,
+                           model.scenario.jammer_power, model.noise)
+    blers = link.bler(gammas, blocklengths, model.payload_bits)
+    omega = link.replica_success(blers)
+    rel = link.reliability(omega, replicas)
+    users = range(1, model.n_users + 1)
+    frame = FrameParams(model.header_time, model.bandwidth, blocklengths)
+    rhos = np.stack([utilization(frame, TrafficParams(rates, replicas), k) for k in users])
+    stable = np.all(rhos < 1.0, axis=0)
+    delays = np.full(rhos.shape, np.nan)
+    eta = np.full(stable.shape, np.nan)
+    if stable.any():
+        frame = FrameParams(model.header_time, model.bandwidth, blocklengths[stable])
+        traffic = TrafficParams(rates[:, stable], replicas[stable])
+        delays[:, stable] = np.stack([mean_delay(frame, traffic, k) for k in users])
+        user_powers = np.broadcast_to(powers, (len(stable), model.n_users))[stable].T
+        eta[stable] = energy_efficiency(
+            model.payload_bits, np.broadcast_to(rel[stable], user_powers.shape),
+            user_powers, delays[:, stable])
+    return MetricsBlock(np.broadcast_to(gammas, blers.shape), blers, omega, rel, rhos,
+                        delays, eta, stable)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 9),
+       n_elements=st.integers(1, 8), n_candidates=st.integers(2, 12),
+       given_rows=st.sampled_from(["beams-and-powers", "beams", "powers"]),
+       per_candidate_rates=st.booleans())
+def test_the_chain_is_its_public_stages(seed, n_users, n_elements, n_candidates,
+                                         given_rows, per_candidate_rates):
+    # every field of a block has the bits of the public checked stages
+    # composed one after the other
+    model, genomes, rng = random_case(seed, n_users, n_elements, n_candidates)
+    x = decode_block(genomes, n_users, n_elements, WIDE_BOX)
+    weights = x.weights[:1] if given_rows == "powers" else x.weights
+    powers = x.user_powers[:1] if given_rows == "beams" else x.user_powers
+    blocklengths, replicas = x.blocklength.copy(), x.retransmissions.copy()
+    # at 50-2000 packets/s the shortest code of one replica is stable and
+    # the longest of ten replicas is not
+    blocklengths[0], replicas[0] = WIDE_BOX.nb_min, 1
+    blocklengths[-1], replicas[-1] = WIDE_BOX.nb_max, WIDE_BOX.l_max
+    if per_candidate_rates:
+        rates = rng.uniform(50.0, 2000.0, (n_users, n_candidates))
+        chain = model.evaluate_block(weights, powers, blocklengths, replicas,
+                                     arrival_rates=rates)
+    else:
+        rates = np.tile(np.array(model.arrival_rates)[:, None], n_candidates)
+        chain = model.evaluate_block(weights, powers, blocklengths, replicas)
+    assert chain.stable[0] and not chain.stable[-1]
+    assert same_metrics(chain, public_stages(model, weights, powers, blocklengths,
+                                             replicas, rates))
+
+
+def faulty_block(name=None, value=None) -> dict:
+    """A three-candidate block of two users, user 2 with one arrival rate per
+    candidate; with ``name``, the middle candidate's entry of that input (its
+    row of weights or powers) is ``value``."""
+    block = dict(weights=np.full((3, 4), 0.5 + 0.5j), powers=np.full((3, 2), 1e-3),
+                 blocklengths=np.array([108, 120, 132]),
+                 retransmissions=np.array([1, 1, 2]),
+                 arrival_rates=[500.0, np.full(3, 400.0)])
+    if name is not None:
+        entries = block[name][1] if name == "arrival_rates" else block[name]
+        entries = entries.astype(np.result_type(entries, value))
+        entries[1] = value
+        if name == "arrival_rates":
+            entries = [500.0, entries]
+        block[name] = entries
+    return block
+
+
+@pytest.mark.parametrize("name,value,error,message", [
+    ("blocklengths", 0, ValueError, "^blocklength must be a positive integer$"),
+    ("blocklengths", np.nan, ValueError, "^blocklength must be a positive integer$"),
+    ("blocklengths", 108.5, ValueError, "^blocklength must be a positive integer$"),
+    ("retransmissions", 0, ValueError, "^retransmission count must be a positive integer$"),
+    ("retransmissions", 1.5, ValueError,
+     "^retransmission count must be a positive integer$"),
+    ("powers", 0.0, ValueError, "^user powers must be positive and finite$"),
+    ("powers", -1e-3, ValueError, "^user powers must be positive and finite$"),
+    ("weights", complex(np.inf, 0.0), ValueError, "^RIS weights must be finite$"),
+    ("weights", 1e200 + 0j, OverflowError, None),
+    ("arrival_rates", 0.0, ValueError, "^arrival rates must be positive and finite$"),
+    ("arrival_rates", np.nan, ValueError, "^arrival rates must be positive and finite$"),
+], ids=["blocklength-0", "blocklength-nan", "blocklength-fraction", "replicas-0",
+        "replicas-fraction", "power-0", "power-negative", "weight-inf",
+        "weight-overflow", "rate-0", "rate-nan"])
+def test_each_fault_of_a_block_raises_its_stage_error(name, value, error, message):
+    # one faulty entry in the middle candidate fails with the class and
+    # message of the stage that checks that input
+    model = make_model(RisGeometry(2, 2), make_scenario())
+    assert model.evaluate_block(**faulty_block()).stable.all()
+    with pytest.raises(error, match=message):
+        model.evaluate_block(**faulty_block(name, value))
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"arrival_rates": (500.0, 0.0)}, "^arrival rates must be positive and finite$"),
+    ({"arrival_rates": (np.nan, 500.0)}, "^arrival rates must be positive and finite$"),
+    ({"arrival_rates": (500.0, np.inf)}, "^arrival rates must be positive and finite$"),
+    ({"header_time": -1e-6}, "^header time must be non-negative and finite$"),
+    ({"header_time": np.nan}, "^header time must be non-negative and finite$"),
+    ({"bandwidth": 0.0}, "^bandwidth must be positive and finite$"),
+    ({"bandwidth": np.inf}, "^bandwidth must be positive and finite$"),
+    ({"payload_bits": 0}, "^payload must be a positive number of bits$"),
+    ({"payload_bits": np.nan}, "^payload must be a positive number of bits$"),
+], ids=["rate-0", "rate-nan", "rate-inf", "header-negative", "header-nan",
+        "bandwidth-0", "bandwidth-inf", "payload-0", "payload-nan"])
+def test_a_model_checks_its_constants_when_built(overrides, message):
+    # a bad constant fails when the model is built, not at its first
+    # evaluation
+    with pytest.raises(ValueError, match=message):
+        make_model(RisGeometry(2, 2), make_scenario(), **overrides)
 
 
 def test_random_blocks_cover_unstable_and_infeasible_points():
