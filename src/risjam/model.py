@@ -16,9 +16,11 @@ import numpy as np
 from .channel import RisGeometry, LinkScenario, ris_ue_channel, ris_bs_channel, \
     jammer_direct_channel, ris_jammer_channel
 from .link import NoiseConfig, sjnr_all, bler, replica_success, reliability, \
-    polar_weights, _check_beam, _check_payload, _check_powers
-from .traffic import FrameParams, TrafficParams, utilization, mean_delay, \
-    energy_efficiency, _check_frame, _check_rates, _queue, _service_time
+    polar_weights, _check_beam, _check_count, _check_payload, _check_powers
+from .traffic import energy_efficiency, _check_frame, _check_rates, _queue, \
+    _service_time
+# unused here: bench/tracing.py looks these two up in this module by name
+from .traffic import utilization, mean_delay
 
 
 @dataclass(frozen=True)
@@ -139,32 +141,18 @@ class SystemModel:
         return self.evaluate_block(weights[None], [powers], [blocklength],
                                    [retransmissions], arrival_rates).column(0)
 
-    def queue_block(self, blocklengths, retransmissions, arrival_rates=None
+    def queue_block(self, blocklengths, retransmissions
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The queueing stage of the metric chain for B (blocklength,
-        replicas) pairs: utilization (K, B), stability of every queue (B,)
-        and mean delay (K, B), NaN where a queue is unstable. It depends on
-        neither beams nor powers; ``arrival_rates`` is as in
-        ``evaluate_block``. Built from ``FrameParams``, ``TrafficParams`` and
-        each user's ``utilization`` and ``mean_delay``, with their checks;
-        ``evaluate_block`` gives the same bits in one pass over all users."""
-        blocklengths = np.asarray(blocklengths)
-        replicas = np.asarray(retransmissions)
-        rates = np.broadcast_to(self._rate_rows(arrival_rates, blocklengths.shape),
-                                (self.n_users,) + blocklengths.shape)
-        frame = FrameParams(self.header_time, self.bandwidth, blocklengths)
-        traffic = TrafficParams(rates, replicas)
-        users = range(1, self.n_users + 1)
-        rhos = np.stack([utilization(frame, traffic, k) for k in users])
-        stable = np.all(rhos < 1.0, axis=0)
-        delays = np.full(rhos.shape, np.nan)
-        if np.any(stable):
-            # delay exists only where every queue is stable
-            if not np.all(stable):
-                frame = FrameParams(self.header_time, self.bandwidth, blocklengths[stable])
-                traffic = TrafficParams(rates[:, stable], replicas[stable])
-            delays[:, stable] = np.stack([mean_delay(frame, traffic, k) for k in users])
-        return rhos, stable, delays
+        replicas) pairs at the scenario's arrival rates: utilization (K, B),
+        stability of every queue (B,) and mean delay (K, B), NaN where a
+        queue is unstable. It depends on neither beams nor powers; the counts
+        are checked as in ``bler`` and ``reliability``, then the one-pass
+        queue of ``evaluate_block`` runs."""
+        blocklengths = _check_count(blocklengths, "blocklength")
+        replicas = _check_count(retransmissions, "retransmission count")
+        return _queue(_service_time(self.header_time, self.bandwidth, blocklengths,
+                                    replicas), self._rates)
 
     def _rate_rows(self, arrival_rates, shape: tuple) -> np.ndarray:
         """The scenario's K arrival rates, or those given, as a (K, 1) array;

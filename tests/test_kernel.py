@@ -245,6 +245,49 @@ def test_the_chain_is_its_public_stages(seed, n_users, n_elements, n_candidates,
                                              replicas, rates))
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 9),
+       n_candidates=st.integers(2, 12), float_counts=st.booleans())
+def test_queue_block_is_the_chains_queue_stage(seed, n_users, n_candidates,
+                                               float_counts):
+    # the (n_b, L) pairs the GA admits are read from queue_block: its arrays
+    # have the bits of the chain's queue fields and of the public stages
+    model, genomes, _ = random_case(seed, n_users, 3, n_candidates)
+    x = decode_block(genomes, n_users, 3, WIDE_BOX)
+    blocklengths, replicas = x.blocklength.copy(), x.retransmissions.copy()
+    blocklengths[0], replicas[0] = WIDE_BOX.nb_min, 1
+    blocklengths[-1], replicas[-1] = WIDE_BOX.nb_max, WIDE_BOX.l_max
+    counts = (blocklengths, replicas)
+    rhos, stable, delays = model.queue_block(
+        *(c.astype(float) if float_counts else c for c in counts))
+    assert stable[0] and not stable[-1]
+
+    rates = np.tile(np.array(model.arrival_rates)[:, None], n_candidates)
+    for reference in (model.evaluate_block(x.weights, x.user_powers, *counts),
+                      public_stages(model, x.weights, x.user_powers, *counts, rates)):
+        assert same_bits(rhos, reference.utilization)
+        assert same_bits(stable, reference.stable)
+        assert same_bits(delays, reference.mean_delay)
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("blocklengths", 0, "^blocklength must be a positive integer$"),
+    ("blocklengths", np.nan, "^blocklength must be a positive integer$"),
+    ("blocklengths", 108.5, "^blocklength must be a positive integer$"),
+    ("retransmissions", 0, "^retransmission count must be a positive integer$"),
+    ("retransmissions", 1.5, "^retransmission count must be a positive integer$"),
+], ids=["blocklength-0", "blocklength-nan", "blocklength-fraction", "replicas-0",
+        "replicas-fraction"])
+def test_queue_block_checks_its_counts(name, value, message):
+    model = make_model(RisGeometry(2, 2), make_scenario())
+    block = faulty_block()
+    counts = {key: block[key] for key in ("blocklengths", "retransmissions")}
+    assert model.queue_block(**counts)[1].all()
+    counts[name] = faulty_block(name, value)[name]
+    with pytest.raises(ValueError, match=message):
+        model.queue_block(**counts)
+
+
 def faulty_block(name=None, value=None) -> dict:
     """A three-candidate block of two users, user 2 with one arrival rate per
     candidate; with ``name``, the middle candidate's entry of that input (its
@@ -423,12 +466,8 @@ def test_ga_scores_its_best_genome_once(monkeypatch):
 
 
 def test_one_arrival_rate_per_user_required():
-    scenario = make_scenario()
     with pytest.raises(ValueError, match="one arrival rate per user required"):
-        make_model(RisGeometry(2, 2), scenario, arrival_rates=(500.0,))
-    model = make_model(RisGeometry(2, 2), scenario)
-    with pytest.raises(ValueError, match="one arrival rate per user required"):
-        model.queue_block([108], [1], arrival_rates=(1.0, 2.0, 3.0))
+        make_model(RisGeometry(2, 2), make_scenario(), arrival_rates=(500.0,))
 
 
 @pytest.mark.parametrize("call,message", [

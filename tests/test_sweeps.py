@@ -153,6 +153,19 @@ class TestSjnrSweep:
         assert result.rows == [(4, expected[0], None),
                                (16, expected[1], expected[1] / expected[0])]
 
+    def test_ga_policy_through_the_cli(self, tmp_path):
+        # `risjam sweep sjnr-n` with the GA policy writes run_ga's SJNRs
+        path = tmp_path / "ga.ini"
+        path.write_text("[ga]\npopulation_size = 10\nmax_generations = 2\n"
+                        "[sweep]\npolicy = ga\nn_elements_grid = 4, 16\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "sjnr-n", "--config", str(path), "--out", str(out)]) == 0
+        cfg = load_config(path)
+        small, large = (run_ga(build_model(cfg, n), cfg.constraints, cfg.ga).best_report.sjnr[0]
+                        for n in (4, 16))
+        assert read_sweep_csv(out / "sjnr-n.csv").rows == [(4, small, None),
+                                                           (16, large, large / small)]
+
     def test_ga_policy_population_bound_exits_1(self, tmp_path, capsys):
         path = tmp_path / "ga.ini"
         path.write_text("[ga]\npopulation_size = 1000000000000\n"
