@@ -72,13 +72,19 @@ def polar_weights(amplitudes, phases) -> np.ndarray:
     return np.sqrt(amps) * np.exp(1j * phs)
 
 
-# Largest number of cells (candidates x RIS elements) in one row block of
-# ``beam_terms``, of the GA's breeding and initial population, and of the
-# delay-ee sweep's point blocks. A (B, N) complex temporary of this size is
-# 256 KiB and stays in a per-core L2 cache (2 MiB on the x86-64 host where
-# 2^13..2^16 were timed on ga-paper; 2^13 was slowest, 2^15 and 2^16 no
-# faster and used more memory).
+# Largest number of cells in one row block of a blocked loop (``_row_blocks``).
+# A (B, N) complex temporary of this size is 256 KiB and stays in a per-core
+# L2 cache (2 MiB on the x86-64 host where 2^13..2^16 were timed on ga-paper;
+# 2^13 was slowest, 2^15 and 2^16 no faster and used more memory).
 BLOCK_CELLS = 1 << 14
+
+
+def _row_blocks(n_rows: int, row_cells: int = 1) -> list[slice]:
+    """The consecutive slices that cover rows 0..n_rows, each of at most
+    ``BLOCK_CELLS`` cells of ``row_cells`` each and at least one row (one
+    row each when a row has no cell)."""
+    step = max(1, BLOCK_CELLS // row_cells) if row_cells else 1
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
 def beam_terms(ue_channels: np.ndarray, bs_channel: np.ndarray,
@@ -90,19 +96,16 @@ def beam_terms(ue_channels: np.ndarray, bs_channel: np.ndarray,
     I^T Theta g_J and the (B,) norms ||I^T Theta||^2, column (entry) b for
     beam b.
 
-    The beams are taken in row blocks of at most ``BLOCK_CELLS`` cells.
-    Every operand spans a whole row block and each product is a stack of
-    (1, N) rows, so a beam gets the bits it gets alone: a broadcast operand
-    or a plain matrix product can switch numpy to kernels that round
-    differently.
+    The beams are taken in the row blocks of ``_row_blocks``. Every operand
+    spans a whole row block and each product is a stack of (1, N) rows, so a
+    beam gets the bits it gets alone: a broadcast operand or a plain matrix
+    product can switch numpy to kernels that round differently.
     """
     n_beams, n = weights.shape
-    step = max(1, BLOCK_CELLS // max(1, n))  # N is 0 only in a direct call
     gains = np.empty((len(ue_channels), n_beams))
     reflections = np.empty(n_beams, dtype=complex)
     norms = np.empty(n_beams)
-    for start in range(0, n_beams, step):
-        part = slice(start, start + step)
+    for part in _row_blocks(n_beams, n):
         block = weights[part]
         rows = bs_channel[None].repeat(len(block), axis=0) * block  # I^T Theta
         stacked = rows[:, None, :]

@@ -126,20 +126,17 @@ class SystemModel:
         return float(np.sum(amps * incident))
 
     def evaluate(self, amplitudes, phases, powers,
-                 blocklength: int, retransmissions: int,
-                 arrival_rates: tuple[float, ...] | None = None) -> MetricsBlock:
+                 blocklength: int, retransmissions: int) -> MetricsBlock:
         """Run the full metric chain for one operating point.
 
         The column of a one-candidate ``evaluate_block`` on the beam's
         ``link.polar_weights``: per-user arrays (K,), the others 0-d.
-        ``arrival_rates`` overrides the scenario rates for this evaluation
-        only (channels are unaffected).
         """
         weights = polar_weights(amplitudes, phases)
         if weights.ndim != 1:
             raise ValueError("one point takes 1-D amplitudes and phases")
         return self.evaluate_block(weights[None], [powers], [blocklength],
-                                   [retransmissions], arrival_rates).column(0)
+                                   [retransmissions]).column(0)
 
     def queue_block(self, blocklengths, retransmissions
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,22 +151,6 @@ class SystemModel:
         return _queue(_service_time(self.header_time, self.bandwidth, blocklengths,
                                     replicas), self._rates)
 
-    def _rate_rows(self, arrival_rates, shape: tuple) -> np.ndarray:
-        """The scenario's K arrival rates, or those given, as a (K, 1) array;
-        as a (K, B) one, row k - 1 for user k, if a user has one rate per
-        candidate (an array of the candidates' ``shape``). Given rates are
-        not range-checked here."""
-        if arrival_rates is None:
-            return self._rates
-        rates = list(arrival_rates)
-        shapes = {np.shape(rate) for rate in rates}
-        if len(rates) != self.n_users or not shapes <= {(), shape}:
-            raise ValueError("one arrival rate per user required")
-        if len(shapes) > 1:
-            rates = [np.broadcast_to(rate, shape) for rate in rates]
-        rows = np.array(rates, dtype=float)
-        return rows if rows.ndim == 2 else rows[:, None]
-
     def evaluate_block(self, weights, powers, blocklengths, retransmissions,
                        arrival_rates=None) -> MetricsBlock:
         """Run the full metric chain for B candidates at once.
@@ -179,10 +160,10 @@ class SystemModel:
                 ``link.sjnr_all``).
             powers: (B, K) user transmit powers in watts.
             blocklengths, retransmissions: (B,) integers.
-            arrival_rates: K entries overriding the scenario's rates, entry
-                k - 1 for user k: one rate for every candidate, or a (B,)
-                array of rates, one per candidate (a (K, B) array is K such
-                entries).
+            arrival_rates: overrides the scenario's rates: K rates, entry
+                k - 1 for user k, for every candidate, or a (K, B) array, row
+                k - 1 holding user k's rate per candidate (a (K, 1) array is
+                K rates).
 
         Each candidate gets the bits it gets when evaluated alone. Every
         stage runs once over all B candidates, the SJNR in one
@@ -205,8 +186,15 @@ class SystemModel:
         for name, shape in (("weights", np.shape(weights)), ("powers", powers.shape)):
             if len(shape) > 1 and shape[0] not in (1, blocklengths.size):
                 raise ValueError(f"{name} must have one row, or one per blocklength")
-        rates = self._rate_rows(arrival_rates, blocklengths.shape)
-        if arrival_rates is not None:  # the scenario's were checked once
+        rates = self._rates  # checked once, when the model was built
+        if arrival_rates is not None:
+            try:
+                rates = np.array(arrival_rates, dtype=float)
+            except ValueError:  # a ragged list
+                rates = np.empty((0, 0))
+            rates = rates[:, None] if rates.ndim == 1 else rates
+            if rates.shape not in ((self.n_users, 1), (self.n_users, blocklengths.size)):
+                raise ValueError("one arrival rate per user required")
             _check_rates(rates)
 
         gammas = self._sjnr(weights, powers)

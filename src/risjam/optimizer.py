@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .link import BLOCK_CELLS, polar_weights, sic_balanced_weights
+from .link import _row_blocks, polar_weights, sic_balanced_weights
 from .model import MetricsBlock, SystemModel
 
 # Stand-in objective when the metric chain yields no usable efficiency
@@ -459,7 +459,7 @@ def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
     no mutated gene keeps its parent's bits.
 
     The random numbers come in whole arrays, in an order that does not
-    depend on ``BLOCK_CELLS``: every tournament contestant, every crossover
+    depend on the row blocks: every tournament contestant, every crossover
     flag, one crossover bit per element and then per other gene (one byte
     string, each child's bits starting on a byte), the number of genes that
     mutate, which genes those are, and last one Gaussian step for each of
@@ -488,9 +488,7 @@ def _breed(pop: np.ndarray, order: list[int], rng: np.random.Generator,
                          dtype=np.uint8).reshape(n_children, row_bytes)
     points = pop[:, :2 * n].view(complex)
     child_points = children[:, :2 * n].view(complex)
-    rows = max(1, BLOCK_CELLS // dim)
-    for start in range(0, n_children, rows):
-        block = slice(start, min(start + rows, n_children))
+    for block in _row_blocks(n_children, dim):
         first, second = parents[block, 0], parents[block, 1]
         # a crossing child takes a locus from its second parent where the
         # locus's crossover bit is set
@@ -532,12 +530,11 @@ def _initial_population(model: SystemModel, settings: GaSettings,
     pop = rng.random((size, genome_dimension(k, n)))
     points = pop[:, :2 * n].view(complex)
     # in row blocks, so that no temporary grows with the population
-    rows = max(1, BLOCK_CELLS // n)
-    for start in range(0, size, rows):
-        block = pop[start:start + rows, :2 * n]
+    for rows in _row_blocks(size, n):
+        block = pop[rows, :2 * n]
         block -= 0.5
         block *= np.sqrt(0.5)
-        drawn = points[start:start + rows]
+        drawn = points[rows]
         inside = _into_disc(drawn)
         if inside is not drawn:  # a corner point rounded out of the disc
             drawn[...] = inside

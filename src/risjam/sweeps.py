@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import ExperimentConfig, square_geometry
-from .link import (BLOCK_CELLS, _check_beam, _check_powers, _sic_sjnr, beam_terms,
+from .config import MAX_GRID_POINTS, ExperimentConfig, square_geometry
+from .link import (_check_beam, _check_powers, _row_blocks, _sic_sjnr, beam_terms,
                    bler, co_phasing_phases, polar_weights, reliability,
                    replica_success)
 from .model import SystemModel
@@ -183,6 +183,14 @@ def uniform_beta_sjnr(model: SystemModel, phases: np.ndarray, powers_w,
 #  Sweeps
 # ----------------------------------------------------------------------------
 
+def _check_rows(kind: str, grid, other) -> None:
+    """Raise OverflowError, before any row is built, when a sweep over the
+    product of two grids has more than ``MAX_GRID_POINTS`` rows."""
+    n_rows = len(grid) * len(other)
+    if n_rows > MAX_GRID_POINTS:
+        raise OverflowError(f"{kind} sweep has {n_rows} rows, above {MAX_GRID_POINTS}")
+
+
 def _last_at(column: np.ndarray, mask: np.ndarray):
     """The column's value at the last row the mask selects, or None."""
     hits = np.flatnonzero(mask)
@@ -195,11 +203,13 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     All users share the swept arrival rate. The replica count comes from
     [sweep] retransmissions (default 1, the value consistent with the
     reference delay numbers). Unstable points carry a marker instead of a
-    delay. The flattened grid is scored in blocks of at most
-    ``link.BLOCK_CELLS`` points, one metric-chain call per block with one
-    arrival rate per point and the policy beam given once as one row, so
-    each call forms that beam's terms once, in one ``link.sjnr_all`` call.
+    delay. The flattened grid is scored in the row blocks of
+    ``link._row_blocks``, one metric-chain call per block with one arrival
+    rate per point and the policy beam given once as one row, so each call
+    forms that beam's terms once, in one ``link.sjnr_all`` call. Raises
+    OverflowError above ``MAX_GRID_POINTS`` rows.
     """
+    _check_rows("delay-ee", cfg.sweep.arrival_rate_grid, cfg.sweep.blocklength_grid)
     model = build_model(cfg)
     amplitudes, phases, powers = _policy(cfg, model, model.n_users)
     weights = polar_weights(amplitudes, phases)[None]
@@ -209,8 +219,7 @@ def sweep_delay_ee(cfg: ExperimentConfig) -> SweepResult:
     length_column = np.tile(lengths, rates.size)
 
     utilizations, delays, etas = [], [], []
-    for start in range(0, rate_column.size, BLOCK_CELLS):
-        block = slice(start, start + BLOCK_CELLS)
+    for block in _row_blocks(rate_column.size):
         block_lengths = length_column[block]
         chain = model.evaluate_block(
             weights, [powers], block_lengths,
@@ -244,14 +253,15 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
 
     Phases are co-phased to the plotted (last by default) user; the smallest
     grid amplitude reaching the reliability threshold is recorded per element
-    count in the metadata, next to the reference readings.
+    count in the metadata, next to the reference readings. Raises
+    OverflowError above ``MAX_GRID_POINTS`` rows.
     """
+    counts = cfg.sweep.n_elements_grid or (4, 100, 400, 900)
+    _check_rows("rel-beta", counts, cfg.sweep.beta_grid)
     betas = np.asarray(sorted(cfg.sweep.beta_grid), dtype=float)
     metadata = _metadata(cfg, "rel-beta")
-
-    counts = np.array(cfg.sweep.n_elements_grid or (4, 100, 400, 900))
     rels = []
-    for n_elements in counts.tolist():
+    for n_elements in counts:
         model = build_model(cfg, n_elements)
         _, phases, powers = _policy(cfg, model, model.n_users)
         gammas = uniform_beta_sjnr(model, phases, powers, betas)
@@ -266,7 +276,7 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
         if reference is not None:
             metadata[f"reference_threshold_beta_n{n_elements}"] = repr(reference)
         rels.append(rel)
-    values = (np.repeat(counts, betas.size), np.tile(betas, counts.size),
+    values = (np.repeat(counts, betas.size), np.tile(betas, len(counts)),
               np.concatenate(rels))
     return SweepResult("rel-beta", REL_BETA_COLUMNS, values, metadata)
 
@@ -323,8 +333,6 @@ def _decode_cell(text: str):
         return text
 
 
-# rows formatted and written at a time, so a file's text never exists whole
-CSV_CHUNK_ROWS = 1 << 14
 # the characters for which csv.writer (QUOTE_MINIMAL, "\n" line ends) may
 # quote a cell
 _MAY_QUOTE = re.compile('[,"\r\n]')
@@ -367,7 +375,9 @@ def _write_csv(result: SweepResult, path: str | Path) -> Path:
     The bytes are those of ``csv.writer`` with ``lineterminator="\n"`` over
     the rows: None is an empty cell (``""`` alone on its row), integers
     read as their ``str`` and floats (numpy float64 too) as their shortest
-    round-tripping repr, which ``_decode_cell`` reads back.
+    round-tripping repr, which ``_decode_cell`` reads back. The rows are
+    formatted and written a row block (``link._row_blocks``) at a time, so a
+    file's text never exists whole.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -382,10 +392,8 @@ def _write_csv(result: SweepResult, path: str | Path) -> Path:
         for key, value in result.metadata.items():
             handle.write(f"# {key}={value}\n")
         csv.writer(handle, lineterminator="\n").writerow(result.columns)
-        n_rows = len(result.rows)
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = slice(start, min(start + CSV_CHUNK_ROWS, n_rows))
-            cells = np.empty((chunk.stop - start, len(formatted)), dtype=object)
+        for chunk in _row_blocks(len(result.rows)):
+            cells = np.empty((chunk.stop - chunk.start, len(formatted)), dtype=object)
             for j, (texts, order) in enumerate(formatted):
                 cells[:, j] = texts[chunk] if order is None else texts[order[chunk]]
             handle.write("".join(cells.ravel().tolist()))

@@ -20,7 +20,9 @@ from .link import _check_count
 # the path)
 MAX_ARRIVALS = 2 ** 26
 # Arrivals ``simulate_md1`` draws and walks at a time; its two buffers of
-# float64 fit in a core's L2 cache
+# float64 fit in a core's L2 cache. Not ``link.BLOCK_CELLS``: the walk's
+# final sum is grouped by chunk, so its bits depend on this size, and a
+# change of the block size must change no result.
 MD1_CHUNK = 1 << 14
 
 

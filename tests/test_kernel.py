@@ -171,12 +171,13 @@ def test_sjnr_row_blocks_do_not_change_bits(seed, n_users, n_elements, rows,
     def rows_of(array, part):
         return array[part] if len(array) > 1 else array
 
-    row_blocks = [slice(start, start + rows) for start in range(0, n_candidates, rows)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(link, "BLOCK_CELLS", rows * n_elements)
         patch.setattr(model_module, "sjnr_all", recorded)
         blocked = model.evaluate_block(weights, powers, *block, arrival_rates=rates)
         assert calls == [len(weights)]
+        row_blocks = link._row_blocks(n_candidates, n_elements)
+        assert all(part.stop - part.start == rows for part in row_blocks[:-1])
         parts = [model.evaluate_block(rows_of(weights, part), rows_of(powers, part),
                                       *(column[part] for column in block),
                                       arrival_rates=rates[:, part])
@@ -289,19 +290,16 @@ def test_queue_block_checks_its_counts(name, value, message):
 
 
 def faulty_block(name=None, value=None) -> dict:
-    """A three-candidate block of two users, user 2 with one arrival rate per
-    candidate; with ``name``, the middle candidate's entry of that input (its
-    row of weights or powers) is ``value``."""
+    """A three-candidate block of two users, with a (K, B) array of arrival
+    rates; with ``name``, the middle candidate's entry of that input (its
+    row of weights or powers, its column of rates) is ``value``."""
     block = dict(weights=np.full((3, 4), 0.5 + 0.5j), powers=np.full((3, 2), 1e-3),
                  blocklengths=np.array([108, 120, 132]),
                  retransmissions=np.array([1, 1, 2]),
-                 arrival_rates=[500.0, np.full(3, 400.0)])
+                 arrival_rates=np.array([[500.0] * 3, [400.0] * 3]))
     if name is not None:
-        entries = block[name][1] if name == "arrival_rates" else block[name]
-        entries = entries.astype(np.result_type(entries, value))
-        entries[1] = value
-        if name == "arrival_rates":
-            entries = [500.0, entries]
+        entries = block[name].astype(np.result_type(block[name], value))
+        (entries.T if name == "arrival_rates" else entries)[1] = value
         block[name] = entries
     return block
 
@@ -368,14 +366,15 @@ def test_delay_ee_rows_equal_per_point_evaluations():
     cfg = load_config()
     result = sweep_delay_ee(cfg)
     model = build_model(cfg)
-    beam = (np.full(model.n_elements, cfg.sweep.policy_beta_total / model.n_elements),
-            co_phasing_phases(model.bs_channel, model.ue_channels[-1]))
-    powers = (cfg.sweep.policy_power_w,) * model.n_users
+    weights = link.polar_weights(
+        np.full(model.n_elements, cfg.sweep.policy_beta_total / model.n_elements),
+        co_phasing_phases(model.bs_channel, model.ue_channels[-1]))[None]
+    powers = [(cfg.sweep.policy_power_w,) * model.n_users]
     markers = 0
     for rate, blocklength, rho, delay, eta in result.rows:
-        report = model.evaluate(*beam, powers, blocklength,
-                                cfg.sweep.retransmissions,
-                                arrival_rates=(rate,) * model.n_users)
+        report = model.evaluate_block(weights, powers, [blocklength],
+                                      [cfg.sweep.retransmissions],
+                                      arrival_rates=(rate,) * model.n_users).column(0)
         assert same_bits(rho, report.utilization[0])
         if report.stable:
             assert same_bits(delay, report.mean_delay[0])
@@ -413,7 +412,7 @@ def test_delay_ee_blocks_do_not_change_its_rows(monkeypatch):
     cfg = load_config()
     whole = sweep_delay_ee(cfg)
     calls = recorded_blocks(monkeypatch)
-    monkeypatch.setattr(sweeps, "BLOCK_CELLS", 100)
+    monkeypatch.setattr(link, "BLOCK_CELLS", 100)
     blocked = sweep_delay_ee(cfg)
     assert len(calls) == -(-len(whole.rows) // 100) > 1
     # floats compare equal only when their bits are (no row holds a NaN)
@@ -436,14 +435,6 @@ def test_a_block_of_rates_scores_like_one_call_per_rate(n_users):
                                      x.blocklength[b:b + 1], x.retransmissions[b:b + 1],
                                      arrival_rates=tuple(rates[:, b].tolist()))
         assert same_metrics(alone.column(0), chain.column(b))
-
-    # one rate for user 1 stands for a row of that rate
-    rates[0] = rates[0, 0]
-    mixed = model.evaluate_block(x.weights, x.user_powers, x.blocklength,
-                                 x.retransmissions,
-                                 arrival_rates=[rates[0, 0], *rates[1:]])
-    assert same_metrics(mixed, model.evaluate_block(
-        x.weights, x.user_powers, x.blocklength, x.retransmissions, arrival_rates=rates))
 
 
 def test_ga_scores_its_best_genome_once(monkeypatch):
@@ -523,29 +514,46 @@ def test_evaluate_block_names_a_bad_row_count(bad, message):
 
 RATE_COUNT = "^one arrival rate per user required$"
 RATE_RANGE = "^arrival rates must be positive and finite$"
+# B = 3 candidates of two users
+RATE_BLOCK = dict(weights=np.ones((3, 4), complex), powers=np.full((1, 2), 1e-3),
+                  blocklengths=[108, 120, 132], retransmissions=[1, 1, 2])
+
+
+@pytest.mark.parametrize("rates", [
+    (500.0, 400.0),
+    np.array([[500.0], [400.0]]),
+    np.array([[500.0] * 3, [400.0] * 3]),
+    (np.full(3, 500.0), [400.0] * 3),
+], ids=["k-rates", "one-column", "k-by-b", "stacked-rows"])
+def test_evaluate_block_accepts_each_rate_form(rates):
+    # K rates, a (K, 1) array and the (K, B) array they stand for score
+    # alike, bit for bit
+    model = make_model(RisGeometry(2, 2), make_scenario())
+    tiled = model.evaluate_block(**RATE_BLOCK, arrival_rates=np.array([[500.0] * 3,
+                                                                        [400.0] * 3]))
+    assert tiled.stable.all()
+    assert same_metrics(model.evaluate_block(**RATE_BLOCK, arrival_rates=rates), tiled)
 
 
 @pytest.mark.parametrize("rates,message", [
     ([np.full(2, 500.0), 500.0], RATE_COUNT),
     ([np.full(4, 500.0), np.full(4, 500.0)], RATE_COUNT),
-    (np.full((2, 1), 500.0), RATE_COUNT),
+    ([500.0, np.full(3, 400.0)], RATE_COUNT),
+    (np.full((3, 2), 500.0), RATE_COUNT),
     ([np.full(3, 500.0)], RATE_COUNT),
     (np.full((3, 3), 500.0), RATE_COUNT),
-    ([500.0, [500.0, 0.0, 500.0]], RATE_RANGE),
-    ([500.0, [500.0, -1.0, 500.0]], RATE_RANGE),
+    (500.0, RATE_COUNT),
+    ([[500.0] * 3, [500.0, 0.0, 500.0]], RATE_RANGE),
+    ([[500.0] * 3, [500.0, -1.0, 500.0]], RATE_RANGE),
     (np.array([[500.0, np.nan, 500.0], [500.0] * 3]), RATE_RANGE),
-    ([np.inf, [500.0] * 3], RATE_RANGE),
-], ids=["short-array", "long-arrays", "one-column", "one-user", "three-users",
-        "zero", "negative", "nan", "inf"])
+    ([[np.inf] * 3, [500.0] * 3], RATE_RANGE),
+], ids=["short-array", "long-arrays", "ragged", "transposed", "one-user",
+        "three-users", "one-rate", "zero", "negative", "nan", "inf"])
 def test_evaluate_block_rejects_a_bad_rate_block(rates, message):
-    # B = 3 candidates of two users: each user's entry is one rate or three
+    # K rates or a (K, B) array, nothing else
     model = make_model(RisGeometry(2, 2), make_scenario())
-    block = dict(weights=np.ones((3, 4), complex), powers=np.full((1, 2), 1e-3),
-                 blocklengths=[108, 120, 132], retransmissions=[1, 1, 2])
-    ok = model.evaluate_block(**block, arrival_rates=[500.0, np.full(3, 400.0)])
-    assert ok.stable.all()
     with pytest.raises(ValueError, match=message):
-        model.evaluate_block(**block, arrival_rates=rates)
+        model.evaluate_block(**RATE_BLOCK, arrival_rates=rates)
 
 
 def test_small_run_is_pinned():

@@ -187,6 +187,32 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(n_rows=st.integers(0, 300), row_cells=st.integers(0, 40),
+           block_cells=st.integers(1, 64))
+    @example(n_rows=0, row_cells=3, block_cells=8)
+    def test_slices_cover_the_rows_in_order(self, n_rows, row_cells, block_cells):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(link, "BLOCK_CELLS", block_cells)
+            blocks = link._row_blocks(n_rows, row_cells)
+        assert [row for block in blocks for row in range(n_rows)[block]] == list(range(n_rows))
+        sizes = [block.stop - block.start for block in blocks]
+        assert all(block.step is None for block in blocks) and min(sizes, default=1) >= 1
+        if 0 < row_cells <= block_cells:
+            # as many rows as fit, in every block but the last
+            full = min(n_rows, block_cells // row_cells)
+            assert sizes[:-1] == [full] * (len(sizes) - 1) and sizes[-1:] <= [full]
+        else:  # a row of no cell, or of more than a block holds, is its own block
+            assert sizes == [1] * n_rows
+
+    def test_default_row_is_one_cell(self):
+        assert link._row_blocks(2 * link.BLOCK_CELLS + 1) == [
+            slice(0, link.BLOCK_CELLS), slice(link.BLOCK_CELLS, 2 * link.BLOCK_CELLS),
+            slice(2 * link.BLOCK_CELLS, 2 * link.BLOCK_CELLS + 1)]
+        assert link._row_blocks(0) == []
+
+
 class TestBeamTerms:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),

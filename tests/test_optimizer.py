@@ -393,10 +393,9 @@ class TestRunGa:
         cons = ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)
         settings = GaSettings(rng_seed=5, population_size=40, max_generations=15)
         default = run_ga(two_user_model, cons, settings)
-        # 64 cells hold one 36-gene genome: every row is its own block of
-        # breeding and of the initial population; N cells hold one beam, so
-        # the SJNR's beam terms are formed one candidate at a time
-        monkeypatch.setattr(optimizer, "BLOCK_CELLS", 64)
+        # N cells hold one beam and no 36-gene genome: every row is its own
+        # block of breeding and of the initial population, and the SJNR's
+        # beam terms are formed one candidate at a time
         monkeypatch.setattr(link, "BLOCK_CELLS", two_user_model.n_elements)
         beams = []
         sjnr_all = model_module.sjnr_all

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import risjam
-from risjam import sweeps
+from risjam import link, sweeps
 from risjam.config import PRESETS, load_config
 from risjam.cli import _build_parser, main
 from risjam.link import NoiseConfig, polar_weights, sjnr_all
@@ -86,6 +87,43 @@ class TestDelayEeSweep:
         result = sweep_delay_ee(load_config())
         keys = [(row[0], row[1]) for row in result.rows]
         assert keys == sorted(keys)
+
+
+def no_model(*args):
+    raise AssertionError("a model was built")
+
+
+class TestRowBound:
+    """A sweep over more than ``MAX_GRID_POINTS`` rows fails before it
+    builds a model or a column."""
+
+    @pytest.mark.parametrize("kind,sweep,grids", [
+        ("delay-ee", sweep_delay_ee, dict(arrival_rate_grid=(100.0,) * 10 ** 6,
+                                          blocklength_grid=(108,) * 10 ** 6)),
+        ("rel-beta", sweep_reliability_vs_beta, dict(n_elements_grid=(4,) * 10 ** 6,
+                                                     beta_grid=(1.0,) * 10 ** 6)),
+    ], ids=["delay-ee", "rel-beta"])
+    def test_rows_above_the_bound_raise_first(self, kind, sweep, grids, monkeypatch):
+        cfg = load_config()
+        monkeypatch.setattr(sweeps, "build_model", no_model)
+        with pytest.raises(OverflowError, match=f"^{kind} sweep has 1000000000000 "
+                                                "rows, above 1000000$"):
+            sweep(replace(cfg, sweep=replace(cfg.sweep, **grids)))
+
+    @pytest.mark.parametrize("sweep,grids", [
+        (sweep_delay_ee, dict(arrival_rate_grid=(100.0, 500.0),
+                              blocklength_grid=(108, 120, 132))),
+        (sweep_reliability_vs_beta, dict(n_elements_grid=(4, 16),
+                                         beta_grid=(0.0, 1.0, 2.0))),
+    ], ids=["delay-ee", "rel-beta"])
+    def test_the_bound_is_inclusive(self, sweep, grids, monkeypatch):
+        cfg = load_config()
+        cfg = replace(cfg, sweep=replace(cfg.sweep, **grids))
+        monkeypatch.setattr(sweeps, "MAX_GRID_POINTS", 6)
+        assert len(sweep(cfg).rows) == 6
+        monkeypatch.setattr(sweeps, "MAX_GRID_POINTS", 5)
+        with pytest.raises(OverflowError, match=" sweep has 6 rows, above 5$"):
+            sweep(cfg)
 
 
 class TestRelBetaSweep:
@@ -281,8 +319,10 @@ class TestCsvRoundTrip:
         path = write_sweep_csv(result, tmp_path_factory.getbasetemp() / "w.csv")
         assert path.read_bytes() == csv_reference(result)
 
-    def test_writer_matches_csv_writer_across_chunks(self, tmp_path):
-        n = 2 * sweeps.CSV_CHUNK_ROWS + 3
+    def test_writer_matches_csv_writer_across_chunks(self, tmp_path, monkeypatch):
+        # the rows are written in the row blocks of link._row_blocks
+        monkeypatch.setattr(link, "BLOCK_CELLS", 64)
+        n = 2 * 64 + 3
         values = (np.arange(n, dtype=np.int64) % 7, np.linspace(-1.0, 1.0, n),
                   [None if i % 5 else f"{i},x" for i in range(n)])
         result = SweepResult("w", ("k", "x", "note"), values, {"kind": "w"})
@@ -451,6 +491,21 @@ class TestCli:
         assert main(["sweep", "delay-ee", "--config", str(ini),
                      "--out", str(tmp_path / "o")]) == 2
         assert "every grid point is unstable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,grids,n_rows", [
+        ("delay-ee", "arrival_rate_grid = 1:1000000:1\nblocklength_grid = 1:1000000:1",
+         10 ** 12),
+        ("rel-beta", "n_elements_grid = " + ", ".join(str(n * n) for n in range(2, 1002))
+         + "\nbeta_grid = 0:999999:1", 10 ** 9),
+    ], ids=["delay-ee", "rel-beta"])
+    def test_rows_above_the_bound_exit_1(self, kind, grids, n_rows, tmp_path, capsys):
+        ini = tmp_path / "huge.ini"
+        ini.write_text(f"[sweep]\n{grids}\n")
+        out = tmp_path / "o"
+        assert main(["sweep", kind, "--config", str(ini), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {kind} sweep has {n_rows} rows, above 1000000\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_every_preset_is_a_cli_choice(self, preset):
