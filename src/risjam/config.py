@@ -18,6 +18,8 @@ from math import isqrt
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .channel import Direction, LinkScenario, RisGeometry
 from .link import NoiseConfig
 from .optimizer import ConstraintSet, GaSettings
@@ -64,10 +66,10 @@ def _numbers(text: str) -> tuple[float, ...]:
     return tuple(_number(p) for p in parts)
 
 
-def _grid(text: str) -> tuple[float, ...]:
-    """'start:stop:step' (stop inclusive) or a comma-separated list."""
+def _grid_points(text: str) -> np.ndarray:
+    """'start:stop:step' (stop inclusive) or a comma-separated list, as floats."""
     if ":" not in text:
-        return _numbers(text)
+        return np.array(_numbers(text))
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:step")
@@ -78,16 +80,25 @@ def _grid(text: str) -> tuple[float, ...]:
     span = (stop - start) / step + 1e-9
     if span >= MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
-    return tuple(start + i * step for i in range(math.floor(span) + 1))
+    # point i is start + i * step, the same IEEE operations as in Python
+    points = np.arange(math.floor(span) + 1, dtype=float)
+    points *= step
+    points += start
+    return points
+
+
+def _grid(text: str) -> tuple[float, ...]:
+    return tuple(_grid_points(text).tolist())
 
 
 def _integer_grid(text: str) -> tuple[int, ...]:
-    """Integers read through ``_grid``'s floats, so at most 2**53 in size."""
-    values = _grid(text)
-    for v in values:
-        if abs(v - round(v)) > 1e-9 or abs(v) > 2 ** 53:
-            raise ValueError(f"expected integers up to 2**53, got {v}")
-    return tuple(int(round(v)) for v in values)
+    """Integers read through ``_grid_points``' floats, so at most 2**53 in size."""
+    points = _grid_points(text)
+    nearest = np.round(points)  # halves to even, as Python's round
+    bad = (np.abs(points - nearest) > 1e-9) | (np.abs(points) > 2 ** 53)
+    if bad.any():
+        raise ValueError(f"expected integers up to 2**53, got {points[bad.argmax()].item()}")
+    return tuple(nearest.astype(np.int64).tolist())
 
 
 def _at_least(low: float, parse: Callable = _number, strict: bool = False) -> Callable:
@@ -95,9 +106,12 @@ def _at_least(low: float, parse: Callable = _number, strict: bool = False) -> Ca
     equal to it when ``strict``."""
     def parse_bounded(text: str):
         value = parse(text)
-        for item in value if isinstance(value, tuple) else (value,):
-            if item < low or (strict and item == low):
-                raise ValueError(f"must be {'>' if strict else '>='} {low}, got {item}")
+        items = value if isinstance(value, tuple) else (value,)
+        entries = np.array(items)
+        bad = (entries <= low) if strict else (entries < low)
+        if bad.any():
+            raise ValueError(f"must be {'>' if strict else '>='} {low}, "
+                             f"got {items[bad.argmax()]}")
         return value
     return parse_bounded
 

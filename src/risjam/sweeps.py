@@ -253,31 +253,37 @@ def sweep_reliability_vs_beta(cfg: ExperimentConfig) -> SweepResult:
 
     Phases are co-phased to the plotted (last by default) user; the smallest
     grid amplitude reaching the reliability threshold is recorded per element
-    count in the metadata, next to the reference readings. Raises
+    count in the metadata, next to the reference readings. Each element
+    count's amplitude grid is scored in the row blocks of
+    ``link._row_blocks``, one metric-chain pass per block, so the memory
+    the sweep holds beyond its result does not grow with the grid. Raises
     OverflowError above ``MAX_GRID_POINTS`` rows.
     """
     counts = cfg.sweep.n_elements_grid or (4, 100, 400, 900)
     _check_rows("rel-beta", counts, cfg.sweep.beta_grid)
-    betas = np.asarray(sorted(cfg.sweep.beta_grid), dtype=float)
+    betas = np.array(cfg.sweep.beta_grid, dtype=float)
+    betas.sort(kind="stable")  # -0.0 and 0.0 keep their order, as in sorted()
     metadata = _metadata(cfg, "rel-beta")
-    rels = []
-    for n_elements in counts:
+    rel_column = np.empty(len(counts) * betas.size)
+    for i, n_elements in enumerate(counts):
         model = build_model(cfg, n_elements)
         _, phases, powers = _policy(cfg, model, model.n_users)
-        gammas = uniform_beta_sjnr(model, phases, powers, betas)
-        blers = bler(gammas, cfg.sweep.blocklength, cfg.payload_bits)
-        rel = reliability(replica_success(blers), cfg.traffic.retransmissions)
+        # each stage is elementwise in the amplitude, so a row keeps its bits
+        # in any block; an amplitude's row holds one chain cell per user
+        rel = rel_column[i * betas.size:(i + 1) * betas.size]
+        for block in _row_blocks(betas.size, model.n_users):
+            gammas = uniform_beta_sjnr(model, phases, powers, betas[block])
+            blers = bler(gammas, cfg.sweep.blocklength, cfg.payload_bits)
+            rel[block] = reliability(replica_success(blers), cfg.traffic.retransmissions)
 
-        reached = np.nonzero(rel >= cfg.constraints.rel_thr)[0]
-        threshold = float(betas[reached[0]]) if reached.size else None
+        reached = rel >= cfg.constraints.rel_thr
+        threshold = float(betas[reached.argmax()]) if reached.any() else None
         metadata[f"threshold_beta_n{n_elements}"] = (
             "none" if threshold is None else repr(threshold))
         reference = REFERENCE_REL_BETA_THRESHOLDS.get(n_elements)
         if reference is not None:
             metadata[f"reference_threshold_beta_n{n_elements}"] = repr(reference)
-        rels.append(rel)
-    values = (np.repeat(counts, betas.size), np.tile(betas, len(counts)),
-              np.concatenate(rels))
+    values = (np.repeat(counts, betas.size), np.tile(betas, len(counts)), rel_column)
     return SweepResult("rel-beta", REL_BETA_COLUMNS, values, metadata)
 
 
@@ -349,24 +355,36 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _column_texts(column) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(texts, order)``: row i's cell reads ``texts[order[i]]``, or
-    ``texts[i]`` where order is None.
+def _column_texts(column, end: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(texts, order)``: row i's cell, followed by the separator ``end``,
+    reads ``texts[order[i]]``, or ``texts[i]`` where order is None.
 
     An int64 or float64 array is split into its distinct values by their
     bits (so -0.0 and 0.0 stay apart, and so do NaNs), and each gets its
-    ``str`` once: the shortest round-tripping repr for a float. Any other
-    column is formatted cell by cell: None as an empty cell, anything else
-    as its ``str``.
+    ``str`` once: the shortest round-tripping repr for a float. ``order``
+    holds each row's distinct-value code in the narrowest unsigned type. Any
+    other column is formatted cell by cell: None as an empty cell, anything
+    else as its ``str``.
     """
     if isinstance(column, np.ndarray) and column.dtype in _DEDUPED:
-        distinct, order = np.unique(column.view(np.int64), return_inverse=True)
-        texts = list(map(str, distinct.view(column.dtype).tolist()))
+        bits = column.view(np.int64)
+        # a stable sort merges the sorted runs of a sweep's grid columns in
+        # about linear time
+        rank = bits.argsort(kind="stable")
+        ranked = bits[rank]
+        starts = np.empty(ranked.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+        distinct = ranked[starts]
+        starts[:1] = False  # the first distinct value has code 0
+        order = np.empty(ranked.size, dtype=np.min_scalar_type(max(distinct.size - 1, 0)))
+        order[rank] = np.cumsum(starts, dtype=order.dtype)
+        texts = [str(value) + end for value in distinct.view(column.dtype).tolist()]
         return np.array(texts, dtype=object), order
     texts = ["" if value is None else str(value) for value in column]
     if _MAY_QUOTE.search("".join(texts)):
         texts = list(map(_quoted, texts))
-    return np.array(texts, dtype=object), None
+    return np.array([text + end for text in texts], dtype=object), None
 
 
 def _write_csv(result: SweepResult, path: str | Path) -> Path:
@@ -381,13 +399,11 @@ def _write_csv(result: SweepResult, path: str | Path) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    formatted = [_column_texts(column) for column in result.values]
+    ends = [","] * (len(result.values) - 1) + ["\n"]
+    formatted = [_column_texts(column, end) for column, end in zip(result.values, ends)]
     if len(formatted) == 1:
         texts, order = formatted[0]
-        formatted = [(np.where(texts == "", '""', texts), order)]
-    # each cell text carries the separator that follows it
-    ends = [","] * (len(formatted) - 1) + ["\n"]
-    formatted = [(texts + end, order) for (texts, order), end in zip(formatted, ends)]
+        formatted = [(np.where(texts == "\n", '""\n', texts), order)]
     with open(path, "w", newline="\n") as handle:
         for key, value in result.metadata.items():
             handle.write(f"# {key}={value}\n")

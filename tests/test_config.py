@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from risjam import config, optimizer
 from risjam.channel import RisGeometry
@@ -372,11 +372,13 @@ class TestErrors:
         assert not out.exists()
 
     def test_grid_point_cap(self, tmp_path, monkeypatch):
-        def bounded_range(stop):
+        arange = np.arange
+
+        def bounded_arange(*args, **kwargs):
             # fails instead of allocating if a grid is built before its size is checked
-            assert stop <= config.MAX_GRID_POINTS
-            return range(stop)
-        monkeypatch.setattr(config, "range", bounded_range, raising=False)
+            assert max(args) <= config.MAX_GRID_POINTS
+            return arange(*args, **kwargs)
+        monkeypatch.setattr(config.np, "arange", bounded_arange)
         for grid in ("1:1e12:1", "0:1e308:1e-308", "-1e308:1e308:1", "0:1000000:1"):
             with pytest.raises(ConfigError, match=r"\[sweep\] beta_grid: grid has more"):
                 load_config(write(tmp_path, f"[sweep]\nbeta_grid = {grid}\n"))
@@ -532,6 +534,19 @@ class TestConversionsAndOverrides:
         assert cfg.sweep.arrival_rate_grid == (10.0, 30.0)
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[sweep]\nbeta_grid = 5:1:1\n", "bad.ini"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324]),
+           step=st.floats(5e-324, 1e3) | st.sampled_from([5e-324, 1e-310, 0.1]),
+           n_points=st.integers(1, 3000))
+    def test_grid_points_are_the_python_formula(self, start, step, n_points):
+        stop = start + (n_points - 1) * step
+        span = (stop - start) / step + 1e-9
+        assume(math.isfinite(span) and span < config.MAX_GRID_POINTS)
+        expected = tuple(start + i * step for i in range(math.floor(span) + 1))
+        grid = config._grid(f"{start!r}:{stop!r}:{step!r}")
+        # float.hex tells the bits apart, signs of zero included
+        assert list(map(float.hex, grid)) == list(map(float.hex, expected))
 
     def test_ris_jammer_distance_override(self, tmp_path):
         cfg = load_config(write(tmp_path, "[scenario]\ndist_ris_jammer_m = 45\n"))

@@ -10,6 +10,8 @@ polar weights of a decision vector. A decoded genome's polar record
 the block's to a stated tolerance.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -418,6 +420,26 @@ def test_delay_ee_blocks_do_not_change_its_rows(monkeypatch):
     # floats compare equal only when their bits are (no row holds a NaN)
     assert blocked.rows == whole.rows
     assert blocked.metadata["delay_ratio_100_1300"] == whole.metadata["delay_ratio_100_1300"]
+
+
+@pytest.mark.parametrize("block_cells", [8, 37])
+def test_rel_beta_blocks_do_not_change_its_rows(monkeypatch, block_cells):
+    # a signed zero and a repeated amplitude among the default grid's points
+    cfg = load_config()
+    betas = (0.0, -0.0, 2.5, 2.5) + cfg.sweep.beta_grid
+    cfg = replace(cfg, sweep=replace(cfg.sweep, n_elements_grid=(4, 100), beta_grid=betas))
+    whole = sweeps.sweep_reliability_vs_beta(cfg)
+    calls = []
+    uniform_beta_sjnr = sweeps.uniform_beta_sjnr
+    monkeypatch.setattr(sweeps, "uniform_beta_sjnr",
+                        lambda *args: calls.append(1) or uniform_beta_sjnr(*args))
+    monkeypatch.setattr(link, "BLOCK_CELLS", block_cells)
+    blocked = sweeps.sweep_reliability_vs_beta(cfg)
+    # one row of K = 2 users' cells per amplitude
+    assert len(calls) == 2 * -(-len(betas) // (block_cells // 2))
+    assert all(same_bits(a, b) for a, b in zip(blocked.values, whole.values))
+    del whole.metadata["created_utc"], blocked.metadata["created_utc"]
+    assert blocked.metadata == whole.metadata
 
 
 @pytest.mark.parametrize("n_users", [1, 3])

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -43,6 +44,12 @@ csv_int64s = st.integers(-2 ** 63, 2 ** 63 - 1)
 csv_cells = st.one_of(
     st.integers(), csv_int64s.map(np.int64), csv_floats, csv_floats.map(np.float64),
     st.booleans(), st.none(), st.text(alphabet=',"\n\rab ', max_size=4))
+
+
+# two NaN payloads beside -0.0 and 0.0: four distinct bit patterns
+EDGE_COLUMN = np.array([0x8000000000000000, 0, 0x7FF8000000000000,
+                        0x7FF8000000000001, 0x8000000000000000],
+                       dtype=np.uint64).view(np.float64)
 
 
 def csv_reference(result):
@@ -150,6 +157,28 @@ class TestRelBetaSweep:
         first = [row for row in result.rows if row[1] == 0.0][0]
         assert first[2] == 0.0
 
+
+    @pytest.mark.parametrize("step,n_rows", [("0.001", 100_002), ("0.00025", 400_002)])
+    def test_working_memory_stays_below_the_result(self, tmp_path, step, n_rows):
+        # The bound: the amplitude grid is scored a row block at a time, so
+        # beyond its result columns the sweep holds the sorted amplitude grid
+        # (a sixth of the result here) and one block's chain temporaries,
+        # which do not grow with the grid: about 0.2x the result at both
+        # sizes. The result's own size is a bound that holds with room to
+        # spare and still fails a sweep that scores each element count's
+        # whole grid at once, which holds over 3x the result.
+        path = tmp_path / "rb.ini"
+        path.write_text(f"[sweep]\nn_elements_grid = 4, 100\nbeta_grid = 0:50:{step}\n")
+        cfg = load_config(path)
+        tracemalloc.start()
+        try:
+            result = sweep_reliability_vs_beta(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result_bytes = sum(column.nbytes for column in result.values)
+        assert len(result.rows) == n_rows
+        assert peak - result_bytes < result_bytes
 
     def test_element_grid_defaults_per_sweep(self, tmp_path):
         # an empty n_elements_grid leaves each element sweep its own grid
@@ -324,10 +353,33 @@ class TestCsvRoundTrip:
         monkeypatch.setattr(link, "BLOCK_CELLS", 64)
         n = 2 * 64 + 3
         values = (np.arange(n, dtype=np.int64) % 7, np.linspace(-1.0, 1.0, n),
-                  [None if i % 5 else f"{i},x" for i in range(n)])
-        result = SweepResult("w", ("k", "x", "note"), values, {"kind": "w"})
+                  [None if i % 5 else f"{i},x" for i in range(n)],
+                  np.resize(EDGE_COLUMN, n))
+        result = SweepResult("w", ("k", "x", "note", "edge"), values, {"kind": "w"})
         path = write_sweep_csv(result, tmp_path / "w.csv")
         assert path.read_bytes() == csv_reference(result)
+
+    @pytest.mark.parametrize("n_distinct,code_type", [
+        (1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_codes_take_the_narrowest_type(self, n_distinct, code_type):
+        column = np.arange(n_distinct, dtype=np.int64).repeat(2)
+        texts, order = sweeps._column_texts(column, ",")
+        assert (order.dtype, len(texts)) == (code_type, n_distinct)
+        assert texts[order].tolist() == [f"{value}," for value in column.tolist()]
+
+    @pytest.mark.parametrize("column", [
+        np.array([3.5, -1.0, 2.0, -1.0, 0.25, 1e16]),
+        np.repeat(np.array([7, -2, 7, 2 ** 40], dtype=np.int64), 3),
+        np.array([0.0, -0.0, 0.0, -0.0, -0.0]),
+        EDGE_COLUMN,
+        np.array([], dtype=np.float64),
+    ], ids=["unsorted", "runs", "signed-zeros", "nan-payloads", "empty"])
+    @pytest.mark.parametrize("end", [",", "\n"])
+    def test_texts_and_codes_read_each_cell(self, column, end):
+        texts, order = sweeps._column_texts(column, end)
+        assert texts[order].tolist() == [str(value) + end for value in column.tolist()]
+        # one text per distinct bit pattern: -0.0 and 0.0, and two NaNs, apart
+        assert len(texts) == np.unique(column.view(np.int64)).size
 
     def test_lone_empty_cells_and_empty_results(self, tmp_path):
         # csv.writer writes an empty field alone on its row as ""
