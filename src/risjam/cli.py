@@ -7,6 +7,8 @@ result, 3 internal error.
 """
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -129,6 +131,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, preset=args.preset, seed=args.seed,
                           output_dir=args.out)
+        if args.command != "mdl-oracle" and args.out.exists() and not args.out.is_dir():
+            # a file there would fail the first write, after all the work
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
         if args.command == "optimize":
             return _cmd_optimize(cfg)
         if args.command == "sweep":
@@ -136,6 +141,11 @@ def main(argv=None) -> int:
         if args.command == "mdl-oracle":
             return _cmd_mdl_oracle(cfg, args.arrivals, args.rho)
         raise AssertionError(f"unhandled command {args.command}")
+    except OSError as exc:
+        # load_config reports its own read errors, so this is an output's
+        print(f"config error: cannot write outputs to {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     except (ConfigError, OverflowError) as exc:
         # an OverflowError is a config whose channels or SJNR leave the float
         # range, or whose GA population is too large to allocate

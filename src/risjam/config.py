@@ -288,13 +288,13 @@ def _broadcast(section: str, key: str, values: tuple, n_users: int) -> tuple:
         f"[{section}] {key}: expected 1 or {n_users} values, got {len(values)}")
 
 
-def square_geometry(n_elements: int, spacing_h: float = 0.25,
-                    spacing_v: float = 0.25, carrier_freq: float = 28e9) -> RisGeometry:
-    """Square RIS with rows = cols = sqrt(n_elements)."""
+def square_geometry(n_elements: int, *layout: float) -> RisGeometry:
+    """Square RIS with rows = cols = sqrt(n_elements); ``layout`` is the
+    rest of ``RisGeometry``'s fields (spacings and carrier), if given."""
     side = isqrt(n_elements)
     if side * side != n_elements:
         raise ValueError(f"element count {n_elements} is not a perfect square")
-    return RisGeometry(side, side, spacing_h, spacing_v, carrier_freq)
+    return RisGeometry(side, side, *layout)
 
 
 def _build(what: str, factory: Callable, *args, **kwargs):
@@ -310,9 +310,13 @@ def _build(what: str, factory: Callable, *args, **kwargs):
 # ----------------------------------------------------------------------------
 
 def _read_file_items(path: Path) -> dict[tuple[str, str], str]:
-    parser = ConfigParser(inline_comment_prefixes=("#", ";"))
+    """The file's (section, key) -> raw value items. A value is its literal
+    text on one line: no ``%`` interpolation, and [DEFAULT] is no special
+    section, so the unknown-section rule rejects it."""
+    parser = ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                          default_section="")
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
@@ -325,6 +329,8 @@ def _read_file_items(path: Path) -> dict[tuple[str, str], str]:
         for key, value in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            if "\n" in value:
+                raise ConfigError(f"[{section}] {key}: a value must fit on one line")
             items[(section, key)] = value.strip()
     return items
 
@@ -405,21 +411,10 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         raise ConfigError("invalid traffic: the service time retransmissions * "
                           "(header_time_s + blocklength / bandwidth_hz) is not finite")
 
-    ga = typed["ga"]
-    # the [ga] keys include the GaSettings fields, spelled the same
-    ga_settings = _build("ga settings", GaSettings,
-                         **{f.name: ga[f.name] for f in fields(GaSettings)})
-    constraints = _build(
-        "ga settings", ConstraintSet,
-        delay_thr=ga["delay_thr_s"],
-        rel_thr=ga["rel_thr"],
-        beta_max=ga["beta_max"],
-        p_max=ga["p_max_w"],
-        l_max=ga["l_max"],
-        p_min=ga["p_min_w"],
-        nb_min=ga["nb_min"],
-        nb_max=ga["nb_max"],
-    )
+    # the [ga] keys are the GaSettings and the ConstraintSet fields
+    ga_settings, constraints = (
+        _build("ga settings", cls, **{f.name: typed["ga"][f.name] for f in fields(cls)})
+        for cls in (GaSettings, ConstraintSet))
 
     sweep = SweepSpec(**typed["sweep"])  # the [sweep] keys are the SweepSpec fields
     for n in sweep.n_elements_grid or ():

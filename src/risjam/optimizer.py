@@ -62,28 +62,29 @@ MAX_REPLICA_BOUND = 2 ** 16
 class ConstraintSet:
     """Thresholds and box bounds of the optimization problem.
 
-    ``p_min``/``nb_min``/``nb_max`` bound the search box for quantities whose
-    lower/upper limits the problem statement leaves open (powers must merely
-    be positive, blocklength merely a positive integer).
+    The fields are the ``[ga]`` config keys of the same names.
+    ``p_min_w``/``nb_min``/``nb_max`` bound the search box for quantities
+    whose lower/upper limits the problem statement leaves open (powers must
+    merely be positive, blocklength merely a positive integer).
     """
 
-    delay_thr: float = 1e-3
+    delay_thr_s: float = 1e-3
     rel_thr: float = 0.99999
     beta_max: float = 100.0
-    p_max: float = 0.1
+    p_max_w: float = 0.1
     l_max: int = 10
-    p_min: float = 1e-6
+    p_min_w: float = 1e-6
     nb_min: int = 1
     nb_max: int = 1000
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.delay_thr, self.beta_max, self.p_max)):
+        if not all(0 < v < np.inf for v in (self.delay_thr_s, self.beta_max, self.p_max_w)):
             raise ValueError("thresholds and bounds must be positive and finite")
         if not 0 < self.rel_thr < 1:
             raise ValueError("reliability threshold must lie in (0, 1)")
         if not 1 <= self.l_max <= MAX_REPLICA_BOUND:
             raise ValueError("maximum retransmission count must lie in 1..2**16")
-        if not 0 < self.p_min <= self.p_max:
+        if not 0 < self.p_min_w <= self.p_max_w:
             raise ValueError("need 0 < p_min <= p_max")
         if not 1 <= self.nb_min <= self.nb_max <= MAX_INTEGER_BOUND:
             raise ValueError("need 1 <= nb_min <= nb_max <= 2**52")
@@ -217,7 +218,7 @@ def _decode_valid(points: np.ndarray, tail: np.ndarray, n_users: int,
     given, a (B, N) complex array."""
     k, c = n_users, constraints
     weights = np.multiply(2.0 * math.sqrt(c.beta_max), points, out=weights)
-    powers = np.minimum(c.p_min + tail[:, :k] * (c.p_max - c.p_min), c.p_max)
+    powers = np.minimum(c.p_min_w + tail[:, :k] * (c.p_max_w - c.p_min_w), c.p_max_w)
     blocklength = _on_grid(tail[:, k], c.nb_min, c.nb_max)
     retransmissions = _on_grid(tail[:, k + 1], 1, c.l_max)
     return DecisionBlock(powers, weights, blocklength, retransmissions)
@@ -338,7 +339,7 @@ def _queue_residuals(rhos, delays, constraints: ConstraintSet
     mean delays of the metric chain; where a queue is unstable its delays are
     NaN and only the utilization residual is positive."""
     zero = np.zeros(rhos.shape[1:])
-    delay = sum(np.fmax(0.0, delays - constraints.delay_thr), zero)  # fmax drops NaN
+    delay = sum(np.fmax(0.0, delays - constraints.delay_thr_s), zero)  # fmax drops NaN
     utilization = sum(np.maximum(0.0, rhos - (1.0 - STRICT_MARGIN)), zero)
     return delay, utilization
 

@@ -45,7 +45,7 @@ def toy_model():
 
 @pytest.fixture
 def toy_constraints():
-    return ConstraintSet(p_min=1e-3, nb_min=60, nb_max=288)
+    return ConstraintSet(p_min_w=1e-3, nb_min=60, nb_max=288)
 
 
 @pytest.fixture

@@ -136,7 +136,7 @@ def test_criterion_07_reliability_threshold_ordering(tmp_path):
 
 def _toy_setup():
     model = make_model(RisGeometry(1, 1), make_scenario(n_users=1, jammer_power=0.0))
-    constraints = ConstraintSet(p_min=1e-3, nb_min=60, nb_max=288)
+    constraints = ConstraintSet(p_min_w=1e-3, nb_min=60, nb_max=288)
     return model, constraints
 
 
@@ -146,7 +146,7 @@ def _grid_oracle_eta(model, cons):
     The RIS phase drops out of the single-element, jammer-free SJNR, which a
     spot check below confirms, so the phase axis adds nothing to the search.
     """
-    powers = np.linspace(cons.p_min, cons.p_max, 20)[:, None, None, None]
+    powers = np.linspace(cons.p_min_w, cons.p_max_w, 20)[:, None, None, None]
     amplitudes = np.linspace(0.0, cons.beta_max, 20)[None, :, None, None]
     blocklengths = np.arange(cons.nb_min, cons.nb_max + 1, 12)[None, None, :, None]
     replicas = np.arange(1, cons.l_max + 1)[None, None, None, :]
@@ -168,7 +168,7 @@ def _grid_oracle_eta(model, cons):
     rho = replicas * frame * model.arrival_rates[0]
     tau = np.where(rho < 1, replicas * frame * (2 - rho) / (2 * (1 - rho)), np.inf)
     eta = np.where(np.isfinite(tau), model.payload_bits * rel / (powers * tau), 0.0)
-    feasible = (tau <= cons.delay_thr) & (rel >= cons.rel_thr) & (rho < 1 - 1e-9)
+    feasible = (tau <= cons.delay_thr_s) & (rel >= cons.rel_thr) & (rho < 1 - 1e-9)
     return float(np.max(np.where(feasible, eta, 0.0)))
 
 
@@ -213,26 +213,26 @@ def _criterion_09_problems():
     problems = [
         (make_model(RisGeometry(4, 4),
                     make_scenario(user_dirs=[(1.0, -0.3), (np.pi / 2, -0.1)])),
-         ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)),
+         ConstraintSet(p_min_w=1e-4, nb_min=60, nb_max=160)),
         (make_model(RisGeometry(3, 3),
                     make_scenario(n_users=1, jammer_power=0.0, user_dirs=[(0.4, -0.5)]),
                     arrival_rates=(300.0,)),
-         ConstraintSet(p_min=1e-3, nb_min=60, nb_max=288)),
+         ConstraintSet(p_min_w=1e-3, nb_min=60, nb_max=288)),
         (make_model(RisGeometry(5, 5),
                     make_scenario(user_dirs=[(1.2, -0.2), (0.3, -0.6)],
                                   jammer_power=2e-3),
                     arrival_rates=(200.0, 800.0)),
-         ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160, l_max=4)),
+         ConstraintSet(p_min_w=1e-4, nb_min=60, nb_max=160, l_max=4)),
         (make_model(RisGeometry(2, 2),
                     make_scenario(n_users=1, jammer_power=1e-3, user_dirs=[(0.8, -0.4)])),
-         ConstraintSet(p_min=1e-3, nb_min=60, nb_max=200)),
+         ConstraintSet(p_min_w=1e-3, nb_min=60, nb_max=200)),
     ]
     return problems
 
 
 def _assert_solution_is_feasible_as_coded(solution, model, cons):
     """Independent recheck of (17b)-(17j) through the metric chain."""
-    assert all(cons.p_min <= p <= cons.p_max for p in solution.user_powers)
+    assert all(cons.p_min_w <= p <= cons.p_max_w for p in solution.user_powers)
     assert all(a <= b for a, b in zip(solution.user_powers, solution.user_powers[1:]))
     assert all(0.0 <= beta <= cons.beta_max for beta in solution.amplitudes)
     assert all(0.0 <= theta <= 2 * np.pi for theta in solution.phases)
@@ -244,7 +244,7 @@ def _assert_solution_is_feasible_as_coded(solution, model, cons):
                             solution.blocklength, solution.retransmissions)
     assert report.stable
     for tau in report.mean_delay:
-        assert tau <= cons.delay_thr
+        assert tau <= cons.delay_thr_s
     assert report.reliability >= cons.rel_thr
     for rho in report.utilization:
         assert rho < 1.0
@@ -261,7 +261,7 @@ def test_criterion_09_constraint_enforcement():
         model, cons = problems[i % len(problems)]
         genome = rng.random(genome_dimension(model.n_users, model.n_elements))
         x = decode(genome, model.n_users, model.n_elements, cons)
-        assert all(cons.p_min <= p <= cons.p_max for p in x.user_powers)
+        assert all(cons.p_min_w <= p <= cons.p_max_w for p in x.user_powers)
         assert all(0.0 <= b <= cons.beta_max for b in x.amplitudes)
         assert all(0.0 <= t <= 2 * np.pi for t in x.phases)
         assert cons.nb_min <= x.blocklength <= cons.nb_max

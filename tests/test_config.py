@@ -1,12 +1,14 @@
 import dataclasses
+import errno
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from risjam import config, optimizer
+from risjam import config, optimizer, sweeps
 from risjam.channel import RisGeometry
 from risjam.cli import main
 from risjam.config import ConfigError, load_config, square_geometry
@@ -200,21 +202,20 @@ class TestDefaults:
         assert cfg.bandwidth == 180e3
         assert cfg.blocklength == 108
         assert cfg.payload_bits == 256
-        assert cfg.constraints.delay_thr == 1e-3
+        assert cfg.constraints.delay_thr_s == 1e-3
         assert cfg.constraints.rel_thr == 0.99999
         assert cfg.constraints.beta_max == 100.0
-        assert cfg.constraints.p_max == 0.1
+        assert cfg.constraints.p_max_w == 0.1
         assert cfg.constraints.l_max == 10
         assert cfg.ga.constraint_tolerance == 1e-30
 
     def test_every_ga_key_is_read(self):
-        # a [ga] key is a GaSettings field or one of the keys passed to
-        # ConstraintSet, so no key loads and is then ignored
-        constraint_keys = {"delay_thr_s", "rel_thr", "beta_max", "p_max_w", "p_min_w",
-                           "l_max", "nb_min", "nb_max"}
-        field_names = {f.name for f in dataclasses.fields(GaSettings)}
-        assert not field_names & constraint_keys
-        assert set(config.SCHEMA["ga"]) == field_names | constraint_keys
+        # a [ga] key is a GaSettings or a ConstraintSet field, so no key loads
+        # and is then ignored
+        ga_fields, constraint_fields = ({f.name for f in dataclasses.fields(cls)}
+                                        for cls in (GaSettings, ConstraintSet))
+        assert not ga_fields & constraint_fields
+        assert set(config.SCHEMA["ga"]) == ga_fields | constraint_fields
 
     def test_schema_defaults_equal_dataclass_defaults(self):
         # each of these defaults is written twice: as a SCHEMA string and as
@@ -353,6 +354,53 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"config error: {message} {path}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,message", [
+        ("[sweep]\npolicy = 50%",
+         "[sweep] policy: must be one of ('cophased', 'ga'), got '50%'"),
+        ("[ga]\npopulation_size = 7\nmax_generations = %(population_size)s",
+         "[ga] max_generations: not an integer: '%(population_size)s'"),
+        ("[DEFAULT]\nrng_seed = 3\n[ga]\npopulation_size = 7",
+         "unknown config section [DEFAULT]"),
+        ("[scenario]\ndist_ris_ue_m = 20,\n    25",
+         "[scenario] dist_ris_ue_m: a value must fit on one line"),
+    ], ids=["percent", "interpolation", "default-section", "continuation"])
+    def test_dialect_outside_the_subset_exits_1(self, tmp_path, capsys, text, message):
+        # a value is its literal text on one line, and [DEFAULT] is no section
+        path = write(tmp_path, f"{text}\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["optimize"], ["sweep", "sjnr-n"]],
+                             ids=["optimize", "sweep"])
+    def test_out_is_a_file_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        def computed(*args):
+            raise AssertionError("built a model before checking --out")
+        monkeypatch.setattr(sweeps, "build_model", computed)
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        assert main([*command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: cannot write outputs to {out}: Not a directory\n")
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", [["optimize"], ["sweep", "sjnr-n"]],
+                             ids=["optimize", "sweep"])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # a directory that cannot be made; as root a real one would be writable
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        path = write(tmp_path, "[ga]\npopulation_size = 7\nmax_generations = 1\n"
+                               "[sweep]\nn_elements_grid = 4\n")
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: cannot write outputs to {out}: Permission denied\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,setting,message", OUT_OF_DOMAIN_CASES,
                              ids=[f"{s}.{v}" for s, v, _ in OUT_OF_DOMAIN_CASES])
     def test_out_of_domain_value(self, tmp_path, section, setting, message):
@@ -462,6 +510,11 @@ class TestConversionsAndOverrides:
         assert cfg.scenario.path_gain_ref == pytest.approx(100.0, rel=1e-12)
         assert cfg.noise.awgn_var == pytest.approx(1e-12, rel=1e-9)
         assert cfg.payload_bits == 80
+
+    def test_byte_order_mark_is_allowed(self, tmp_path):
+        path = tmp_path / "bom.ini"
+        path.write_bytes("\ufeff[ga]\npopulation_size = 7\n".encode())
+        assert load_config(path).ga.population_size == 7
 
     def test_rectangle_geometry(self, tmp_path):
         cfg = load_config(write(tmp_path, "[geometry]\nn_elements = 6\nn_rows = 2\n"))

@@ -32,7 +32,7 @@ from conftest import make_model, make_scenario
 
 # the search box is wide enough that random genomes mix stable and unstable
 # queues and reliable and unreliable links
-WIDE_BOX = ConstraintSet(p_min=1e-4, nb_min=20, nb_max=1000, l_max=10)
+WIDE_BOX = ConstraintSet(p_min_w=1e-4, nb_min=20, nb_max=1000, l_max=10)
 
 
 def same_bits(a, b) -> bool:
@@ -463,7 +463,7 @@ def test_ga_scores_its_best_genome_once(monkeypatch):
     # one call for the initial population, one for the record of its best
     model = make_model(RisGeometry(2, 2), make_scenario(
         jammer_power=5e-4, user_dirs=[(1.0, -0.3), (np.pi / 2, -0.1)]))
-    constraints = ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)
+    constraints = ConstraintSet(p_min_w=1e-4, nb_min=60, nb_max=160)
     calls = recorded_blocks(monkeypatch)
     result = run_ga(model, constraints,
                     GaSettings(rng_seed=7, population_size=40, max_generations=0))
@@ -585,7 +585,7 @@ def test_small_run_is_pinned():
     # by generation
     model = make_model(RisGeometry(2, 2), make_scenario(
         jammer_power=5e-4, user_dirs=[(1.0, -0.3), (np.pi / 2, -0.1)]))
-    result = run_ga(model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160),
+    result = run_ga(model, ConstraintSet(p_min_w=1e-4, nb_min=60, nb_max=160),
                     GaSettings(rng_seed=7, population_size=40, max_generations=15))
     assert result.fitness_history == [3.898872899999652e-08] * 4 + [
         3.332061769446539e-08] * 3 + [3.3320617694464114e-08] * 4 + [

@@ -33,7 +33,7 @@ def queue_feasible(model, constraints, blocklengths, replicas) -> np.ndarray:
     b, n, k = len(blocklengths), model.n_elements, model.n_users
     chain = model.evaluate_block(np.ones((b, n)), np.full((b, k), 1e-3),
                                  blocklengths, replicas)
-    delay_met = np.where(chain.stable, chain.mean_delay <= constraints.delay_thr,
+    delay_met = np.where(chain.stable, chain.mean_delay <= constraints.delay_thr_s,
                          False)
     return np.all((chain.utilization <= 1.0 - STRICT_MARGIN) & delay_met, axis=0)
 
@@ -41,14 +41,14 @@ def queue_feasible(model, constraints, blocklengths, replicas) -> np.ndarray:
 class TestDecode:
     def test_box_bounds_hold_exactly(self):
         rng = np.random.default_rng(17)
-        cons = ConstraintSet(p_min=1e-3, p_max=0.05, beta_max=40.0, l_max=7,
+        cons = ConstraintSet(p_min_w=1e-3, p_max_w=0.05, beta_max=40.0, l_max=7,
                              nb_min=80, nb_max=240)
         for _ in range(300):
             k = int(rng.integers(1, 4))
             n = int(rng.integers(1, 10))
             genome = rng.random(genome_dimension(k, n))
             x = decode(genome, k, n, cons)
-            assert all(cons.p_min <= p <= cons.p_max for p in x.user_powers)
+            assert all(cons.p_min_w <= p <= cons.p_max_w for p in x.user_powers)
             assert all(0.0 <= t <= 2 * np.pi for t in x.phases)
             assert all(0.0 <= b <= cons.beta_max for b in x.amplitudes)
             assert isinstance(x.blocklength, int)
@@ -57,14 +57,14 @@ class TestDecode:
             assert 1 <= x.retransmissions <= cons.l_max
 
     def test_corner_genomes_hit_bounds(self):
-        cons = ConstraintSet(p_min=1e-3, p_max=0.05, beta_max=40.0, l_max=7,
+        cons = ConstraintSet(p_min_w=1e-3, p_max_w=0.05, beta_max=40.0, l_max=7,
                              nb_min=80, nb_max=240)
         dim = genome_dimension(2, 3)
         low, high = np.zeros(dim), np.ones(dim)
         low[:6], high[:6] = -0.5, 0.5
         low, high = decode(low, 2, 3, cons), decode(high, 2, 3, cons)
-        assert low.user_powers == (cons.p_min,) * 2
-        assert high.user_powers == (cons.p_max,) * 2
+        assert low.user_powers == (cons.p_min_w,) * 2
+        assert high.user_powers == (cons.p_max_w,) * 2
         # the square's corners -(1 + j)/2 and (1 + j)/2 decode onto the
         # disc's edge
         for x in (low, high):
@@ -122,12 +122,12 @@ class TestDecode:
 
     @pytest.mark.parametrize("tail", [-0.2, 1.2])
     def test_genes_outside_their_box_decode_inside_every_bound(self, tail):
-        cons = ConstraintSet(p_min=1e-3, p_max=0.05, beta_max=40.0, l_max=7,
+        cons = ConstraintSet(p_min_w=1e-3, p_max_w=0.05, beta_max=40.0, l_max=7,
                              nb_min=80, nb_max=240)
         genome = np.full(genome_dimension(2, 3), tail)
         genome[:6] = [0.7, -0.9, 0.1, 0.2, -3.0, 0.0]  # elements 0 and 2 outside
         x = decode(genome, 2, 3, cons)
-        assert x.user_powers == ((cons.p_min,) * 2 if tail < 0 else (cons.p_max,) * 2)
+        assert x.user_powers == ((cons.p_min_w,) * 2 if tail < 0 else (cons.p_max_w,) * 2)
         assert (x.blocklength, x.retransmissions) == ((80, 1) if tail < 0 else (240, 7))
         assert all(b <= cons.beta_max for b in x.amplitudes)
         assert x.amplitudes[0] == pytest.approx(cons.beta_max, rel=1e-15)
@@ -140,7 +140,7 @@ class TestDecode:
 
     def test_block_rows_match_single_decodes(self):
         rng = np.random.default_rng(23)
-        cons = ConstraintSet(p_min=1e-3, p_max=0.05, beta_max=40.0, l_max=7,
+        cons = ConstraintSet(p_min_w=1e-3, p_max_w=0.05, beta_max=40.0, l_max=7,
                              nb_min=80, nb_max=240)
         genomes = rng.uniform(-0.2, 1.2, (50, genome_dimension(2, 5)))
         block = decode_block(genomes, 2, 5, cons)
@@ -183,7 +183,7 @@ class TestEvaluateFitness:
         assert 0.0 < objective < INFEASIBLE_OBJECTIVE
 
     def test_overload_produces_utilization_residual(self, toy_model):
-        cons = ConstraintSet(p_min=1e-3, nb_min=60, nb_max=2000)
+        cons = ConstraintSet(p_min_w=1e-3, nb_min=60, nb_max=2000)
         # 10 replicas of a 2000-use frame at 500 pkt/s: rho far above 1
         x = DecisionVector(user_powers=(1e-3,), phases=(0.0,), amplitudes=(50.0,),
                            blocklength=2000, retransmissions=10)
@@ -192,7 +192,7 @@ class TestEvaluateFitness:
         assert objective == INFEASIBLE_OBJECTIVE  # large finite, not an error
 
     def test_power_ordering_residual(self, two_user_model):
-        cons = ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)
+        cons = ConstraintSet(p_min_w=1e-4, nb_min=60, nb_max=160)
         x = DecisionVector(user_powers=(0.05, 0.01),
                            phases=(0.0,) * 16, amplitudes=(10.0,) * 16,
                            blocklength=108, retransmissions=1)
@@ -309,7 +309,7 @@ class TestRunGa:
         # as-printed reference layout: both users share one direction, so the
         # SIC cap keeps user 1 below the rate the delay budget requires
         model = make_model(RisGeometry(4, 4), make_scenario())
-        result = run_ga(model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160),
+        result = run_ga(model, ConstraintSet(p_min_w=1e-4, nb_min=60, nb_max=160),
                         GaSettings(rng_seed=4, population_size=40,
                                    max_generations=15))
         assert not result.feasible
@@ -318,7 +318,7 @@ class TestRunGa:
     def test_run_spends_its_whole_budget(self, weak_link_model):
         # the best stays infeasible, its merit exactly 1e30, until the run
         # turns feasible in generation 9; every generation is still evolved
-        cons = ConstraintSet(p_min=1e-3, nb_min=60, nb_max=160)
+        cons = ConstraintSet(p_min_w=1e-3, nb_min=60, nb_max=160)
         result = run_ga(weak_link_model, cons,
                         GaSettings(rng_seed=33, population_size=40,
                                    max_generations=60, seeded_fraction=0.0))
@@ -333,7 +333,7 @@ class TestRunGa:
     def test_phase_alignment_emerges(self, weak_link_model):
         # reliability on this link is only attainable near coherence, with or
         # without seeded beams
-        cons = ConstraintSet(p_min=1e-3, nb_min=60, nb_max=160)
+        cons = ConstraintSet(p_min_w=1e-3, nb_min=60, nb_max=160)
         for fraction, seed in ((0.1, 1), (0.0, 2)):
             result = run_ga(weak_link_model, cons,
                             GaSettings(rng_seed=seed, population_size=120,
@@ -357,9 +357,9 @@ class TestRunGa:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("build", [
-        lambda bad: ConstraintSet(delay_thr=bad),
+        lambda bad: ConstraintSet(delay_thr_s=bad),
         lambda bad: ConstraintSet(beta_max=bad),
-        lambda bad: ConstraintSet(p_max=bad),
+        lambda bad: ConstraintSet(p_max_w=bad),
         lambda bad: GaSettings(constraint_tolerance=bad),
     ], ids=["delay_thr", "beta_max", "p_max", "constraint_tolerance"])
     def test_non_finite_settings_rejected(self, build, bad):
@@ -390,7 +390,7 @@ class TestRunGa:
 
     def test_results_do_not_depend_on_block_cells(self, two_user_model,
                                                   monkeypatch):
-        cons = ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)
+        cons = ConstraintSet(p_min_w=1e-4, nb_min=60, nb_max=160)
         settings = GaSettings(rng_seed=5, population_size=40, max_generations=15)
         default = run_ga(two_user_model, cons, settings)
         # N cells hold one beam and no 36-gene genome: every row is its own
@@ -419,7 +419,7 @@ class TestRunGa:
                                                              monkeypatch):
         # the GA decodes its populations without decode_block's checks and
         # projections; on a repaired population they change no bit
-        model, cons = two_user_model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160)
+        model, cons = two_user_model, ConstraintSet(p_min_w=1e-4, nb_min=60, nb_max=160)
         k, n = model.n_users, model.n_elements
         settings = GaSettings(rng_seed=5, population_size=40)
         rng = np.random.default_rng(settings.rng_seed)
@@ -597,7 +597,7 @@ class TestRepair:
                            arrival_rates=tuple(rng.uniform(10.0, 3000.0, n_users)),
                            header_time=float(rng.uniform(0.0, 1e-4)),
                            bandwidth=float(rng.uniform(5e4, 1e6)))
-        c = ConstraintSet(delay_thr=10.0 ** delay_exponent, p_min=1e-4,
+        c = ConstraintSet(delay_thr_s=10.0 ** delay_exponent, p_min_w=1e-4,
                           nb_min=nb_min, nb_max=nb_min + nb_spread, l_max=l_max)
         k, n = n_users, model.n_elements
         genomes = rng.random((40, genome_dimension(k, n)))
@@ -699,7 +699,7 @@ class TestBreed:
                            arrival_rates=tuple(rng.uniform(10.0, 3000.0, n_users)),
                            header_time=float(rng.uniform(0.0, 1e-4)),
                            bandwidth=float(rng.uniform(5e4, 1e6)))
-        c = ConstraintSet(delay_thr=10.0 ** delay_exponent, p_min=1e-4,
+        c = ConstraintSet(delay_thr_s=10.0 ** delay_exponent, p_min_w=1e-4,
                           nb_min=nb_min, nb_max=nb_min + nb_spread, l_max=l_max)
         k, n = n_users, n_elements
         caps = optimizer._blocklength_caps(model, c)

@@ -56,7 +56,7 @@ def test_every_population_spans_every_layer_of_the_chain(tracing):
     generations = 3
     settings = GaSettings(rng_seed=5, population_size=20, max_generations=generations)
     with tracing.instrument(tracing.Tracer()) as tracer:
-        run_ga(model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160), settings)
+        run_ga(model, ConstraintSet(p_min_w=1e-4, nb_min=60, nb_max=160), settings)
     # the initial population, one bred population per generation, the record
     blocks = scored_blocks(tracer.names)
     assert len(blocks) == tracer.names.count(SJNR_SPAN) == generations + 2

@@ -65,6 +65,6 @@ def test_every_scored_block_is_one_sjnr_span(tracing):
     generations = 3
     settings = GaSettings(rng_seed=5, population_size=20, max_generations=generations)
     with tracing.instrument(tracing.Tracer()) as tracer:
-        run_ga(model, ConstraintSet(p_min=1e-4, nb_min=60, nb_max=160), settings)
+        run_ga(model, ConstraintSet(p_min_w=1e-4, nb_min=60, nb_max=160), settings)
     # the initial population, one bred population per generation, the record
     assert tracer.names.count("link.sjnr:sjnr_all") == generations + 2
